@@ -1,13 +1,18 @@
 """Striped-transfer chaos bench: seeded route failure, both drivers.
 
 For each real-socket driver (``threads`` = :mod:`repro.sockets.striped`,
-``asyncio`` = :mod:`repro.asockets.striped`) this bench measures three
+``asyncio`` = :mod:`repro.asockets.striped`) this bench measures four
 loopback transfers of the same payload:
 
 1. **single** — one route, no striping (the baseline lane of the
    striped-vs-single A/B in ``docs/PERFORMANCE.md``);
 2. **striped** — three parallel direct routes, no redundancy;
-3. **chaos** — three routes under ``duplicate-1`` where one route runs
+3. **parity** — the same three routes under ``parity``: no loss, so
+   this lane prices the redundancy itself (one XOR block per four
+   stripes: 0.8x the ``none`` lane is the wire-byte floor). It must
+   reach 0.3x the striped lane of the same run — a byte-at-a-time XOR
+   sits at 0.06x;
+4. **chaos** — three routes under ``duplicate-1`` where one route runs
    through a relay that reads a few KiB and then resets the connection
    (SO_LINGER abortive close: a mid-transfer path crash, seeded and
    deterministic). The transfer must *degrade*: complete with the MD5
@@ -16,12 +21,14 @@ loopback transfers of the same payload:
    striping (``docs/PROTOCOL.md`` §8).
 
 Any chaos run that fails to complete, fails its digest, fails to
-observe the crash, or emits a resume event exits non-zero.
+observe the crash, or emits a resume event exits non-zero, and so does
+a parity lane below its floor.
 
 The usual loopback caveat applies: CPython's GIL serializes the
-sublink pumps, so striped wall-clock on loopback measures framing
-overhead, not parallelism — the throughput claims live in the
-simulator benches (``bench_extension_striping.py``).
+sublink pumps, so striped wall-clock on loopback measures what the
+striping machines cost per byte (framing, reassembly, the digest, and
+under ``parity`` the XOR), not parallelism — the throughput claims
+live in the simulator benches (``bench_extension_striping.py``).
 
 Writes a ``BENCH_summary.json`` (same shape the pytest-benchmark
 conftest emits) into ``REPRO_METRICS_DIR`` (or the working directory).
@@ -52,6 +59,8 @@ SMOKE = {"ab_bytes": 8 << 20, "chaos_bytes": 16 << 20, "rounds": 1}
 STRIPE = 64 * 1024
 SNDBUF = 64 * 1024  # keeps dealing demand-paced on loopback
 ROUTES = 3
+#: parity goodput must reach this share of the ``none`` lane's
+PARITY_FLOOR = 0.3
 
 
 class CrashingRelay:
@@ -154,6 +163,8 @@ def bench_driver(name, cfg):
 
     single = best(1, "none")
     striped = best(ROUTES, "none")
+    parity = best(ROUTES, "parity")
+    parity["share_of_none"] = round(parity["mbps"] / striped["mbps"], 2)
 
     events = []
     chaos = timed_transfer(
@@ -169,11 +180,14 @@ def bench_driver(name, cfg):
         "bytes": cfg["ab_bytes"],
         "single": single,
         "striped": striped,
+        "parity": parity,
         "chaos": chaos,
     }
     print(
         f"{name:>7}: single {single['mbps']} Mbit/s, "
         f"striped x{ROUTES} {striped['mbps']} Mbit/s, "
+        f"parity x{ROUTES} {parity['mbps']} Mbit/s "
+        f"({parity['share_of_none']}x striped), "
         f"chaos(dup-1, 1 route crashed) "
         f"{'ok' if chaos['complete'] else 'FAILED'} "
         f"in {chaos['wall_s']}s, {chaos['sublink_errors']} sublink error(s), "
@@ -186,9 +200,15 @@ def check(results):
     problems = []
     for row in results:
         d = row["driver"]
-        for lane in ("single", "striped"):
+        for lane in ("single", "striped", "parity"):
             if not (row[lane]["complete"] and row[lane]["digest_ok"]):
                 problems.append(f"{d}: {lane} transfer incomplete")
+        share = row["parity"]["share_of_none"]
+        if share < PARITY_FLOOR:
+            problems.append(
+                f"{d}: parity goodput is {share}x the none lane "
+                f"(floor {PARITY_FLOOR}x)"
+            )
         chaos = row["chaos"]
         if not (chaos["complete"] and chaos["digest_ok"]):
             problems.append(f"{d}: chaos transfer did not degrade cleanly")
@@ -231,7 +251,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI profile: 8M A/B + 16M chaos, one round each",
+        help="CI profile: 8M A/B lanes + 16M chaos, one round each",
     )
     parser.add_argument(
         "--driver", choices=("threads", "asyncio", "both"), default="both"

@@ -74,6 +74,15 @@ _PARITY_DESC = struct.Struct(">QII")
 PARITY_DESC_LEN = _PARITY_DESC.size  # 16
 
 
+def xor_into(acc: int, block: bytes) -> int:
+    """XOR ``block`` into a running parity accumulator, a machine word
+    at a time. The accumulator is the little-endian integer of the
+    bytes so far, so blocks of unequal length align at index 0 and a
+    short tail block needs no padding; ``acc.to_bytes(n, "little")``
+    turns it back into the ``n``-byte parity block."""
+    return acc ^ int.from_bytes(block, "little")
+
+
 class Redundancy:
     """Parsed redundancy mode for a striped session."""
 
@@ -257,8 +266,8 @@ class StripeScheduler:
         self._trailer: Optional[_Work] = None
         self.failed: Optional[Exception] = None
 
-        # parity accumulation for the group being dealt
-        self._gxor = bytearray()
+        # parity accumulation for the group being dealt (see xor_into)
+        self._gxor = 0
         self._gfirst_len = 0
         self._gcount = 0
         self._gindex = 0
@@ -417,11 +426,8 @@ class StripeScheduler:
 
     def _parity_accumulate(self, block: bytes) -> None:
         if self._gcount == 0:
-            self._gxor = bytearray(block)
-            self._gfirst_len = len(block)
-        else:
-            for i, b in enumerate(block):
-                self._gxor[i] ^= b
+            self._gfirst_len = len(block)  # the group's longest block
+        self._gxor = xor_into(self._gxor, block)
         self._gcount += 1
         group_full = self._gcount == self.redundancy.group
         frontier_done = self._next_offset >= self.payload_length
@@ -431,7 +437,7 @@ class StripeScheduler:
                     KIND_PARITY,
                     PARITY_BASE + (self._gindex + 1) * PARITY_SPAN,
                     self._gfirst_len,
-                    bytes(self._gxor[: self._gfirst_len]),
+                    self._gxor.to_bytes(self._gfirst_len, "little"),
                     1,
                 )
                 self._records.append(work)
@@ -439,7 +445,7 @@ class StripeScheduler:
             # a single-stripe tail group has no one to XOR with: skip
             self._gindex += 1
             self._gcount = 0
-            self._gxor = bytearray()
+            self._gxor = 0
 
     def _trailer_work(self) -> Optional[_Work]:
         if not self.use_digest or self._next_offset < self.payload_length:
@@ -533,7 +539,9 @@ class StripeScheduler:
 
 
 class _ParityGroup:
-    """Accumulates one group's XOR block as its frame bytes arrive."""
+    """Accumulates one group's XOR block as its frame bytes arrive;
+    ``applied`` once the group needs no further look (a block was
+    rebuilt from it, or there was nothing to rebuild)."""
 
     __slots__ = ("buf", "have", "done", "applied")
 
@@ -743,14 +751,14 @@ class StripeAssembler:
         pos = rel % PARITY_SPAN
         if self._geometry is None:
             raise ProtocolError("parity block before the announce frame")
-        pg = self._parity.get(group)
-        if pg is None:
-            pg = _ParityGroup(self._parity_length(group))
-            self._parity[group] = pg
+        length = self._parity_length(group)
         end = pos + chunk.length
-        if end > len(pg.buf):
+        if end > length:
             raise ProtocolError("parity block overrun")
-        if pg.done:
+        pg = self._parity.get(group)
+        # a block for a group already delivered (the loss-free order is
+        # data first, parity last) has nothing left to protect
+        if group < self._groups_cleaned or (pg is not None and pg.done):
             self.duplicate_bytes += chunk.length
             emit(
                 self._observer,
@@ -760,6 +768,9 @@ class StripeAssembler:
                 parity=True,
             )
             return
+        if pg is None:
+            pg = _ParityGroup(length)
+            self._parity[group] = pg
         pg.buf[pos:end] = chunk.data
         pg.have += chunk.length
         if pg.have >= len(pg.buf):
@@ -840,25 +851,19 @@ class StripeAssembler:
         for group, pg in self._parity.items():
             if not pg.done or pg.applied:
                 continue
+            # decide on coverage alone; copy bytes only to rebuild
             blocks = self._group_blocks(group)
-            missing: List[Tuple[int, int]] = []
-            present: List[bytes] = []
-            for start, length in blocks:
-                got = None
-                if self._range_covered(start, length):
-                    got = self._block_bytes(start, length)
-                if got is None:
-                    missing.append((start, length))
-                else:
-                    present.append(got)
-            if len(missing) != 1 or len(present) != len(blocks) - 1:
+            missing = [b for b in blocks if not self._range_covered(*b)]
+            if len(missing) > 1:
+                continue  # more of the group may yet arrive
+            # never look again: there is nothing to rebuild, or this is
+            # the one try at it (a covered block that has no bytes, being
+            # delivered virtually, will not gain them later)
+            pg.applied = True
+            rebuilt = self._rebuild(pg, blocks, missing[0]) if missing else None
+            if rebuilt is None:
                 continue
             mstart, mlen = missing[0]
-            acc = bytearray(pg.buf)
-            for blk in present:
-                for i, b in enumerate(blk):
-                    acc[i] ^= b
-            pg.applied = True
             self.reconstructed_blocks += 1
             emit(
                 self._observer,
@@ -868,9 +873,27 @@ class StripeAssembler:
                 nbytes=mlen,
                 group=group,
             )
-            self._insert(mstart, Chunk.real(bytes(acc[:mlen])))
+            self._insert(mstart, Chunk.real(rebuilt))
             return True
         return False
+
+    def _rebuild(
+        self,
+        pg: _ParityGroup,
+        blocks: List[Tuple[int, int]],
+        lost: Tuple[int, int],
+    ) -> Optional[bytes]:
+        """The ``lost`` block as ``parity ^ every other block`` of the
+        group; None when one of those has no bytes to XOR."""
+        acc = int.from_bytes(pg.buf, "little")
+        for block in blocks:
+            if block == lost:
+                continue
+            got = self._block_bytes(*block)
+            if got is None:
+                return None
+            acc = xor_into(acc, got)
+        return acc.to_bytes(len(pg.buf), "little")[: lost[1]]
 
     def _range_covered(self, start: int, length: int) -> bool:
         """True when [start, start+length) is fully delivered or

@@ -1,8 +1,11 @@
 """Unit tests for the sans-I/O striping machines (no transport at all)."""
 
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.lsl.core import Completed, Failed
 from repro.lsl.core.chunks import Chunk
@@ -17,6 +20,7 @@ from repro.lsl.core.striping import (
     StripeAssembler,
     StripeScheduler,
     parse_redundancy,
+    xor_into,
 )
 
 PAYLOAD = random.Random(7).randbytes(700_000)  # 6 x 128K stripes, short tail
@@ -56,16 +60,12 @@ def test_redundancy_validation():
 # -- in-memory driver --------------------------------------------------------
 
 
-def drain(scheduler, keys, drop=()):
-    """Deal everything round-robin; returns {key: wire bytes}.
-
-    ``drop`` holds keys whose *frames are dealt but never delivered*
-    (the transport ate them) — the scheduler still believes they went
-    out, which is exactly a silent path loss.
-    """
-    wires = {k: bytearray() for k in keys}
+def deal(scheduler, keys):
+    """Deal everything round-robin; returns the frames as
+    (key, assignment) pairs in the order they were dealt."""
     for k in keys:
         scheduler.add_sublink(k)
+    frames = []
     live = list(keys)
     while live:
         for k in list(live):
@@ -74,11 +74,22 @@ def drain(scheduler, keys, drop=()):
                 scheduler.sublink_finished(k)
                 live.remove(k)
                 continue
-            wires[k] += a.frame_header()
             assert a.payload is not None
-            wires[k] += a.payload
             a.header_sent = True
             a.sent = a.length
+            frames.append((k, a))
+    return frames
+
+
+def wire(a):
+    return a.frame_header() + a.payload
+
+
+def drain(scheduler, keys):
+    """Deal everything round-robin; returns {key: wire bytes}."""
+    wires = {k: bytearray() for k in keys}
+    for k, a in deal(scheduler, keys):
+        wires[k] += wire(a)
     return {k: bytes(v) for k, v in wires.items()}
 
 
@@ -328,6 +339,181 @@ def test_parity_block_before_announce_rejected():
     bad = encode_frame_header(PARITY_BASE + (1 << 32), 4) + bytes(4)
     events = asm.feed_bytes("a", bad)
     assert any(isinstance(e, Failed) for e in events)
+
+
+def parity_frames(payload, keys, stripe, group):
+    """``payload`` dealt under parity: (key, assignment) in dealt order."""
+    sch = StripeScheduler(
+        len(payload),
+        data=payload,
+        stripe_bytes=stripe,
+        redundancy=Redundancy("parity", group=group),
+    )
+    return deal(sch, keys)
+
+
+def feed_all(asm, feeds):
+    """Feed (key, bytes) pairs; returns the delivered bytes."""
+    out = bytearray()
+    for k, data in feeds:
+        for e in asm.feed_bytes(k, data):
+            if hasattr(e, "chunk"):
+                out += e.chunk.data
+    return bytes(out)
+
+
+def xor_reference(blocks):
+    """Byte-at-a-time XOR, blocks aligned at index 0: the arithmetic
+    ``xor_into`` must reproduce."""
+    out = bytearray(max(map(len, blocks), default=0))
+    for blk in blocks:
+        for i, b in enumerate(blk):
+            out[i] ^= b
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [[0], [1], [0, 1], [1, 1], [5, 3, 4], [9, 9, 9, 2],
+     [128 * 1024, 128 * 1024, 128 * 1024 - 7]],
+)
+def test_xor_kernel_matches_bytewise_reference(lengths):
+    rng = random.Random(len(lengths) * 31 + lengths[-1])
+    blocks = [rng.randbytes(n) for n in lengths]
+    got = reduce(xor_into, blocks, 0).to_bytes(max(lengths), "little")
+    assert got == xor_reference(blocks)
+
+
+@st.composite
+def parity_cases(draw):
+    stripe = draw(st.integers(1, 24))
+    group = draw(st.integers(2, 8))
+    payload = draw(st.binary(min_size=1, max_size=stripe * group * 3))
+    n_stripes = -(-len(payload) // stripe)
+    withheld = set()
+    for first in range(0, n_stripes, group):
+        blocks = min(group, n_stripes - first)
+        pick = draw(st.one_of(st.none(), st.integers(0, group - 1)))
+        # a one-stripe tail group has no parity block to rebuild from
+        if pick is not None and blocks > 1:
+            withheld.add(first + pick % blocks)
+    return {
+        "payload": payload,
+        "stripe": stripe,
+        "group": group,
+        "keys": ["a", "b", "c"][: draw(st.integers(1, 3))],
+        "withheld": withheld,
+        "feed": draw(st.sampled_from([1, 2, 7, 64, 1 << 20])),
+        # None: frames arrive in the order dealt; else a seeded merge of
+        # the sublinks' byte streams (each in its own order)
+        "merge_seed": draw(st.one_of(st.none(), st.integers(0, 2**16))),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(parity_cases())
+@example({"payload": b"x" * 5, "stripe": 8, "group": 2, "keys": ["a"],
+          "withheld": set(), "feed": 1, "merge_seed": None})  # < one stripe
+@example({"payload": bytes(range(33)), "stripe": 4, "group": 4,
+          "keys": ["a", "b", "c"], "withheld": {0, 5},
+          "feed": 1, "merge_seed": None})  # short tail in a 1-stripe group
+@example({"payload": bytes(range(30)), "stripe": 4, "group": 4,
+          "keys": ["a", "b"], "withheld": {3, 7}, "feed": 2,
+          "merge_seed": 3})  # the short tail stripe itself is lost
+def test_parity_delivers_any_geometry_and_leaves_nothing_behind(case):
+    payload, stripe = case["payload"], case["stripe"]
+    streams = {k: bytearray() for k in case["keys"]}
+    in_order = []
+    for k, a in parity_frames(payload, case["keys"], stripe, case["group"]):
+        if a.kind == KIND_DATA and a.offset // stripe in case["withheld"]:
+            continue
+        data = wire(a)
+        streams[k] += data
+        in_order += [
+            (k, data[i : i + case["feed"]])
+            for i in range(0, len(data), case["feed"])
+        ]
+    if case["merge_seed"] is None:
+        feeds = in_order
+    else:
+        rng = random.Random(case["merge_seed"])
+        feeds = []
+        while any(streams.values()):
+            k = rng.choice([k for k, s in streams.items() if s])
+            feeds.append((k, bytes(streams[k][: case["feed"]])))
+            del streams[k][: case["feed"]]
+    asm = StripeAssembler(len(payload))
+    for k in case["keys"]:
+        asm.attach(k)
+    assert feed_all(asm, feeds) == payload
+    assert asm.complete and asm.digest_ok is True
+    if case["merge_seed"] is None:
+        assert asm.reconstructed_blocks == len(case["withheld"])
+    else:
+        # a block still in flight when its group's parity lands is
+        # rebuilt early and its late copy discarded as a duplicate
+        assert asm.reconstructed_blocks >= len(case["withheld"])
+    assert asm._parity == {} and asm._retained == {} and asm.ooo_bytes == 0
+
+
+def test_late_parity_block_is_discarded_not_retained():
+    # loss-free order on one sublink: each group's data, then its parity
+    # block -- which arrives after the group was delivered and cleaned
+    events = []
+    asm = StripeAssembler(len(PAYLOAD), observer=events.append)
+    asm.attach("a")
+    parity_bytes = 0
+    out = bytearray()
+    for _, a in parity_frames(PAYLOAD, ["a"], 64 * 1024, 2):
+        out += feed_all(asm, [("a", wire(a))])
+        if a.kind == "parity":
+            parity_bytes += a.length
+        assert asm._parity == {}
+    assert bytes(out) == PAYLOAD and asm.digest_ok is True
+    assert parity_bytes > 0 and asm.duplicate_bytes == parity_bytes
+    discarded = [e for e in events if e.kind == "duplicate-discarded"]
+    assert discarded and all(e.detail["parity"] is True for e in discarded)
+    assert asm.reconstructed_blocks == 0 and asm._retained == {}
+
+
+class CountingAssembler(StripeAssembler):
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.calls = {"group_blocks": 0, "block_bytes": 0}
+
+    def _group_blocks(self, group):
+        self.calls["group_blocks"] += 1
+        return super()._group_blocks(group)
+
+    def _block_bytes(self, start, length):
+        self.calls["block_bytes"] += 1
+        return super()._block_bytes(start, length)
+
+
+@pytest.mark.parametrize("head_of_line_blocked", [False, True])
+def test_loss_free_parity_assembly_work_is_linear(head_of_line_blocked):
+    """Counts, not clocks: 4x the stripes may cost 4x the group scans
+    and block copies, not 16x (late parity blocks must not pile up, and
+    a fully covered group must be settled once, not on every feed)."""
+    stripe, group = 16, 4
+
+    def calls(n_stripes):
+        payload = random.Random(n_stripes).randbytes(stripe * n_stripes)
+        frames = [wire(a) for _, a in parity_frames(payload, ["a"], stripe, group)]
+        if head_of_line_blocked:
+            # announce first; group 0 (4 stripes + parity) arrives after
+            # everything else, so every later group waits fully covered
+            frames = frames[:1] + frames[6:] + frames[1:6]
+        asm = CountingAssembler(len(payload))
+        asm.attach("a")
+        assert feed_all(asm, [("a", f) for f in frames]) == payload
+        assert asm.complete and asm.reconstructed_blocks == 0
+        assert asm._parity == {} and asm._retained == {}
+        return asm.calls
+
+    small, large = calls(64), calls(256)
+    for name in small:
+        assert large[name] <= 4 * small[name] + 8, (name, small, large)
 
 
 def test_assembler_validation():
