@@ -103,6 +103,7 @@ class AsyncLslServer(AsyncLoopService):
             raise ValueError("session_ttl must be positive")
         self._session_ttl = session_ttl
         self._lock = threading.Lock()  # results/errors cross-thread reads
+        self._done = threading.Condition(self._lock)
         super().__init__(host, port, drain_timeout=drain_timeout)
         if session_ttl is not None:
             self._loop.call_soon_threadsafe(self._start_sweeper)
@@ -156,6 +157,7 @@ class AsyncLslServer(AsyncLoopService):
         except Exception as exc:
             with self._lock:
                 self.errors.append(exc)
+                self._done.notify_all()
             try:
                 sock.close()
             except OSError:
@@ -330,6 +332,7 @@ class AsyncLslServer(AsyncLoopService):
         )
         with self._lock:
             self.results.append(result)
+            self._done.notify_all()
         if self.on_session is not None:
             self.on_session(result)
 
@@ -364,10 +367,8 @@ class AsyncLslServer(AsyncLoopService):
 
     def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
         """Block (caller thread) until ``count`` sessions finished."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if len(self.results) + len(self.errors) >= count:
-                    return True
-            time.sleep(0.01)
-        return False
+        with self._done:
+            return self._done.wait_for(
+                lambda: len(self.results) + len(self.errors) >= count,
+                timeout=timeout,
+            )

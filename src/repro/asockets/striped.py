@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 import socket
 import threading
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import asyncio
@@ -246,6 +245,7 @@ class AsyncStripedServer(AsyncLoopService):
         self.errors: List[Exception] = []
         self._striped: Dict[bytes, _AsyncStripedSession] = {}
         self._lock = threading.Lock()  # results/errors cross-thread reads
+        self._done = threading.Condition(self._lock)
         super().__init__(host, port, drain_timeout=drain_timeout)
 
     async def _handle(self, sock: socket.socket) -> None:
@@ -336,6 +336,7 @@ class AsyncStripedServer(AsyncLoopService):
                     session.span = 0
                 with self._lock:
                     self.results.append(result)
+                    self._done.notify_all()
                 if self.on_session is not None:
                     self.on_session(result)
             elif isinstance(event, Failed):
@@ -347,10 +348,7 @@ class AsyncStripedServer(AsyncLoopService):
 
     def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
         """Block (caller thread) until ``count`` sessions finished."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if len(self.results) >= count:
-                    return True
-            time.sleep(0.01)
-        return False
+        with self._done:
+            return self._done.wait_for(
+                lambda: len(self.results) >= count, timeout=timeout
+            )

@@ -12,9 +12,9 @@ implemented, plus the handful needed to poke it by hand:
 KEYS DBSIZE FLUSHDB QUIT``
 
 Values are bytes; expiry (``EX``/``PX``) is lazy — checked on access —
-which is all the store's lock keys need. One thread per connection;
-the data dict sits under one lock, matching real Redis's serialized
-command execution.
+which is all the store's lock keys need. One pooled worker per
+connection; the data dict sits under one lock, matching real Redis's
+serialized command execution.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.sockets import workers
 from repro.sockets.lsd import make_listener
 
 _WRONG_ARGS = b"-ERR wrong number of arguments\r\n"
@@ -247,9 +248,7 @@ class MiniRedis:
                 sock, _ = self._listener.accept()
             except OSError:
                 return
-            threading.Thread(
-                target=self._serve, args=(sock,), daemon=True
-            ).start()
+            workers.run(self._serve, sock)
 
     def _serve(self, sock: socket.socket) -> None:
         reader = _Reader(sock)

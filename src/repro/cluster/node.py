@@ -319,6 +319,7 @@ class ClusterNode(ThreadedDepot):
         self.on_session = on_session
         self.results: List[SessionResult] = []
         self._results_lock = threading.Lock()
+        self._done = threading.Condition(self._results_lock)
         super().__init__(
             host,
             port,
@@ -444,6 +445,7 @@ class ClusterNode(ThreadedDepot):
                 result = term.result(rebinds=decision.record.rebinds)
                 with self._results_lock:
                     self.results.append(result)
+                    self._done.notify_all()
                 if self.on_session is not None:
                     self.on_session(result)
                 return "completed"
@@ -459,13 +461,10 @@ class ClusterNode(ThreadedDepot):
 
     def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
         """Block until ``count`` terminal sessions completed here."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._results_lock:
-                if len(self.results) >= count:
-                    return True
-            time.sleep(0.01)
-        return False
+        with self._done:
+            return self._done.wait_for(
+                lambda: len(self.results) >= count, timeout=timeout
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -8,6 +8,13 @@ the end-to-end MD5 all come from the shared machines, so the two
 stacks emit identical wire bytes. Runs on localhost for the examples
 and tests.
 
+**Thread model.** Accept loops, TTL sweepers and exposition are
+long-lived named threads. Everything per connection — a depot session,
+its forward pump, a server session, a striped sublink — runs on the
+reusable daemon threads of :mod:`repro.sockets.workers`: up to three
+pooled workers per live session, and no thread started for it unless
+every worker is busy.
+
 **Measurement caveat** (why throughput experiments use the simulator):
 CPython's GIL serializes the relay threads, so absolute throughput
 through a threaded Python depot reflects interpreter scheduling, not

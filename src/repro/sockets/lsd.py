@@ -4,12 +4,13 @@
 the lsd process very simply establishes a transport to transport
 binding based on the LSL header information."
 
-One thread accepts sublinks; each accepted sublink gets a session
-thread that drives :class:`~repro.lsl.core.RelayCore` over blocking
-reads until it decides (the same header-phase machine the simulator
-depot runs), dials the decided next hop, forwards the onward bytes,
-and then spawns two pump threads (one per direction) copying through a
-small user-space buffer. Backpressure is the kernel's: a blocking
+One thread accepts sublinks; each accepted sublink is handed to a
+pooled worker (:mod:`repro.sockets.workers`) that drives
+:class:`~repro.lsl.core.RelayCore` over blocking reads until it decides
+(the same header-phase machine the simulator depot runs), dials the
+decided next hop, forwards the onward bytes, and then pumps one
+direction itself and the other on a second pooled worker, each copying
+through a small user-space buffer. Backpressure is the kernel's: a blocking
 ``send`` on a full downstream socket stalls the pump, the upstream
 receive buffer fills, and the sender's window closes — the same chain
 the simulator models explicitly.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import errno
 import socket
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.lsl.core import (
     Chunk,
@@ -31,6 +32,7 @@ from repro.lsl.core import (
 )
 from repro.lsl.core.events import emit
 from repro.lsl.errors import ProtocolError
+from repro.sockets import workers
 from repro.sockets.wire import CHUNK
 from repro.telemetry.tracing import TraceSpool
 
@@ -194,7 +196,6 @@ class ThreadedDepot:
         self._tracer = tracer
         self._connect_timeout = connect_timeout
         self._shutdown = threading.Event()
-        self._threads: List[threading.Thread] = []
         self._session_socks: Set[socket.socket] = set()
         self._socks_lock = threading.Lock()
         self._accept_thread = threading.Thread(
@@ -224,14 +225,7 @@ class ThreadedDepot:
                 self._shutdown.wait(_ACCEPT_RETRY_DELAY_S)
                 continue
             self.counters.session_started()
-            t = threading.Thread(
-                target=self._session, args=(upstream,), daemon=True
-            )
-            t.start()
-            # reap finished session threads instead of accumulating a
-            # handle per session for the life of the depot
-            self._threads = [th for th in self._threads if th.is_alive()]
-            self._threads.append(t)
+            workers.run(self._session, upstream)
 
     def _session(self, upstream: socket.socket) -> None:
         completed = False
@@ -320,12 +314,9 @@ class ThreadedDepot:
             if relayed:
                 self.counters.add(bytes_relayed=relayed)
             # full-duplex relay: two pumps, half-close aware
-            fwd = threading.Thread(
-                target=self._pump, args=(upstream, downstream), daemon=True
-            )
-            fwd.start()
+            fwd = workers.run(self._pump, upstream, downstream)
             self._pump(downstream, upstream)
-            fwd.join()
+            fwd.wait()
             status = "ok"
         finally:
             if tracer is not None:

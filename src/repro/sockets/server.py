@@ -40,6 +40,7 @@ from repro.lsl.core import (
 from repro.lsl.core.events import emit
 from repro.lsl.errors import ProtocolError
 from repro.lsl.header import LslHeader
+from repro.sockets import workers
 from repro.sockets.lsd import (
     _ACCEPT_RETRY_DELAY_S,
     _FATAL_ACCEPT_ERRNOS,
@@ -81,7 +82,7 @@ class _LiveSession:
 class ThreadedLslServer:
     """Accepts LSL sessions; collects payloads and verifies digests.
 
-    ``on_session(result)`` runs on the session thread after the stream
+    ``on_session(result)`` runs on the session's worker thread after the stream
     completes. Payloads are buffered in memory — the real-socket path
     is for demonstrations and tests, not bulk measurement (see the
     package docstring for the GIL caveat).
@@ -116,6 +117,7 @@ class ThreadedLslServer:
         if session_ttl is not None and session_ttl <= 0:
             raise ValueError("session_ttl must be positive")
         self._lock = threading.Lock()
+        self._done = threading.Condition(self._lock)
         self._shutdown = threading.Event()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"lsl-srv-{self.address[1]}", daemon=True
@@ -167,9 +169,7 @@ class ThreadedLslServer:
                      error=type(exc).__name__, detail=str(exc))
                 self._shutdown.wait(_ACCEPT_RETRY_DELAY_S)
                 continue
-            threading.Thread(
-                target=self._session, args=(sock,), daemon=True
-            ).start()
+            workers.run(self._session, sock)
 
     # -- session threads ---------------------------------------------------
 
@@ -181,6 +181,7 @@ class ThreadedLslServer:
         except Exception as exc:
             with self._lock:
                 self.errors.append(exc)
+                self._done.notify_all()
             try:
                 sock.close()
             except OSError:
@@ -367,6 +368,7 @@ class ThreadedLslServer:
         )
         with self._lock:
             self.results.append(result)
+            self._done.notify_all()
         if self.on_session is not None:
             self.on_session(result)
 
@@ -401,13 +403,11 @@ class ThreadedLslServer:
 
     def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
         """Block until ``count`` sessions completed (or errored)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if len(self.results) + len(self.errors) >= count:
-                    return True
-            time.sleep(0.01)
-        return False
+        with self._done:
+            return self._done.wait_for(
+                lambda: len(self.results) + len(self.errors) >= count,
+                timeout=timeout,
+            )
 
     def shutdown(self) -> None:
         self._shutdown.set()

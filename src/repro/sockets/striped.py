@@ -1,8 +1,8 @@
 """Striped multipath LSL over real sockets (threaded driver).
 
 The same sans-I/O machines that power the simulator's striped
-sessions (:mod:`repro.lsl.core.striping`) driven by one thread per
-sublink: the client threads pull assignments from a shared, lock-
+sessions (:mod:`repro.lsl.core.striping`) driven by one pooled worker
+(:mod:`repro.sockets.workers`) per sublink: the client workers pull assignments from a shared, lock-
 guarded :class:`~repro.lsl.core.StripeScheduler` — blocking
 ``sendall`` is the demand pacing, so fast paths naturally pull more
 stripes — and the server groups framed sublinks by session id into a
@@ -39,6 +39,7 @@ from repro.lsl.core.striping import DEFAULT_STRIPE
 from repro.lsl.errors import LslError, ProtocolError, RouteError
 from repro.lsl.session import new_session_id
 from repro.telemetry.tracing import TraceSpool, new_trace_id
+from repro.sockets import workers
 from repro.sockets.lsd import (
     _ACCEPT_RETRY_DELAY_S,
     _FATAL_ACCEPT_ERRNOS,
@@ -227,19 +228,12 @@ def send_striped(
                 except OSError:
                     pass
 
-    threads = [
-        threading.Thread(
-            target=run_sublink,
-            args=(i, route),
-            name=f"lsl-stripe-{sid.hex()[:8]}-{i}",
-            daemon=True,
-        )
+    sublinks = [
+        workers.run(run_sublink, i, route)
         for i, route in enumerate(hop_routes)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    for done in sublinks:
+        done.wait()
     if tracer is not None and session_span:
         tracer.end(
             session_span,
@@ -309,9 +303,7 @@ class StripedThreadedServer:
                     return
                 self._shutdown.wait(_ACCEPT_RETRY_DELAY_S)
                 continue
-            threading.Thread(
-                target=self._drive, args=(conn,), daemon=True
-            ).start()
+            workers.run(self._drive, conn)
 
     def _drive(self, conn: socket.socket) -> None:
         try:

@@ -64,7 +64,8 @@ def test_terminal_transfer(driver):
     (result,) = node.results
     assert result.payload == PAYLOAD
     assert result.digest_ok is True
-    assert node.counters.sessions_completed == 1
+    # the result is published before the session's own bookkeeping ends
+    assert _wait(lambda: node.counters.sessions_completed == 1)
     record = store.load(SID)
     assert record.closed is True
     assert store.payload(SID) == b""  # spool dropped on finish
@@ -212,6 +213,10 @@ def test_cluster_aggregated_exposition():
             client.sendall(PAYLOAD)
             client.finish()
         assert cluster.wait_for_sessions(1)
+        assert _wait(
+            lambda: sum(n.counters.sessions_completed for n in cluster.nodes)
+            == 1
+        )
         with cluster.expose() as exposer:
             with urllib.request.urlopen(exposer.url + "/metrics") as resp:
                 text = resp.read().decode()

@@ -3,6 +3,7 @@
 import os
 import random
 import socket
+import time
 
 import pytest
 
@@ -10,6 +11,18 @@ from repro.lsl.errors import LslError
 from repro.lsl.header import LslHeader, RouteHop
 from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
 from repro.sockets.wire import read_header
+
+
+def _wait_completed(depot, count=1, timeout=5.0):
+    """Delivery at the server precedes the depot's own teardown (its
+    pumps still have the EOFs to see), so the counter is awaited."""
+    deadline = time.monotonic() + timeout
+    while (
+        depot.counters.sessions_completed < count
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.005)
+    return depot.counters.sessions_completed
 
 
 def test_direct_session_roundtrip():
@@ -39,7 +52,7 @@ def test_one_depot_relay():
     assert result.payload == payload
     assert result.digest_ok is True
     assert result.route_len == 2
-    assert depot.counters.sessions_completed == 1
+    assert _wait_completed(depot) == 1
     assert depot.counters.bytes_relayed >= len(payload)
 
 
@@ -53,8 +66,8 @@ def test_two_depot_cascade():
         assert server.wait_for_sessions(1)
     assert not server.errors
     assert server.results[0].payload == payload
-    assert d1.counters.sessions_completed == 1
-    assert d2.counters.sessions_completed == 1
+    assert _wait_completed(d1) == 1
+    assert _wait_completed(d2) == 1
 
 
 def test_server_reply_reaches_client_through_depot():

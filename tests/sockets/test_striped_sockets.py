@@ -16,7 +16,10 @@ from repro.sockets import StripedThreadedServer, ThreadedDepot, send_striped
 def test_striped_roundtrip_three_sublinks():
     payload = os.urandom(2 << 20)
     with StripedThreadedServer() as server:
-        report = send_striped([[server.address]] * 3, payload)
+        # a small send buffer makes the deal demand-paced: un-paced
+        # loopback lets two sublinks swallow the 2 MiB before the third
+        # attaches, and ``sublinks == 3`` below fails now and then
+        report = send_striped([[server.address]] * 3, payload, sndbuf=65536)
         assert server.wait_for_sessions(1)
     assert not server.errors
     (result,) = server.results
