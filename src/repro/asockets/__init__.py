@@ -4,16 +4,21 @@ The thread-per-connection prototype (:mod:`repro.sockets`) demonstrates
 the architecture but caps out at a few hundred concurrent sessions —
 three threads per relayed session. This package drives the *same*
 sans-I/O protocol core (:mod:`repro.lsl.core`) from one event loop per
-process instead:
+process instead, as a reactor: each socket is registered with the loop
+once (:class:`~repro.asockets.runtime.Endpoint`) and a session is a
+plain object fed from the read callback — no task, no future.
 
-* :class:`AsyncDepot` — the ``lsd`` relay; zero-copy pumps
-  (``sock_recv_into`` + ``memoryview`` slices through ``sock_sendall``),
-  half-close aware in both directions, graceful drain on shutdown.
+* :class:`AsyncDepot` — the ``lsd`` relay; two cross-wired endpoints
+  per session sharing one read buffer per loop, a bounded number of
+  reads per readiness event, at most one chunk queued behind a slow
+  next hop, half-close aware in both directions, graceful drain on
+  shutdown.
 * :class:`AsyncLslServer` — session terminus with accept/rebind
   arbitration and negotiated resume, lock-free because everything runs
   on the loop.
-* :class:`AsyncLslClient` — the sending side, byte-identical on the
-  wire to the blocking client (``tests/diff`` pins this).
+* :class:`AsyncLslClient` — the sending side, awaitable on
+  ``loop.sock_*`` and byte-identical on the wire to the blocking client
+  (``tests/diff`` pins this).
 
 Counters, protocol-event observation, and the ``/metrics`` +
 ``/healthz`` + ``/events`` exposition surface are shared with the
@@ -29,7 +34,6 @@ from repro.asockets.runtime import AsyncLoopService
 from repro.asockets.server import AsyncLslServer
 from repro.asockets.striped import AsyncStripedServer
 from repro.asockets.striped import send_striped as async_send_striped
-from repro.asockets.wire import read_exact, read_header
 
 __all__ = [
     "AsyncDepot",
@@ -38,6 +42,4 @@ __all__ = [
     "AsyncLoopService",
     "AsyncStripedServer",
     "async_send_striped",
-    "read_exact",
-    "read_header",
 ]

@@ -32,6 +32,7 @@ from repro.lsl.core import (
     encode_frame_header,
 )
 from repro.lsl.session import new_session_id
+from repro.asockets.runtime import connect_by
 from repro.sockets.client import plan_client_session
 from repro.telemetry.tracing import TraceSpool, new_trace_id
 
@@ -123,9 +124,8 @@ class AsyncLslClient:
                     "client.dial", self.trace_id, self._session_span,
                     hop=str(first),
                 )
-            await asyncio.wait_for(
-                loop.sock_connect(sock, (first.host, first.port)),
-                self._connect_timeout,
+            await connect_by(
+                sock, (first.host, first.port), self._connect_timeout
             )
             self.sock = sock
             if tracer is not None:

@@ -4,10 +4,12 @@ Same protocol duties as :class:`repro.sockets.lsd.ThreadedDepot`
 (both are thin drivers over :class:`~repro.lsl.core.RelayCore`), but
 one event loop carries every session instead of three threads per
 session, so concurrent-session count is bounded by file descriptors,
-not threads. The relay pumps are zero-copy on the Python side: one
-preallocated buffer per direction, ``sock_recv_into`` filling it and
-``sock_sendall`` draining a ``memoryview`` slice, no per-chunk bytes
-objects.
+not threads. A session is a :class:`RelaySession` — no task, no
+future: the header phase runs in the upstream endpoint's read
+callback, the dial is ``connect_ex`` plus a one-shot writer and a
+``call_later`` deadline, and the relay is two cross-wired endpoints
+reading into the loop's one shared buffer and sending straight from
+it, copying out only what a partial ``send`` left behind.
 
 Counter accounting, the :class:`~repro.lsl.core.ProtocolObserver`
 event plane, and the ``/metrics`` + ``/healthz`` + ``/events``
@@ -18,16 +20,164 @@ cannot tell which driver is behind the socket.
 from __future__ import annotations
 
 import asyncio
+import errno
+import os
 import socket
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-from repro.lsl.core import Chunk, ProtocolObserver, RelayCore, RelayReject
+from repro.lsl.core import (
+    Chunk,
+    ProtocolObserver,
+    RelayCore,
+    RelayForward,
+    RelayReject,
+)
 from repro.lsl.core.events import emit
 from repro.lsl.errors import ProtocolError
-from repro.asockets.runtime import AsyncLoopService
+from repro.asockets.runtime import AsyncLoopService, Endpoint
 from repro.sockets.lsd import DepotCounters
-from repro.sockets.wire import CHUNK
 from repro.telemetry.tracing import TraceSpool
+
+
+class RelaySession:
+    """One relayed session: header phase, dial, two cross-wired ends.
+
+    Shared with the async cluster node, whose sessions enter at
+    :meth:`received` after their own header phase. Upstream reads stay
+    paused during the dial, so bytes (and a FIN) that arrive in that
+    window simply wait in the kernel.
+    """
+
+    def __init__(self, depot: "AsyncDepot") -> None:
+        self.depot = depot
+        self.core = RelayCore(observer=depot._observer)
+        self.up: Endpoint  # set by whoever accepted the sublink
+        self.down: Optional[Endpoint] = None
+        self.dialing: Optional[socket.socket] = None
+        self.deadline: Optional[asyncio.TimerHandle] = None
+        self.decision: Optional[RelayForward] = None
+        self.relay_span = self.dial_span = 0
+        self.copied = 0  # posted to the counter when the session ends
+
+    # -- endpoint callbacks ------------------------------------------------
+
+    def received(self, ep: Endpoint, data: Any) -> None:
+        if ep.peer is not None:
+            ep.peer.write(data)
+            self.copied += len(data)
+            return
+        decision = self.core.feed([Chunk.real(data)])
+        if isinstance(decision, RelayReject):
+            self.end(decision.error)
+        elif decision is not None:
+            try:
+                self._dial(decision)
+            except Exception as exc:  # unresolvable hop, EMFILE, ...
+                self.end(exc)
+
+    def ended(self, ep: Endpoint) -> None:
+        if ep.peer is None:
+            self.end(self.core.on_upstream_fin() or ProtocolError(
+                "upstream closed during header phase"
+            ))
+            return
+        ep.peer.finish()
+        if ep.peer.eof:  # both directions have ended
+            self.end()
+
+    def broken(self, ep: Endpoint, exc: BaseException) -> None:
+        # once relaying, a reset is the pumps' business, not a failure:
+        # both directions are over and whatever is queued still drains
+        relaying = self.up.peer is not None and isinstance(exc, OSError)
+        self.end(None if relaying else exc)
+
+    # -- dial --------------------------------------------------------------
+
+    def _dial(self, decision: RelayForward) -> None:
+        self.decision = decision
+        depot = self.depot
+        tracer, tctx = depot._tracer, decision.header.trace
+        nxt = decision.next_hop
+        if tracer is not None and tctx is not None:
+            self.relay_span = tracer.begin(
+                "depot.relay",
+                tctx.trace_id,
+                tctx.parent_span,
+                session=decision.header.short_id,
+                depot=f"{depot.address[0]}:{depot.address[1]}",
+                hop=tctx.hop,
+            )
+            self.dial_span = tracer.begin(
+                "depot.dial", tctx.trace_id, self.relay_span, hop=str(nxt)
+            )
+        self.up.pause()
+        self.dialing = sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        err = sock.connect_ex((nxt.host, nxt.port))
+        if err not in (0, errno.EINPROGRESS):
+            raise OSError(err, os.strerror(err))
+        loop = depot._loop
+        loop.add_writer(sock, self._dialed, sock)
+        self.deadline = loop.call_later(
+            depot._connect_timeout, self.end,
+            asyncio.TimeoutError(f"dial {nxt}"),
+        )
+
+    def _dialed(self, sock: socket.socket) -> None:
+        depot = self.depot
+        depot._loop.remove_writer(sock)
+        err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if err:
+            self.end(OSError(err, os.strerror(err)))
+            return
+        self.deadline.cancel()
+        self.dialing = None
+        decision = self.decision
+        onward = decision.onward_bytes
+        if self.relay_span:
+            # traced depot: forward our relay span as the downstream
+            # parent instead of the core's verbatim onward header
+            depot._tracer.end(self.dial_span)
+            self.dial_span = 0
+            onward = decision.header.traced_onward(self.relay_span).encode()
+        self.down = down = Endpoint(depot, sock, self, peer=self.up)
+        down.write(onward)
+        self.up.peer = down  # relaying from here on
+        for chunk in decision.surplus:  # payload that came with the header
+            self.received(self.up, chunk.data)
+        self.up.resume()
+
+    # -- end ---------------------------------------------------------------
+
+    def end(self, failure: Optional[BaseException] = None) -> None:
+        """Close both ends and account for the session, once."""
+        if self.up.closed:
+            return
+        depot = self.depot
+        if self.deadline is not None:
+            self.deadline.cancel()
+        if self.dialing is not None:
+            depot._loop.remove_writer(self.dialing)
+            self.dialing.close()
+        if depot._tracer is not None:
+            if self.dial_span:
+                depot._tracer.end(self.dial_span, status="error")
+            if self.relay_span:
+                depot._tracer.end(
+                    self.relay_span,
+                    status="ok" if failure is None else "error",
+                )
+        self.up.close()
+        if self.down is not None:
+            self.down.close()
+        if self.copied:
+            depot.counters.add(bytes_relayed=self.copied)
+        if failure is not None:
+            header = self.core.header
+            emit(depot._observer, "relay-failed",
+                 header.short_id if header is not None else "",
+                 reason=f"{type(failure).__name__}: {failure}")
+        depot.counters.session_ended(failure is None)
 
 
 class AsyncDepot(AsyncLoopService):
@@ -69,150 +219,15 @@ class AsyncDepot(AsyncLoopService):
 
     # -- accept hooks ------------------------------------------------------
 
-    def _on_accepted(self, sock: socket.socket) -> None:
-        self.counters.session_started()
-
     def _on_accept_error(self, exc: OSError) -> None:
         self.counters.add(accept_errors=1)
         emit(self._observer, "accept-error", "",
              error=type(exc).__name__, detail=str(exc))
 
-    # -- one relay session -------------------------------------------------
-
-    async def _handle(self, upstream: socket.socket) -> None:
-        loop = self._loop
-        completed = False
-        failure: Optional[BaseException] = None
-        core = RelayCore(observer=self._observer)
-        try:
-            decision = None
-            while decision is None:
-                data = await loop.sock_recv(upstream, CHUNK)
-                if not data:
-                    error = core.on_upstream_fin()
-                    raise error if error is not None else ProtocolError(
-                        "upstream closed during header phase"
-                    )
-                decision = core.feed([Chunk.real(data)])
-            if isinstance(decision, RelayReject):
-                raise decision.error
-            await self._relay(upstream, decision)
-            completed = True
-        except asyncio.CancelledError as exc:
-            failure = exc
-            raise
-        except Exception as exc:
-            failure = exc
-        finally:
-            self.counters.session_ended(completed)
-            if not completed:
-                emit(self._observer, "relay-failed",
-                     core.header.short_id if core.header is not None else "",
-                     reason=f"{type(failure).__name__}: {failure}")
-            try:
-                upstream.close()
-            except OSError:
-                pass
-
-    async def _relay(self, upstream: socket.socket, decision) -> None:
-        """Dial the decided next hop and pump both directions to EOF.
-
-        Owns the downstream socket for its whole life (closed before
-        returning) so callers only manage the upstream side. Shared
-        with the async cluster node, whose sessions enter here after
-        their own header phase.
-        """
-        loop = self._loop
-        tracer = self._tracer
-        tctx = decision.header.trace
-        relay_span = 0
-        dial_span = 0
-        onward = decision.onward_bytes
-        if tracer is not None and tctx is not None:
-            # traced depot: forward our relay span as the downstream
-            # parent instead of the core's verbatim onward header
-            relay_span = tracer.begin(
-                "depot.relay",
-                tctx.trace_id,
-                tctx.parent_span,
-                session=decision.header.short_id,
-                depot=f"{self.address[0]}:{self.address[1]}",
-                hop=tctx.hop,
-            )
-            onward = decision.header.traced_onward(relay_span).encode()
-        downstream: Optional[socket.socket] = None
-        status = "error"
-        try:
-            nxt = decision.next_hop
-            if relay_span:
-                dial_span = tracer.begin(
-                    "depot.dial", tctx.trace_id, relay_span, hop=str(nxt)
-                )
-            downstream = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            downstream.setblocking(False)
-            await asyncio.wait_for(
-                loop.sock_connect(downstream, (nxt.host, nxt.port)),
-                self._connect_timeout,
-            )
-            if dial_span:
-                tracer.end(dial_span)
-                dial_span = 0
-            await loop.sock_sendall(downstream, onward)
-            relayed = 0
-            for chunk in decision.surplus:
-                assert chunk.data is not None  # real sockets carry real bytes
-                await loop.sock_sendall(downstream, chunk.data)
-                relayed += chunk.length
-            if relayed:
-                self.counters.add(bytes_relayed=relayed)
-            # full-duplex relay: two pump tasks, half-close aware; a
-            # cancelled gather cancels both pumps with it
-            await asyncio.gather(
-                self._pump(upstream, downstream),
-                self._pump(downstream, upstream),
-            )
-            status = "ok"
-        finally:
-            if tracer is not None:
-                if dial_span:
-                    tracer.end(dial_span, status="error")
-                if relay_span:
-                    tracer.end(relay_span, status=status)
-            if downstream is not None:
-                try:
-                    downstream.close()
-                except OSError:
-                    pass
-
-    async def _pump(self, src: socket.socket, dst: socket.socket) -> None:
-        """Copy src -> dst until EOF, then half-close dst.
-
-        Zero-copy: ``sock_recv_into`` refills one preallocated buffer
-        and ``sock_sendall`` transmits a ``memoryview`` slice of it —
-        safe because the two awaits are strictly sequential within this
-        task. The byte counter is batched per pump run, one locked
-        update instead of one per chunk.
-        """
-        loop = self._loop
-        buf = bytearray(CHUNK)
-        view = memoryview(buf)
-        copied = 0
-        try:
-            while True:
-                n = await loop.sock_recv_into(src, buf)
-                if not n:
-                    break
-                await loop.sock_sendall(dst, view[:n])
-                copied += n
-        except OSError:
-            pass
-        finally:
-            if copied:
-                self.counters.add(bytes_relayed=copied)
-            try:
-                dst.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
+    def _open(self, sock: socket.socket) -> None:
+        self.counters.session_started()
+        relay = RelaySession(self)
+        relay.up = Endpoint(self, sock, relay)
 
     # -- observability -----------------------------------------------------
 

@@ -1,11 +1,17 @@
-"""One event loop per service, on a dedicated thread.
+"""One event loop per service, on a dedicated thread, run as a reactor.
 
 :class:`AsyncLoopService` is the shared chassis of the asyncio depot
-and server: it owns a bound listener socket, a private event loop
-running on one daemon thread, an accept loop that survives transient
-``accept()`` failures (the threaded stack's permadeath bug class), and
-a graceful shutdown that drains in-flight session tasks before
-cancelling stragglers.
+and servers: a bound listener registered with a private loop **once**
+(accepted until ``EAGAIN``, surviving transient ``accept()`` failures —
+the threaded stack's permadeath bug class), a daemon thread running
+that loop, and a graceful shutdown that waits for the live endpoints
+to close before aborting stragglers.
+
+No service creates a task or a future per session. Each accepted or
+dialed socket is an :class:`Endpoint`, registered with ``add_reader``
+once for its life, and its session is a plain object whose
+``received(ep, data)`` / ``ended(ep)`` / ``broken(ep, exc)`` callbacks
+feed the sans-I/O machines straight from the readiness callback.
 
 The constructor returns with the listener bound and the loop accepting
 — same contract as the threaded classes, so tests, the CLI, and the
@@ -20,7 +26,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
-from typing import Optional, Set, Tuple
+from typing import Any, Optional, Set, Tuple
 
 from repro.sockets.lsd import (
     _ACCEPT_RETRY_DELAY_S,
@@ -28,6 +34,199 @@ from repro.sockets.lsd import (
     LISTEN_BACKLOG,
     make_listener,
 )
+from repro.sockets.wire import CHUNK
+
+#: Reads (or accepts) per readiness event. A read that filled the
+#: buffer is followed by another without a poll in between (a bulk
+#: relay would pay a loop turn per chunk), but at most this many —
+#: 1 MiB — so one busy socket cannot starve the loop.
+READS_PER_EVENT = 16
+
+#: What ``broken`` receives when the service shuts down under a
+#: session: not an ``OSError``, so never mistaken for a dead sublink.
+SHUTDOWN = asyncio.CancelledError("service shutdown")
+
+
+async def connect_by(
+    sock: socket.socket, address: Tuple[str, int], timeout: float
+) -> None:
+    """``loop.sock_connect`` under a deadline, without the second task
+    ``asyncio.wait_for`` spawns (``asyncio.timeout`` is 3.11+)."""
+    loop = asyncio.get_running_loop()
+    task = asyncio.current_task()
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    deadline = loop.call_later(timeout, expire)
+    try:
+        await loop.sock_connect(sock, address)
+    except asyncio.CancelledError:
+        if not expired:
+            raise
+        if hasattr(task, "uncancel"):  # 3.11+: the cancel was ours
+            task.uncancel()
+        raise asyncio.TimeoutError(f"connect to {address}") from None
+    finally:
+        deadline.cancel()
+
+
+class Endpoint:
+    """One connected non-blocking socket on a service's loop.
+
+    Registered for reading once, at construction; :meth:`pause` is lazy
+    (the registration goes only if the socket fires meanwhile). Bytes
+    go to ``owner.received``, EOF to ``owner.ended``, a socket error to
+    ``owner.broken``. :meth:`write` sends directly and queues only what
+    the kernel refused; while anything is queued the ``peer``'s reads
+    are paused, so a relay holds at most one chunk. With ``peer`` set
+    (a relay) reads land in the loop's one shared buffer and ``data``
+    is a ``memoryview`` borrowed for the callback, else ``bytes``.
+    """
+
+    __slots__ = (
+        "_service", "_loop", "sock", "owner", "peer", "closed",
+        "eof", "_registered", "_paused", "_fin", "_queue",
+    )
+
+    def __init__(
+        self,
+        service: "AsyncLoopService",
+        sock: socket.socket,
+        owner: Any,
+        peer: Optional["Endpoint"] = None,
+    ) -> None:
+        self._service = service
+        self._loop = service._loop
+        self.sock = sock
+        self.owner = owner
+        self.peer = peer
+        self.closed = self.eof = self._paused = self._fin = False
+        self._queue: Optional[bytearray] = None  # the unsent remainder
+        self._registered = True
+        service._live.add(self)
+        self._loop.add_reader(sock, self._readable)
+
+    # -- reading -----------------------------------------------------------
+
+    def pause(self) -> None:
+        self._paused = True
+
+    def resume(self) -> None:
+        self._paused = False
+        if not (self._registered or self.eof or self.closed):
+            self._registered = True
+            self._loop.add_reader(self.sock, self._readable)
+
+    def _unregister(self) -> None:
+        if self._registered:
+            self._registered = False
+            self._loop.remove_reader(self.sock)
+
+    def _readable(self) -> None:
+        if self._paused:
+            self._unregister()  # what arrived waits in the kernel
+            return
+        service = self._service
+        for _ in range(READS_PER_EVENT):
+            try:
+                if self.peer is None:
+                    data: Any = self.sock.recv(CHUNK)
+                    n = len(data)
+                else:
+                    n = self.sock.recv_into(service._buf)
+                    data = service._view[:n]
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError as exc:
+                self.eof = True
+                self._unregister()
+                self.owner.broken(self, exc)
+                return
+            if not n:
+                self.eof = True
+                self._unregister()
+                self.owner.ended(self)
+                return
+            self.owner.received(self, data)
+            if n < CHUNK or self._paused or self.closed:
+                return
+
+    # -- writing -----------------------------------------------------------
+
+    def write(self, data: Any) -> None:
+        """Send now; queue only what the kernel would not take."""
+        if self.closed:
+            return
+        if self._queue is not None:
+            self._queue += data
+            return
+        try:
+            sent = self.sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError as exc:
+            self.owner.broken(self, exc)
+            return
+        if sent < len(data):
+            self._queue = bytearray(memoryview(data)[sent:])
+            self._loop.add_writer(self.sock, self._writable)
+            if self.peer is not None:
+                self.peer.pause()
+
+    def _writable(self) -> None:
+        queue = self._queue
+        try:
+            del queue[: self.sock.send(queue)]
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            if self.closed:
+                self.close(flush=False)
+            else:
+                self.owner.broken(self, exc)
+            return
+        if queue:
+            return
+        if self.closed:
+            self.close(flush=False)
+            return
+        self._queue = None
+        self._loop.remove_writer(self.sock)
+        if self._fin:
+            self.finish()
+        if self.peer is not None:
+            self.peer.resume()
+
+    def finish(self) -> None:
+        """Half-close (``SHUT_WR``) once the queue has drained."""
+        self._fin = True
+        if self._queue is None and not self.closed:
+            try:
+                self.sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+
+    def close(self, flush: bool = True) -> None:
+        """No callback after this. What is queued is still sent first
+        (``_writable`` closes behind it) unless ``flush`` is false."""
+        self.closed = True
+        # both registrations go before the fd does: the next accept
+        # reuses its number
+        self._unregister()
+        if self._queue is not None:
+            if flush:
+                return
+            self._queue = None
+            self._loop.remove_writer(self.sock)
+        service = self._service
+        service._live.discard(self)
+        self.sock.close()
+        if service._closing and not service._live:
+            service._idle.set()
 
 
 class AsyncLoopService:
@@ -62,9 +261,13 @@ class AsyncLoopService:
         self.address: Tuple[str, int] = self._listener.getsockname()
         self._drain = True
         self._drain_timeout = drain_timeout
-        self._sessions: Set[asyncio.Task] = set()
+        self._live: Set[Endpoint] = set()
+        # the one read buffer every relaying endpoint of this loop shares
+        self._buf = bytearray(CHUNK)
+        self._view = memoryview(self._buf)
         self._closing = False
         self._stop: Optional[asyncio.Event] = None
+        self._idle: Optional[asyncio.Event] = None
         self._loop = asyncio.new_event_loop()
         self._ready = threading.Event()
         self._thread = threading.Thread(
@@ -77,12 +280,9 @@ class AsyncLoopService:
 
     # -- subclass hooks ----------------------------------------------------
 
-    async def _handle(self, sock: socket.socket) -> None:
-        """Serve one accepted (non-blocking) socket."""
+    def _open(self, sock: socket.socket) -> None:
+        """Start the session of one accepted (non-blocking) socket."""
         raise NotImplementedError
-
-    def _on_accepted(self, sock: socket.socket) -> None:
-        """Called in-loop right after a successful accept."""
 
     def _on_accept_error(self, exc: OSError) -> None:
         """Called in-loop for each survived transient accept failure."""
@@ -94,7 +294,7 @@ class AsyncLoopService:
         try:
             self._loop.run_until_complete(self._main())
         finally:
-            pending = asyncio.all_tasks(self._loop)
+            pending = asyncio.all_tasks(self._loop)  # the TTL sweeper
             for task in pending:
                 task.cancel()
             if pending:
@@ -105,62 +305,64 @@ class AsyncLoopService:
 
     async def _main(self) -> None:
         self._stop = asyncio.Event()
-        accept_task = self._loop.create_task(self._accept_loop())
+        self._idle = asyncio.Event()
+        self._listen()
         self._ready.set()
         await self._stop.wait()
         self._closing = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        accept_task.cancel()
-        await asyncio.gather(accept_task, return_exceptions=True)
-        if self._sessions:
-            pending: Set[asyncio.Task] = set(self._sessions)
-            if self._drain:
-                # graceful: let active sessions run to completion
-                _done, pending = await asyncio.wait(
-                    pending, timeout=self._drain_timeout
-                )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+        self._loop.remove_reader(self._listener)
+        self._listener.close()
+        if self._live and self._drain:
+            # graceful: let active sessions run to completion
+            self._loop.call_later(self._drain_timeout, self._idle.set)
+            await self._idle.wait()
+        for endpoint in list(self._live):
+            if not endpoint.closed:
+                endpoint.owner.broken(endpoint, SHUTDOWN)
+            endpoint.close(flush=False)
 
-    async def _accept_loop(self) -> None:
-        loop = self._loop
-        while True:
+    # -- accepting ---------------------------------------------------------
+
+    def _accept(self) -> Tuple[socket.socket, Any]:
+        """The accept seam (tests inject failures here)."""
+        return self._listener.accept()
+
+    def _listen(self) -> None:
+        if not self._closing:
+            self._loop.add_reader(self._listener, self._acceptable)
+
+    def _acceptable(self) -> None:
+        for _ in range(READS_PER_EVENT):
             try:
-                sock, _ = await loop.sock_accept(self._listener)
-            except asyncio.CancelledError:
+                sock, _ = self._accept()
+            except (BlockingIOError, InterruptedError):
                 return
             except OSError as exc:
+                self._loop.remove_reader(self._listener)
                 if self._closing or exc.errno in _FATAL_ACCEPT_ERRNOS:
                     return  # listener closed / gone
                 # transient (EMFILE/ECONNABORTED/...): keep accepting
                 self._on_accept_error(exc)
-                await asyncio.sleep(_ACCEPT_RETRY_DELAY_S)
-                continue
+                self._loop.call_later(_ACCEPT_RETRY_DELAY_S, self._listen)
+                return
             sock.setblocking(False)
-            self._on_accepted(sock)
-            task = loop.create_task(self._handle(sock))
-            self._sessions.add(task)
-            task.add_done_callback(self._sessions.discard)
+            self._open(sock)
 
     # -- public lifecycle --------------------------------------------------
 
     @property
     def active_tasks(self) -> int:
-        """Session tasks currently alive (leak check surface)."""
-        return len(self._sessions)
+        """Endpoints — accepted or dialed sockets — still open on the
+        loop (leak check surface; the services run no session tasks)."""
+        return len(self._live)
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop accepting and wind the loop down.
 
         ``drain=True`` (default) waits up to ``drain_timeout`` for
-        in-flight sessions to finish before cancelling them;
-        ``drain=False`` models a crash — every session task is
-        cancelled immediately and its sockets close mid-transfer.
+        in-flight sessions to finish before aborting them;
+        ``drain=False`` models a crash — every session is told
+        ``broken(ep, SHUTDOWN)`` and its sockets close mid-transfer.
         """
         if not self._thread.is_alive():
             try:

@@ -5,22 +5,21 @@ The same sans-I/O machines as the threaded server —
 fresh/rebind/restart, :class:`~repro.lsl.core.PayloadReceiver` /
 :class:`~repro.lsl.core.FramedReceiver` own payload accounting and the
 end-to-end MD5, :func:`~repro.lsl.core.negotiate_resume` answers
-resume queries — driven from one event loop. Because all session
-logic runs single-threaded in that loop, the threaded server's
-per-session locks disappear: a rebind simply cancels the task serving
-the dead sublink (its pending read wakes with ``CancelledError`` and
-closes only its own socket) and re-attaches the receiver state to the
-new sublink's task.
+resume queries — fed straight from each sublink's readiness callback
+(:class:`_Sublink`; no task per session). Because all session logic
+runs single-threaded in that loop, the threaded server's per-session
+locks disappear: a rebind simply closes the endpoint of the dead
+sublink (nothing of it is read again) and re-attaches the receiver
+state to the new one.
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import threading
 import time
 from typing import Callable, List, Optional, Union
-
-import asyncio
 
 from repro.lsl.core import (
     AcceptRebind,
@@ -41,30 +40,79 @@ from repro.lsl.core import (
 )
 from repro.lsl.core.events import emit
 from repro.lsl.errors import ProtocolError
-from repro.lsl.header import LslHeader
-from repro.asockets.runtime import AsyncLoopService
-from repro.asockets.wire import read_header
+from repro.lsl.header import HeaderAccumulator, LslHeader
+from repro.asockets.runtime import AsyncLoopService, Endpoint
 from repro.sockets.server import SessionResult
-from repro.sockets.wire import CHUNK
 from repro.telemetry.tracing import TraceSpool
 
 
 class _LiveAsyncSession:
     """Receiver state that outlives individual sublinks (rebinds)."""
 
-    __slots__ = ("receiver", "chunks", "sock", "task", "span", "trace")
+    __slots__ = ("receiver", "chunks", "ep", "span", "trace")
 
     def __init__(
         self, receiver: Union[PayloadReceiver, FramedReceiver]
     ) -> None:
         self.receiver = receiver
         self.chunks: List[bytes] = []
-        self.sock: Optional[socket.socket] = None
-        self.task: Optional["asyncio.Task"] = None
+        self.ep: Optional[Endpoint] = None  # the sublink now attached
         # distributed tracing: active server.session span per sublink
         # attachment (a rebind closes it and opens a new one)
         self.span = 0
         self.trace: Optional[bytes] = None
+
+
+class _Sublink:
+    """One accepted sublink: header phase, then its session's receiver."""
+
+    __slots__ = ("server", "acc", "live")
+
+    def __init__(self, server: "AsyncLslServer") -> None:
+        self.server = server
+        self.acc = HeaderAccumulator()
+        self.live: Optional[_LiveAsyncSession] = None
+
+    def received(self, ep: Endpoint, data: bytes) -> None:
+        server = self.server
+        try:
+            if self.live is None:
+                header = self.acc.feed(data)
+                if header is None:
+                    return
+                self.live, reply = server._attach(ep, header)
+                if reply:
+                    ep.write(reply)
+                data = self.acc.surplus
+            if data and server._apply(
+                self.live, self.live.receiver.feed([Chunk.real(data)])
+            ):
+                ep.close()
+        except Exception as exc:
+            server._fail(ep, exc)
+
+    def ended(self, ep: Endpoint) -> None:
+        server, live = self.server, self.live
+        try:
+            if live is None:
+                raise ProtocolError("EOF before LSL header complete")
+            disposition = live.receiver.feed_eof()
+            if disposition == EOF_SUSPEND:
+                # keep receiver state; a rebind may resume us
+                server._note_suspended(live)
+            elif disposition == EOF_COMPLETE:
+                server._finalize(live, live.receiver.digest_ok)
+            ep.close()
+        except Exception as exc:
+            server._fail(ep, exc)
+
+    def broken(self, ep: Endpoint, exc: BaseException) -> None:
+        if self.live is None and isinstance(exc, OSError):
+            self.server._fail(ep, exc)  # reset before any header
+        else:
+            # sublink died, or shutdown: only this sublink is finished
+            # — the receiver state lives on
+            ep.close()
 
 
 class AsyncLslServer(AsyncLoopService):
@@ -106,13 +154,10 @@ class AsyncLslServer(AsyncLoopService):
         self._done = threading.Condition(self._lock)
         super().__init__(host, port, drain_timeout=drain_timeout)
         if session_ttl is not None:
-            self._loop.call_soon_threadsafe(self._start_sweeper)
-
-    def _start_sweeper(self) -> None:
-        task = self._loop.create_task(self._sweep_loop())
-        # registered like a session so shutdown cancels it cleanly
-        self._sessions.add(task)
-        task.add_done_callback(self._sessions.discard)
+            # keeps the task referenced; the loop's shutdown cancels it
+            self._sweeper = asyncio.run_coroutine_threadsafe(
+                self._sweep_loop(), self._loop
+            )
 
     async def _sweep_loop(self) -> None:
         """Expire suspended sessions that never rebound (single-loop
@@ -128,79 +173,61 @@ class AsyncLslServer(AsyncLoopService):
                 emit(self._observer, "session-expired",
                      record.session_id.hex()[:8],
                      bytes_received=record.bytes_received)
-                live = record.attachment
-                task = getattr(live, "task", None)
-                if task is not None and not task.done():
-                    task.cancel()
+                ep = getattr(record.attachment, "ep", None)
+                if ep is not None:
+                    ep.close()
 
     def _on_accept_error(self, exc: OSError) -> None:
         self.accept_errors += 1
 
-    # -- session tasks -----------------------------------------------------
+    # -- sublinks ----------------------------------------------------------
 
-    async def _handle(self, sock: socket.socket) -> None:
-        task = asyncio.current_task()
-        try:
-            header, surplus = await read_header(self._loop, sock)
-            live, reply = self._attach(sock, task, header)
-            if reply:
-                await self._loop.sock_sendall(sock, reply)
-            await self._drive(sock, live, surplus)
-        except asyncio.CancelledError:
-            # displaced by a rebind/restart (or shutdown): only this
-            # sublink is finished — the receiver state lives on
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise
-        except Exception as exc:
-            with self._lock:
-                self.errors.append(exc)
-                self._done.notify_all()
-            try:
-                sock.close()
-            except OSError:
-                pass
+    def _open(self, sock: socket.socket) -> None:
+        Endpoint(self, sock, _Sublink(self))
 
-    def _attach(self, sock, task, header: LslHeader):
+    def _fail(self, ep: Endpoint, exc: BaseException) -> None:
+        with self._lock:
+            self.errors.append(exc)
+            self._done.notify_all()
+        ep.close()
+
+    def _attach(self, ep: Endpoint, header: LslHeader):
         """Run the accept decision and wire up the sublink.
 
-        Synchronous on purpose: between two awaits of this task nothing
-        else can touch the registry, which is all the serialization the
-        single-loop driver needs.
+        Runs inside one loop callback, so nothing else can touch the
+        registry meanwhile — all the serialization the single-loop
+        driver needs.
         """
         decision = self._acceptor.decide(header, time.monotonic())
         if isinstance(decision, RejectSession):
             raise decision.error
         if isinstance(decision, AcceptRebind):
             live: _LiveAsyncSession = decision.record.attachment
-            old = live.task
-            if old is not None and old is not task:
-                # kick the task still serving the dead sublink; it
-                # wakes cancelled and closes only its own socket
-                old.cancel()
+            if live.ep is not None and live.ep is not ep:
+                # drop the dead sublink: only its own socket closes,
+                # and nothing still in flight on it is read
+                live.ep.close()
             reply = negotiate_resume(
                 header, live.receiver.payload_received, self._observer
             )
             granted = live.receiver.payload_received
             live.receiver.rebind(header)
-            live.sock, live.task = sock, task
+            live.ep = ep
             self._begin_span(live, header, granted=granted)
             return live, reply
         if isinstance(decision, RestartSession) and isinstance(
             decision.stale, _LiveAsyncSession
         ):
-            stale_task = decision.stale.task
-            if stale_task is not None and stale_task is not task:
-                stale_task.cancel()
+            stale = decision.stale.ep
+            if stale is not None and stale is not ep:
+                stale.close()
         receiver: Union[PayloadReceiver, FramedReceiver]
         if header.framed:
             receiver = FramedReceiver(header, self._observer)
         else:
             receiver = PayloadReceiver(header, self._observer)
         live = _LiveAsyncSession(receiver)
-        live.sock, live.task = sock, task
+        live.ep = ep
         decision.record.attachment = live
         self._begin_span(live, header)
         return live, decision.reply
@@ -252,41 +279,7 @@ class AsyncLslServer(AsyncLoopService):
         )
         live.span = 0
 
-    async def _drive(
-        self, sock: socket.socket, live: _LiveAsyncSession, surplus: bytes
-    ) -> None:
-        """Feed the receiver from the sublink until it finishes or EOFs."""
-        loop = self._loop
-        if surplus:
-            if await self._apply(live, live.receiver.feed([Chunk.real(surplus)])):
-                sock.close()
-                return
-        while not live.receiver.finished:
-            try:
-                data = await loop.sock_recv(sock, CHUNK)
-            except OSError:
-                return  # sublink died
-            if not data:
-                disposition = live.receiver.feed_eof()
-                if disposition == EOF_SUSPEND:
-                    # keep receiver state; a rebind may resume us
-                    self._note_suspended(live)
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-                    return
-                if disposition == EOF_COMPLETE:
-                    await self._finalize(live, live.receiver.digest_ok)
-                break
-            if await self._apply(live, live.receiver.feed([Chunk.real(data)])):
-                break
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-    async def _apply(self, live: _LiveAsyncSession, events) -> bool:
+    def _apply(self, live: _LiveAsyncSession, events) -> bool:
         """Apply receiver events; True once the session is finished."""
         for event in events:
             if isinstance(event, Deliver):
@@ -294,7 +287,7 @@ class AsyncLslServer(AsyncLoopService):
                     raise ProtocolError("virtual bytes over a real socket")
                 live.chunks.append(event.chunk.data)
             elif isinstance(event, Completed):
-                await self._finalize(live, event.digest_ok)
+                self._finalize(live, event.digest_ok)
                 return True
             elif isinstance(event, Failed):
                 self.registry.close(live.receiver.session_id)
@@ -308,7 +301,7 @@ class AsyncLslServer(AsyncLoopService):
             record.last_active = time.monotonic()
         self._end_span(live, "suspended")
 
-    async def _finalize(
+    def _finalize(
         self, live: _LiveAsyncSession, digest_ok: Optional[bool]
     ) -> None:
         session_id = live.receiver.session_id
@@ -321,8 +314,8 @@ class AsyncLslServer(AsyncLoopService):
             record.bytes_received = live.receiver.payload_received
             record.last_active = time.monotonic()
         header = live.receiver.header
-        if live.sock is not None and self.reply is not None:
-            await self._loop.sock_sendall(live.sock, self.reply)
+        if live.ep is not None and self.reply is not None:
+            live.ep.write(self.reply)
         result = SessionResult(
             session_id=session_id,
             payload=b"".join(live.chunks),
@@ -330,6 +323,7 @@ class AsyncLslServer(AsyncLoopService):
             route_len=len(header.route),
             rebinds=record.rebinds if record is not None else 0,
         )
+        live.chunks.clear()  # delivered: nothing reads them again
         with self._lock:
             self.results.append(result)
             self._done.notify_all()

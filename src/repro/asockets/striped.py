@@ -2,10 +2,11 @@
 
 The asyncio twin of :mod:`repro.sockets.striped`: the same
 :class:`~repro.lsl.core.StripeScheduler` /
-:class:`~repro.lsl.core.StripeAssembler` machines, driven by one task
-per sublink on one event loop. Because every task runs on that loop,
-the threaded driver's scheduler/assembler locks disappear — between
-two awaits nothing else can touch the shared machine — and the demand
+:class:`~repro.lsl.core.StripeAssembler` machines on one event loop —
+the sender as one task per sublink, the server as one read callback
+per sublink (no task). Because everything runs on that loop, the
+threaded driver's scheduler/assembler locks disappear — nothing else
+can touch the shared machine meanwhile — and the sender's demand
 pacing falls out of ``sock_sendall``: a task awaiting a slow path's
 send buffer simply yields the loop to the sublinks that can still
 make progress.
@@ -33,17 +34,15 @@ from repro.lsl.core import (
 from repro.lsl.core import TraceContext
 from repro.lsl.core.striping import DEFAULT_STRIPE
 from repro.lsl.errors import LslError, ProtocolError
-from repro.lsl.header import LslHeader
+from repro.lsl.header import HeaderAccumulator, LslHeader
 from repro.lsl.session import new_session_id
 from repro.telemetry.tracing import TraceSpool, new_trace_id
-from repro.asockets.runtime import AsyncLoopService
-from repro.asockets.wire import read_header
+from repro.asockets.runtime import AsyncLoopService, Endpoint, connect_by
 from repro.sockets.striped import (
     StripedResult,
     StripedSendReport,
     _normalize_routes,
 )
-from repro.sockets.wire import CHUNK
 
 
 async def send_striped(
@@ -134,10 +133,7 @@ async def send_striped(
             # scheduler into kernel memory before the others connect)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
         try:
-            await asyncio.wait_for(
-                loop.sock_connect(sock, (route[0].host, route[0].port)),
-                timeout,
-            )
+            await connect_by(sock, (route[0].host, route[0].port), timeout)
             if dial_span:
                 assert tracer is not None
                 tracer.end(dial_span)
@@ -217,12 +213,78 @@ class _AsyncStripedSession:
         self.sublinks = 0
 
 
+class _StripedSublink:
+    """One accepted sublink: header phase, then the shared assembler."""
+
+    __slots__ = ("server", "acc", "session", "key")
+
+    def __init__(self, server: "AsyncStripedServer") -> None:
+        self.server = server
+        self.acc = HeaderAccumulator()
+        self.session: Optional[_AsyncStripedSession] = None
+        self.key = ""
+
+    def received(self, ep: Endpoint, data: bytes) -> None:
+        try:
+            if self.session is None:
+                header = self.acc.feed(data)
+                if header is None:
+                    return
+                self._join(header)
+                data = self.acc.surplus
+            assembler = self.session.assembler
+            if assembler.failed is not None:
+                self.ended(ep)
+            elif data:
+                # once completed this only drains to EOF: closing with
+                # unread redundant copies in the buffer would RST a
+                # peer still mid-send, and the sender would count a
+                # healthy sublink as lost
+                self.server._feed(self.session, self.key, data)
+        except Exception as exc:
+            with self.server._lock:
+                self.server.errors.append(exc)
+            self.ended(ep)
+
+    def _join(self, header: LslHeader) -> None:
+        server = self.server
+        if not header.is_last_hop or not header.framed:
+            raise ProtocolError("unframed or mis-routed striped sublink")
+        session = server._striped.get(header.session_id)
+        if session is None:
+            session = _AsyncStripedSession(header, server._observer)
+            if server._tracer is not None and header.trace is not None:
+                session.span = server._tracer.begin(
+                    "server.session",
+                    header.trace.trace_id,
+                    header.trace.parent_span,
+                    session=header.short_id,
+                    striped=True,
+                    hop=header.trace.hop,
+                )
+            server._striped[header.session_id] = session
+        elif session.header.payload_length != header.payload_length:
+            raise ProtocolError("sublink disagrees on payload length")
+        self.session = session
+        self.key = f"sub{session.sublinks}"
+        session.sublinks += 1
+        session.assembler.attach(self.key)
+
+    def ended(self, ep: Endpoint) -> None:
+        if self.session is not None:
+            self.session.assembler.sublink_closed(self.key)
+        ep.close()
+
+    def broken(self, ep: Endpoint, exc: BaseException) -> None:
+        self.ended(ep)  # a dead sublink degrades, it doesn't fail
+
+
 class AsyncStripedServer(AsyncLoopService):
     """Accepts framed striped sessions on one event loop.
 
     Sublinks carrying the same session id feed one shared
     :class:`~repro.lsl.core.StripeAssembler`; no per-session lock is
-    needed because every sublink task runs on the loop. Public surface
+    needed because every sublink callback runs on the loop. Public surface
     (``results``, ``errors``, ``wait_for_sessions``, context manager)
     mirrors :class:`~repro.sockets.striped.StripedThreadedServer`.
     """
@@ -248,64 +310,8 @@ class AsyncStripedServer(AsyncLoopService):
         self._done = threading.Condition(self._lock)
         super().__init__(host, port, drain_timeout=drain_timeout)
 
-    async def _handle(self, sock: socket.socket) -> None:
-        loop = self._loop
-        session: Optional[_AsyncStripedSession] = None
-        key = ""
-        try:
-            header, surplus = await read_header(loop, sock)
-            if not header.is_last_hop or not header.framed:
-                raise ProtocolError(
-                    "unframed or mis-routed striped sublink"
-                )
-            session = self._striped.get(header.session_id)
-            if session is None:
-                session = _AsyncStripedSession(header, self._observer)
-                if self._tracer is not None and header.trace is not None:
-                    session.span = self._tracer.begin(
-                        "server.session",
-                        header.trace.trace_id,
-                        header.trace.parent_span,
-                        session=header.short_id,
-                        striped=True,
-                        hop=header.trace.hop,
-                    )
-                self._striped[header.session_id] = session
-            elif session.header.payload_length != header.payload_length:
-                raise ProtocolError("sublink disagrees on payload length")
-            key = f"sub{session.sublinks}"
-            session.sublinks += 1
-            session.assembler.attach(key)
-            if surplus:
-                self._feed(session, key, surplus)
-            while True:
-                try:
-                    data = await loop.sock_recv(sock, CHUNK)
-                except OSError:
-                    break  # a dead sublink degrades, it doesn't fail
-                if not data:
-                    break
-                if session.assembler.finished:
-                    if session.assembler.failed is not None:
-                        break
-                    # completed: drain to EOF instead of closing with
-                    # unread redundant copies in the buffer — that
-                    # close would RST a peer still mid-send, and the
-                    # sender would count a healthy sublink as lost
-                    continue
-                self._feed(session, key, data)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            with self._lock:
-                self.errors.append(exc)
-        finally:
-            if session is not None and key:
-                session.assembler.sublink_closed(key)
-            try:
-                sock.close()
-            except OSError:
-                pass
+    def _open(self, sock: socket.socket) -> None:
+        Endpoint(self, sock, _StripedSublink(self))
 
     def _feed(
         self, session: _AsyncStripedSession, key: str, data: bytes
@@ -327,6 +333,7 @@ class AsyncStripedServer(AsyncLoopService):
                         session.assembler.reconstructed_blocks
                     ),
                 )
+                session.chunks.clear()  # delivered: nothing reads them again
                 if self._tracer is not None and session.span:
                     self._tracer.end(
                         session.span, status="ok",

@@ -1,8 +1,9 @@
 """Asyncio depot worker with store-backed terminal sessions.
 
 The event-loop twin of :class:`~repro.cluster.node.ClusterNode`:
-intermediate-hop sublinks relay through the base
-:class:`~repro.asockets.depot.AsyncDepot` machinery; last-hop sublinks
+each accepted sublink is a :class:`_NodeSublink` fed from its read
+callback (no task). Intermediate-hop sublinks are handed to the base
+depot's :class:`~repro.asockets.depot.RelaySession`; last-hop sublinks
 terminate against the shared session store via the same
 :class:`~repro.cluster.node._TerminalSession` bookkeeping the threaded
 worker uses, so the two drivers cannot drift on resume or checkpoint
@@ -22,17 +23,12 @@ import threading
 import time
 from typing import Callable, List, Optional
 
-from repro.lsl.core import (
-    Chunk,
-    ProtocolObserver,
-    RejectSession,
-    RelayCore,
-    RelayReject,
-)
+from repro.lsl.core import HeaderAccumulator, ProtocolObserver, RejectSession
 from repro.lsl.core.events import emit
 from repro.lsl.core.wire import LslHeader
-from repro.asockets.depot import AsyncDepot
-from repro.asockets.wire import read_header
+from repro.lsl.errors import ProtocolError
+from repro.asockets.depot import AsyncDepot, RelaySession
+from repro.asockets.runtime import Endpoint
 from repro.cluster.acceptor import (
     StoreAcceptResume,
     StoreSessionAcceptor,
@@ -40,7 +36,113 @@ from repro.cluster.acceptor import (
 from repro.cluster.node import DEFAULT_CHECKPOINT_BYTES, _TerminalSession
 from repro.cluster.store import SessionStore
 from repro.sockets.server import SessionResult
-from repro.sockets.wire import CHUNK
+
+
+class _NodeSublink:
+    """One accepted sublink: header phase, then a relay hand-over or a
+    store-backed terminal session."""
+
+    __slots__ = ("node", "acc", "term", "short_id", "rebinds")
+
+    def __init__(self, node: "AsyncClusterNode") -> None:
+        self.node = node
+        self.acc = HeaderAccumulator()
+        self.term: Optional[_TerminalSession] = None
+        self.short_id = ""
+        self.rebinds = 0
+
+    def _terminal(self, header: LslHeader) -> _TerminalSession:
+        node = self.node
+        decision = node._acceptor.decide(header, time.time())
+        if isinstance(decision, RejectSession):
+            raise decision.error
+        if isinstance(decision, StoreAcceptResume) and decision.takeover:
+            node.counters.add(takeovers=1)
+        self.rebinds = decision.record.rebinds
+        return _TerminalSession(
+            node._store,
+            node.worker,
+            header,
+            decision,
+            node._observer,
+            node._checkpoint_bytes,
+            tracer=node._tracer,
+        )
+
+    def received(self, ep: Endpoint, data: bytes) -> None:
+        try:
+            term = self.term
+            if term is None:
+                header = self.acc.feed(data)
+                if header is None:
+                    return
+                self.short_id = header.short_id
+                data = self.acc.surplus
+                if not header.is_last_hop:
+                    # relay: re-feed the canonical header bytes into
+                    # the same machine the base depot drives (the codec
+                    # is byte-exact, so it cannot tell the difference)
+                    ep.owner = relay = RelaySession(self.node)
+                    relay.up = ep
+                    relay.received(ep, header.encode() + data)
+                    return
+                self.term = term = self._terminal(header)
+                if term.reply:
+                    ep.write(term.reply)
+            if data:
+                term.ingest(data)
+            if term.finished:  # not completed: ownership was lost
+                self._finish(
+                    ep, "completed" if term.completed else "suspended"
+                )
+        except Exception as exc:
+            self._finish(ep, "failed", exc)
+
+    def ended(self, ep: Endpoint) -> None:
+        try:
+            if self.term is None:
+                raise ProtocolError("upstream closed during header phase")
+            self._finish(ep, self.term.on_eof())
+        except Exception as exc:
+            self._finish(ep, "failed", exc)
+
+    def broken(self, ep: Endpoint, exc: BaseException) -> None:
+        if self.term is None or not isinstance(exc, OSError):
+            self._finish(ep, "failed", exc)  # or: worker shutdown
+            return
+        try:
+            self.term.flush()  # sublink reset mid-payload: park it
+            self._finish(ep, "suspended")
+        except Exception as failure:
+            self._finish(ep, "failed", failure)
+
+    def _finish(
+        self, ep: Endpoint, status: str,
+        failure: Optional[BaseException] = None,
+    ) -> None:
+        node, term = self.node, self.term
+        if status == "completed":
+            assert term is not None
+            if node.reply is not None:
+                ep.write(node.reply)
+            result = term.result(rebinds=self.rebinds)
+            with node._results_lock:
+                node.results.append(result)
+                node._done.notify_all()
+            if node.on_session is not None:
+                node.on_session(result)
+        if term is not None:
+            term.finish_trace(status)
+        if failure is not None:
+            emit(node._observer, "relay-failed", self.short_id,
+                 reason=f"{type(failure).__name__}: {failure}")
+        if status == "completed":
+            node.counters.session_ended(True)
+        elif status == "suspended":
+            node.counters.session_suspended()
+        else:
+            node.counters.session_ended(False)
+        ep.close()
 
 
 class AsyncClusterNode(AsyncDepot):
@@ -95,15 +197,12 @@ class AsyncClusterNode(AsyncDepot):
             tracer=tracer,
         )
         if session_ttl is not None:
-            self._loop.call_soon_threadsafe(self._start_sweeper)
+            # keeps the task referenced; the loop's shutdown cancels it
+            self._sweeper = asyncio.run_coroutine_threadsafe(
+                self._sweep_loop(), self._loop
+            )
 
     # -- TTL sweep ---------------------------------------------------------
-
-    def _start_sweeper(self) -> None:
-        task = self._loop.create_task(self._sweep_loop())
-        # registered like a session so shutdown cancels it cleanly
-        self._sessions.add(task)
-        task.add_done_callback(self._sessions.discard)
 
     async def _sweep_loop(self) -> None:
         ttl = self._session_ttl
@@ -121,96 +220,9 @@ class AsyncClusterNode(AsyncDepot):
                          record.session_id.hex()[:8],
                          bytes_received=record.bytes_received)
 
-    # -- sessions ----------------------------------------------------------
-
-    async def _handle(self, upstream: socket.socket) -> None:
-        status = "failed"
-        short_id = ""
-        try:
-            header, surplus = await read_header(self._loop, upstream)
-            short_id = header.short_id
-            if header.is_last_hop:
-                status = await self._terminal(upstream, header, surplus)
-            else:
-                core = RelayCore(observer=self._observer)
-                decision = core.feed(
-                    [Chunk.real(header.encode()), Chunk.real(surplus)]
-                )
-                assert decision is not None  # full header was fed
-                if isinstance(decision, RelayReject):
-                    raise decision.error
-                await self._relay(upstream, decision)
-                status = "completed"
-        except asyncio.CancelledError:
-            emit(self._observer, "relay-failed", short_id,
-                 reason="CancelledError: worker shutdown")
-            raise
-        except Exception as exc:
-            emit(self._observer, "relay-failed", short_id,
-                 reason=f"{type(exc).__name__}: {exc}")
-        finally:
-            if status == "completed":
-                self.counters.session_ended(True)
-            elif status == "suspended":
-                self.counters.session_suspended()
-            else:
-                self.counters.session_ended(False)
-            try:
-                upstream.close()
-            except OSError:
-                pass
-
-    async def _terminal(
-        self, upstream: socket.socket, header: LslHeader, surplus: bytes
-    ) -> str:
-        loop = self._loop
-        decision = self._acceptor.decide(header, time.time())
-        if isinstance(decision, RejectSession):
-            raise decision.error
-        if isinstance(decision, StoreAcceptResume) and decision.takeover:
-            self.counters.add(takeovers=1)
-        term = _TerminalSession(
-            self._store,
-            self.worker,
-            header,
-            decision,
-            self._observer,
-            self._checkpoint_bytes,
-            tracer=self._tracer,
-        )
-        status = "failed"
-        try:
-            if term.reply:
-                await loop.sock_sendall(upstream, term.reply)
-            if surplus:
-                term.ingest(surplus)
-            while not term.finished:
-                try:
-                    data = await loop.sock_recv(upstream, CHUNK)
-                except OSError:
-                    # sublink reset mid-payload: park what we have
-                    term.flush()
-                    status = "suspended"
-                    return status
-                if not data:
-                    status = term.on_eof()
-                    break
-                term.ingest(data)
-            else:
-                status = "completed" if term.completed else "suspended"
-            if term.completed:
-                if self.reply is not None:
-                    await loop.sock_sendall(upstream, self.reply)
-                result = term.result(rebinds=decision.record.rebinds)
-                with self._results_lock:
-                    self.results.append(result)
-                    self._done.notify_all()
-                if self.on_session is not None:
-                    self.on_session(result)
-                return "completed"
-            return status
-        finally:
-            term.finish_trace(status)
+    def _open(self, sock: socket.socket) -> None:
+        self.counters.session_started()
+        Endpoint(self, sock, _NodeSublink(self))
 
     # -- observability -----------------------------------------------------
 

@@ -366,6 +366,7 @@ class ThreadedLslServer:
             route_len=len(header.route),
             rebinds=record.rebinds if record is not None else 0,
         )
+        live.chunks.clear()  # delivered: nothing reads them again
         with self._lock:
             self.results.append(result)
             self._done.notify_all()

@@ -397,6 +397,7 @@ class StripedThreadedServer:
                             session.assembler.reconstructed_blocks
                         ),
                     )
+                    session.chunks.clear()  # delivered: nothing reads them again
                 elif isinstance(event, Failed):
                     error = event.error
         if result is not None:

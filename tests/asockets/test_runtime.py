@@ -29,22 +29,22 @@ def _wait(predicate, timeout=5.0):
 
 
 def _inject_flaky_accepts(service, failures, err=errno.EMFILE):
-    """Make the service's next ``sock_accept`` calls fail transiently.
+    """Make the service's next accepts fail transiently.
 
-    The accept task is already parked inside a real ``sock_accept``, so
-    a throwaway connection flushes it; the loop then re-enters through
-    the patched method.
+    Patches the service's accept seam (``_accept``, what the listener's
+    readiness callback calls); a throwaway connection then makes the
+    listener readable so the callback runs into the patched method.
     """
-    real = service._loop.sock_accept
+    real = service._accept
     state = {"left": failures}
 
-    async def flaky(listener):
+    def flaky():
         if state["left"] > 0:
             state["left"] -= 1
             raise OSError(err, "injected transient accept failure")
-        return await real(listener)
+        return real()
 
-    service._loop.sock_accept = flaky
+    service._accept = flaky
     dummy = socket.create_connection(service.address, timeout=5)
     dummy.close()
 
@@ -77,12 +77,36 @@ def test_server_accept_loop_survives_and_counts():
         assert _wait(lambda: server.accept_errors == 1)
 
 
+def _loop_call(service, fn):
+    """Run ``fn`` on the service's loop thread and return its result."""
+    import threading
+
+    done = threading.Event()
+    out = []
+    service._loop.call_soon_threadsafe(lambda: (out.append(fn()), done.set()))
+    assert done.wait(5)
+    return out[0]
+
+
+def _loop_turns(service):
+    """Return once the loop has handled what was ready when called: a
+    callback queued from here runs *before* the events of the same
+    poll, so take two turns."""
+    _loop_call(service, lambda: None)
+    _loop_call(service, lambda: None)
+
+
 def test_accept_loop_exits_on_fatal_errno():
     depot = AsyncDepot()
     _inject_flaky_accepts(depot, failures=10_000, err=errno.EBADF)
-    assert _wait(lambda: depot.active_tasks == 0 or True)
-    # the loop must stop accepting: new connections are refused or die
-    assert _wait(lambda: depot.counters.accept_errors == 0)
+    _loop_turns(depot)
+    # the listener is off the loop for good: a fatal errno is neither
+    # counted nor retried, and nothing is accepted again
+    probe = socket.create_connection(depot.address, timeout=5)
+    probe.close()
+    _loop_turns(depot)
+    assert depot.counters.accept_errors == 0
+    assert depot.counters.sessions_accepted == 0
     depot.shutdown()
     assert not depot._thread.is_alive()
 
