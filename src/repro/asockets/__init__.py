@@ -14,8 +14,10 @@ plain object fed from the read callback — no task, no future.
   next hop, half-close aware in both directions, graceful drain on
   shutdown.
 * :class:`AsyncLslServer` — session terminus with accept/rebind
-  arbitration and negotiated resume, lock-free because everything runs
-  on the loop.
+  arbitration and negotiated resume: the very session objects the
+  threaded server runs (:mod:`repro.sockets.terminal`) behind an
+  endpoint, their locks taken and — everything running on the loop —
+  never contended.
 * :class:`AsyncLslClient` — the sending side, awaitable on
   ``loop.sock_*`` and byte-identical on the wire to the blocking client
   (``tests/diff`` pins this).

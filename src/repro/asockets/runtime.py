@@ -17,8 +17,9 @@ The constructor returns with the listener bound and the loop accepting
 — same contract as the threaded classes, so tests, the CLI, and the
 benchmarks can treat either driver interchangeably. All cross-thread
 interaction goes through ``call_soon_threadsafe``; everything else
-runs single-threaded inside the loop, which is what lets the session
-logic drop the per-session locks the threaded drivers need.
+runs single-threaded inside the loop, so the locks of the session
+objects shared with the threaded drivers (:mod:`repro.sockets.terminal`)
+are taken here and never contended.
 """
 
 from __future__ import annotations

@@ -15,12 +15,15 @@ length and rebuild the receiver — running MD5 included — by re-feeding
 the spool. The digest is never serialized; the spooled bytes are its
 only portable representation.
 
-:class:`_TerminalSession` is the driver-agnostic bookkeeping shared
-with the asyncio worker (:mod:`repro.cluster.anode`): everything but
-the socket reads. Store calls inside it are short blocking operations
-(bounded by checkpoint batching); the asyncio driver accepts them
-in-loop for the same reason it accepts blocking DNS in tests —
-micro-milliseconds against a 64 KiB read cadence.
+Everything here but :class:`ClusterNode` itself is shared with the
+asyncio worker (:mod:`repro.cluster.anode`): :class:`_TerminalSession`
+(the store-backed bookkeeping), :class:`NodeSublink` (one accepted
+sublink, run from a ``recv`` loop here and from a read callback there)
+and :class:`StoreNode` (the worker's state, sweep and counters). Store
+calls are short blocking operations (bounded by checkpoint batching);
+the asyncio driver accepts them in-loop for the same reason it accepts
+blocking DNS in tests — micro-milliseconds against a 64 KiB read
+cadence.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Callable, List, Optional, Union
+from typing import Any, Callable, List, Optional, Union
 
 from repro.lsl.core import (
     Chunk,
@@ -54,9 +57,9 @@ from repro.cluster.acceptor import (
     StoreSessionAcceptor,
 )
 from repro.cluster.store import SessionStore
-from repro.sockets.lsd import ThreadedDepot
-from repro.sockets.server import SessionResult
-from repro.sockets.wire import CHUNK
+from repro.sockets.lsd import DepotCounters, ThreadedDepot
+from repro.sockets.terminal import SessionResult
+from repro.sockets.wire import BlockingLink, run_blocking
 from repro.telemetry.tracing import TraceSpool
 
 #: Spool checkpoint granularity: how much received payload a worker
@@ -276,15 +279,196 @@ class _TerminalSession:
         )
 
 
-class ClusterNode(ThreadedDepot):
+class NodeSublink:
+    """One accepted sublink: header phase, then a relay hand-over or a
+    store-backed terminal session.
+
+    Shared by both cluster nodes: it touches the transport only through
+    its link (``write`` / ``close``), and leaves relaying — where the
+    drivers genuinely differ — to the node's ``_hand_over``.
+    """
+
+    __slots__ = ("node", "acc", "term", "short_id", "rebinds")
+
+    def __init__(self, node: "StoreNode") -> None:
+        self.node = node
+        self.acc = HeaderAccumulator()
+        self.term: Optional[_TerminalSession] = None
+        self.short_id = ""
+        self.rebinds = 0
+
+    def _terminal(self, header: LslHeader) -> _TerminalSession:
+        node = self.node
+        decision = node._acceptor.decide(header, time.time())
+        if isinstance(decision, RejectSession):
+            raise decision.error
+        if isinstance(decision, StoreAcceptResume) and decision.takeover:
+            node.counters.add(takeovers=1)
+        self.rebinds = decision.record.rebinds
+        return _TerminalSession(
+            node._store,
+            node.worker,
+            header,
+            decision,
+            node._observer,
+            node._checkpoint_bytes,
+            tracer=node._tracer,
+        )
+
+    def received(self, link: Any, data: bytes) -> None:
+        try:
+            term = self.term
+            if term is None:
+                header = self.acc.feed(data)
+                if header is None:
+                    return
+                self.short_id = header.short_id
+                data = self.acc.surplus
+                if not header.is_last_hop:
+                    if self.node._hand_over(link, header, data):
+                        self._finish(link, "completed")
+                    return
+                self.term = term = self._terminal(header)
+                if term.reply:
+                    link.write(term.reply)
+            if data:
+                term.ingest(data)
+            if term.finished:  # not completed: ownership was lost
+                self._finish(
+                    link, "completed" if term.completed else "suspended"
+                )
+        except Exception as exc:
+            self._finish(link, "failed", exc)
+
+    def ended(self, link: Any) -> None:
+        try:
+            if self.term is None:
+                raise ProtocolError("upstream closed during header phase")
+            self._finish(link, self.term.on_eof())
+        except Exception as exc:
+            self._finish(link, "failed", exc)
+
+    def broken(self, link: Any, exc: BaseException) -> None:
+        if self.term is None or not isinstance(exc, OSError):
+            self._finish(link, "failed", exc)  # or: worker shutdown
+            return
+        try:
+            self.term.flush()  # sublink reset mid-payload: park it
+            self._finish(link, "suspended")
+        except Exception as failure:
+            self._finish(link, "failed", failure)
+
+    def _finish(
+        self, link: Any, status: str,
+        failure: Optional[BaseException] = None,
+    ) -> None:
+        node, term = self.node, self.term
+        if status == "completed" and term is not None:
+            if node.reply is not None:
+                link.write(node.reply)
+            result = term.result(rebinds=self.rebinds)
+            with node._results_lock:
+                node.results.append(result)
+                node._done.notify_all()
+            if node.on_session is not None:
+                node.on_session(result)
+        if term is not None:
+            term.finish_trace(status)
+        if failure is not None:
+            emit(node._observer, "relay-failed", self.short_id,
+                 reason=f"{type(failure).__name__}: {failure}")
+        if status == "completed":
+            node.counters.session_ended(True)
+        elif status == "suspended":
+            node.counters.session_suspended()
+        else:
+            node.counters.session_ended(False)
+        link.close()
+
+
+class StoreNode:
+    """What makes a depot a cluster worker (mix into a depot driver).
+
+    ``worker`` is the node's identity in the store (ownership stamps,
+    counter publication). With ``session_ttl`` set, the driver calls
+    :meth:`_sweep` every ``_sweep_every`` seconds to expire idle
+    stored sessions — the sweep is store-global and safe to run on every
+    worker; each expired session is reported by exactly one.
+
+    The driver supplies the depot (``counters``, ``_observer``,
+    ``_tracer``) and ``_hand_over(link, header, surplus)``: relay an
+    intermediate-hop sublink whose header (and ``surplus`` bytes after
+    it) a :class:`NodeSublink` has read. True means the relay ran to
+    completion inside the call and the sublink accounts for it and
+    closes the link; false, that the link has a new owner which does.
+    """
+
+    counters: DepotCounters
+    _observer: Optional[ProtocolObserver]
+    _tracer: Optional[TraceSpool]
+
+    def __init__(
+        self,
+        store: SessionStore,
+        worker: str,
+        observer: Optional[ProtocolObserver],
+        session_ttl: Optional[float],
+        checkpoint_bytes: int,
+        reply: Optional[bytes],
+        on_session: Optional[Callable[[SessionResult], None]],
+    ) -> None:
+        if session_ttl is not None and session_ttl <= 0:
+            raise ValueError("session_ttl must be positive")
+        if checkpoint_bytes <= 0:
+            raise ValueError("checkpoint_bytes must be positive")
+        self._store = store
+        self.worker = worker
+        self._acceptor = StoreSessionAcceptor(store, worker, observer)
+        self._session_ttl = session_ttl
+        self._sweep_every = min((session_ttl or 0.0) / 4.0, 1.0)
+        self._checkpoint_bytes = checkpoint_bytes
+        self.reply = reply
+        self.on_session = on_session
+        self.results: List[SessionResult] = []
+        self._results_lock = threading.Lock()
+        self._done = threading.Condition(self._results_lock)
+
+    def _hand_over(self, link: Any, header: LslHeader, surplus: bytes) -> bool:
+        raise NotImplementedError
+
+    def _sweep(self) -> None:
+        assert self._session_ttl is not None
+        try:
+            expired = self._store.sweep(time.time(), self._session_ttl)
+        except (OSError, ValueError, TimeoutError):
+            return  # store hiccup; retry next tick
+        if expired:
+            self.counters.add(sessions_expired=len(expired))
+            for record in expired:
+                emit(self._observer, "session-expired",
+                     record.session_id.hex()[:8],
+                     bytes_received=record.bytes_received)
+
+    def publish_counters(self) -> None:
+        """Push this worker's counter snapshot into the shared store."""
+        self._store.publish_counters(self.worker, self.counters.snapshot())
+
+    def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
+        """Block the caller until ``count`` terminal sessions completed
+        here."""
+        with self._done:
+            return self._done.wait_for(
+                lambda: len(self.results) >= count, timeout=timeout
+            )
+
+
+class ClusterNode(StoreNode, ThreadedDepot):
     """Thread-per-connection depot worker with terminal sessions.
 
     Intermediate-hop sublinks are relayed exactly like the base depot;
-    last-hop sublinks are terminated against ``store``. ``worker`` is
-    the node's identity in the store (ownership stamps, counter
-    publication). With ``session_ttl`` set, a sweeper thread expires
-    idle stored sessions — the sweep is store-global and safe to run
-    on every worker; each expired session is reported by exactly one.
+    last-hop sublinks are terminated against ``store`` (see
+    :class:`StoreNode`). Each sublink is a :class:`NodeSublink` run from
+    a pooled worker's ``recv`` loop.
     """
 
     def __init__(
@@ -304,23 +488,14 @@ class ClusterNode(ThreadedDepot):
         on_session: Optional[Callable[[SessionResult], None]] = None,
         tracer: Optional[TraceSpool] = None,
     ) -> None:
-        if session_ttl is not None and session_ttl <= 0:
-            raise ValueError("session_ttl must be positive")
-        if checkpoint_bytes <= 0:
-            raise ValueError("checkpoint_bytes must be positive")
-        # subclass state first: the accept thread super().__init__
-        # starts may deliver a session before this frame returns
-        self._store = store
-        self.worker = worker
-        self._acceptor = StoreSessionAcceptor(store, worker, observer)
-        self._session_ttl = session_ttl
-        self._checkpoint_bytes = checkpoint_bytes
-        self.reply = reply
-        self.on_session = on_session
-        self.results: List[SessionResult] = []
-        self._results_lock = threading.Lock()
-        self._done = threading.Condition(self._results_lock)
-        super().__init__(
+        # store state first: the accept thread the depot starts may
+        # deliver a session before this frame returns
+        StoreNode.__init__(
+            self, store, worker, observer, session_ttl, checkpoint_bytes,
+            reply, on_session,
+        )
+        ThreadedDepot.__init__(
+            self,
             host,
             port,
             observer=observer,
@@ -336,135 +511,28 @@ class ClusterNode(ThreadedDepot):
                 daemon=True,
             ).start()
 
-    # -- TTL sweep ---------------------------------------------------------
-
     def _sweep_loop(self) -> None:
-        ttl = self._session_ttl
-        assert ttl is not None
-        while not self._shutdown.wait(min(ttl / 4.0, 1.0)):
-            try:
-                expired = self._store.sweep(time.time(), ttl)
-            except (OSError, ValueError, TimeoutError):
-                continue  # store hiccup; retry next tick
-            if expired:
-                self.counters.add(sessions_expired=len(expired))
-                for record in expired:
-                    emit(self._observer, "session-expired",
-                         record.session_id.hex()[:8],
-                         bytes_received=record.bytes_received)
-
-    # -- sessions ----------------------------------------------------------
+        while not self._shutdown.wait(self._sweep_every):
+            self._sweep()
 
     def _session(self, upstream: socket.socket) -> None:
-        status = "failed"
-        short_id = ""
         self._track(upstream)
         try:
-            acc = HeaderAccumulator()
-            header: Optional[LslHeader] = None
-            while header is None:
-                data = upstream.recv(CHUNK)
-                if not data:
-                    raise ProtocolError("upstream closed during header phase")
-                header = acc.feed(data)
-            short_id = header.short_id
-            if header.is_last_hop:
-                status = self._terminal(upstream, header, acc.surplus)
-            else:
-                # relay: re-feed the canonical header bytes into the
-                # same machine the base depot drives (the codec is
-                # byte-exact, so the depot cannot tell the difference)
-                core = RelayCore(observer=self._observer)
-                decision = core.feed(
-                    [Chunk.real(header.encode()), Chunk.real(acc.surplus)]
-                )
-                assert decision is not None  # full header was fed
-                if isinstance(decision, RelayReject):
-                    raise decision.error
-                self._relay(upstream, decision)
-                status = "completed"
-        except Exception as exc:
-            emit(self._observer, "relay-failed", short_id,
-                 reason=f"{type(exc).__name__}: {exc}")
+            run_blocking(BlockingLink(upstream), NodeSublink(self))
         finally:
-            if status == "completed":
-                self.counters.session_ended(True)
-            elif status == "suspended":
-                self.counters.session_suspended()
-            else:
-                self.counters.session_ended(False)
             self._untrack(upstream)
-            try:
-                upstream.close()
-            except OSError:
-                pass
 
-    def _terminal(
-        self, upstream: socket.socket, header: LslHeader, surplus: bytes
-    ) -> str:
-        decision = self._acceptor.decide(header, time.time())
-        if isinstance(decision, RejectSession):
+    def _hand_over(self, link: Any, header: LslHeader, surplus: bytes) -> bool:
+        # re-feed the canonical header bytes into the same machine the
+        # base depot drives (the codec is byte-exact, so the depot
+        # cannot tell the difference), then pump until both ends EOF
+        core = RelayCore(observer=self._observer)
+        decision = core.feed([Chunk.real(header.encode()), Chunk.real(surplus)])
+        assert decision is not None  # full header was fed
+        if isinstance(decision, RelayReject):
             raise decision.error
-        if (
-            isinstance(decision, StoreAcceptResume)
-            and decision.takeover
-        ):
-            self.counters.add(takeovers=1)
-        term = _TerminalSession(
-            self._store,
-            self.worker,
-            header,
-            decision,
-            self._observer,
-            self._checkpoint_bytes,
-            tracer=self._tracer,
-        )
-        status = "failed"
-        try:
-            if term.reply:
-                upstream.sendall(term.reply)
-            if surplus:
-                term.ingest(surplus)
-            while not term.finished:
-                try:
-                    data = upstream.recv(CHUNK)
-                except OSError:
-                    # sublink reset mid-payload: park what we have
-                    term.flush()
-                    status = "suspended"
-                    return status
-                if not data:
-                    status = term.on_eof()
-                    break
-                term.ingest(data)
-            else:
-                status = "completed" if term.completed else "suspended"
-            if term.completed:
-                if self.reply is not None:
-                    upstream.sendall(self.reply)
-                result = term.result(rebinds=decision.record.rebinds)
-                with self._results_lock:
-                    self.results.append(result)
-                    self._done.notify_all()
-                if self.on_session is not None:
-                    self.on_session(result)
-                return "completed"
-            return status
-        finally:
-            term.finish_trace(status)
-
-    # -- observability -----------------------------------------------------
-
-    def publish_counters(self) -> None:
-        """Push this worker's counter snapshot into the shared store."""
-        self._store.publish_counters(self.worker, self.counters.snapshot())
-
-    def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
-        """Block until ``count`` terminal sessions completed here."""
-        with self._done:
-            return self._done.wait_for(
-                lambda: len(self.results) >= count, timeout=timeout
-            )
+        self._relay(link.sock, decision)
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

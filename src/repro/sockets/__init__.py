@@ -8,6 +8,14 @@ the end-to-end MD5 all come from the shared machines, so the two
 stacks emit identical wire bytes. Runs on localhost for the examples
 and tests.
 
+The terminal sessions live here for *both* real-socket drivers:
+:mod:`repro.sockets.terminal` (server) and :mod:`repro.sockets.striped`
+(striped server and sender) are plain objects that reach the transport
+only through a link's ``write`` / ``close`` / ``closed``. This package
+runs them from a ``recv`` loop on a pooled worker
+(:mod:`repro.sockets.wire`); :mod:`repro.asockets` runs the same
+objects from its reactor.
+
 **Thread model.** Accept loops, TTL sweepers and exposition are
 long-lived named threads. Everything per connection — a depot session,
 its forward pump, a server session, a striped sublink — runs on the

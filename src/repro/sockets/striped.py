@@ -1,12 +1,26 @@
-"""Striped multipath LSL over real sockets (threaded driver).
+"""Striped multipath LSL over real sockets.
 
-The same sans-I/O machines that power the simulator's striped
-sessions (:mod:`repro.lsl.core.striping`) driven by one pooled worker
-(:mod:`repro.sockets.workers`) per sublink: the client workers pull assignments from a shared, lock-
-guarded :class:`~repro.lsl.core.StripeScheduler` — blocking
+The same sans-I/O machines that power the simulator's striped sessions
+(:mod:`repro.lsl.core.striping`), once for both real-socket drivers.
+
+**Server side.** :class:`StripedSublink` is one accepted framed sublink
+and :class:`StripedEngine` the table that groups sublinks by session id
+into a shared :class:`~repro.lsl.core.StripeAssembler`. Like the
+terminal session (:mod:`repro.sockets.terminal`) they reach the
+transport only through the sublink's link, so
+:class:`StripedThreadedServer` runs them on a pooled worker per sublink
+and :class:`repro.asockets.striped.AsyncStripedServer` from the loop's
+read callbacks, under the same locking rule: the engine lock around the
+table and the result lists, each session's lock around one assembler
+call, never across a read.
+
+**Client side.** :class:`_StripedSend` is everything a striped send is
+apart from moving bytes — ids, trace spans, the lock-guarded
+:class:`~repro.lsl.core.StripeScheduler`, each sublink's header, the
+report. :func:`send_striped` here is the threaded dial-and-write loop,
+one pooled worker (:mod:`repro.sockets.workers`) per sublink: blocking
 ``sendall`` is the demand pacing, so fast paths naturally pull more
-stripes — and the server groups framed sublinks by session id into a
-shared :class:`~repro.lsl.core.StripeAssembler`.
+stripes.
 
 A sublink that dies (depot crash, connection reset) degrades the
 transfer: its uncovered stripes are re-dealt to the survivors, and
@@ -19,8 +33,10 @@ from __future__ import annotations
 import random
 import socket
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import Set, Tuple, Union
 
 from repro.lsl.core import (
     Completed,
@@ -35,17 +51,24 @@ from repro.lsl.core import (
     parse_redundancy,
 )
 from repro.lsl.core import TraceContext
-from repro.lsl.core.striping import DEFAULT_STRIPE
+from repro.lsl.core.striping import DEFAULT_STRIPE, Assignment
 from repro.lsl.errors import LslError, ProtocolError, RouteError
+from repro.lsl.header import HeaderAccumulator
 from repro.lsl.session import new_session_id
 from repro.telemetry.tracing import TraceSpool, new_trace_id
 from repro.sockets import workers
 from repro.sockets.lsd import (
     _ACCEPT_RETRY_DELAY_S,
     _FATAL_ACCEPT_ERRNOS,
-    LISTEN_BACKLOG,
+    make_listener,
 )
-from repro.sockets.wire import CHUNK, read_header
+from repro.sockets.wire import BlockingLink, run_blocking
+
+#: Finished striped sessions a server keeps findable. Sublinks of one
+#: session arrive with arbitrary skew, so a late one must still find
+#: the finished entry (and drain into it); past this many the oldest
+#: is dropped.
+FINISHED_KEPT = 1024
 
 
 @dataclass
@@ -71,34 +94,156 @@ class StripedSendReport:
     sublink_errors: List[Exception] = field(default_factory=list)
 
 
-class _StripedSession:
-    """Server-side shared state for one striped session."""
+# -- client side ---------------------------------------------------------------
+
+
+class _StripedSend:
+    """One striped send, minus the sockets.
+
+    Holds the session id, the ``client.session`` span and a
+    ``client.dial`` span per sublink, and the scheduler behind one
+    lock. A driver runs one dial-and-write loop per route against it:
+    :meth:`begin`, dial, :meth:`dialed`, then :meth:`next_assignment` /
+    :meth:`sent` until ``None``; :meth:`lost` on a socket error and
+    :meth:`end` in any case; :meth:`report` once every loop is done.
+    """
 
     def __init__(
         self,
-        header: LslHeader,
+        routes: Sequence[Sequence[Tuple[str, int]]],
+        payload: bytes,
+        session_id: Optional[bytes],
+        stripe_bytes: int,
+        redundancy: Union[str, Redundancy],
+        digest: bool,
         observer: Optional[ProtocolObserver],
+        rng: Optional[random.Random],
+        tracer: Optional[TraceSpool],
+        trace_id: Optional[bytes],
+        trace_parent: int,
     ) -> None:
-        self.header = header
-        self.lock = threading.Lock()
-        self.assembler = StripeAssembler(
-            header.payload_length,
-            use_digest=header.digest,
-            observer=observer,
-            session=header.short_id,
+        if not routes:
+            raise RouteError("need at least one route")
+        self.routes: List[Tuple[RouteHop, ...]] = [
+            tuple(RouteHop(h, p) for h, p in route) for route in routes
+        ]
+        if isinstance(redundancy, str):
+            redundancy = parse_redundancy(redundancy)
+        self.session_id = session_id if session_id is not None else (
+            new_session_id(rng or random.Random())
         )
-        self.chunks: List[bytes] = []
-        self.sublinks = 0
-        self.socks: List[socket.socket] = []
-        self.span = 0  # server.session trace span, when traced
+        self._payload_length = len(payload)
+        self._digest = digest
+        self._tracer = tracer
+        self._span = 0
+        if tracer is not None:
+            if trace_id is None:
+                trace_id = new_trace_id(rng)
+            self._span = tracer.begin(
+                "client.session",
+                trace_id,
+                parent=trace_parent,
+                session=self.session_id.hex()[:8],
+                routes=[[str(hop) for hop in r] for r in self.routes],
+                striped=True,
+            )
+        self._trace_id = trace_id
+        self._keys = [f"sub{i}" for i in range(len(self.routes))]
+        self._dial_spans = [0] * len(self.routes)
+        self._scheduler = StripeScheduler(
+            len(payload),
+            data=payload,
+            stripe_bytes=stripe_bytes,
+            redundancy=redundancy,
+            use_digest=digest,
+            observer=observer,
+            session=self.session_id.hex()[:8],
+        )
+        self._lock = threading.Lock()
+        self._errors: List[Exception] = []
+        self._sent_bytes = [0] * len(self.routes)
+
+    def begin(self, index: int) -> bytes:
+        """Register sublink ``index``; returns its encoded header, which
+        carries the trace context parented to its ``client.dial`` span."""
+        route = self.routes[index]
+        trace = None
+        if self._tracer is not None and self._trace_id is not None:
+            self._dial_spans[index] = self._tracer.begin(
+                "client.dial", self._trace_id, self._span,
+                hop=str(route[0]), sublink=self._keys[index],
+            )
+            trace = TraceContext(self._trace_id, self._dial_spans[index], 0)
+        with self._lock:
+            self._scheduler.add_sublink(self._keys[index])
+        return LslHeader(
+            session_id=self.session_id,
+            route=route,
+            hop_index=0,
+            payload_length=self._payload_length,
+            digest=self._digest,
+            sync=False,  # framed joins are asynchronous by design
+            framed=True,
+            trace=trace,
+        ).encode()
+
+    def dialed(self, index: int) -> None:
+        if self._dial_spans[index]:
+            assert self._tracer is not None
+            self._tracer.end(self._dial_spans[index])
+
+    def end(self, index: int) -> None:
+        """The sublink is over: its ``client.dial`` span ends in error
+        unless :meth:`dialed` ended it (a span ends only once)."""
+        if self._dial_spans[index]:
+            assert self._tracer is not None
+            self._tracer.end(self._dial_spans[index], status="error")
+
+    def next_assignment(self, index: int) -> Optional[Assignment]:
+        """What sublink ``index`` sends next; ``None`` ends its share
+        (the caller half-closes)."""
+        key = self._keys[index]
+        with self._lock:
+            assignment = self._scheduler.next_assignment(key)
+            if assignment is None:
+                self._scheduler.sublink_finished(key)
+        return assignment
+
+    def sent(self, index: int, assignment: Assignment) -> None:
+        assignment.header_sent = True
+        assignment.sent = assignment.length
+        if assignment.kind == "data":
+            self._sent_bytes[index] += assignment.length
+
+    def lost(self, index: int, exc: Exception) -> None:
+        with self._lock:
+            self._scheduler.sublink_lost(self._keys[index], exc)
+            self._errors.append(exc)
+
+    def report(self) -> StripedSendReport:
+        scheduler = self._scheduler
+        if self._tracer is not None and self._span:
+            self._tracer.end(
+                self._span,
+                status="error" if scheduler.failed is not None else "ok",
+                bytes=sum(self._sent_bytes),
+                redeals=scheduler.redeals,
+            )
+        if scheduler.failed is not None:
+            raise LslError(f"striped send failed: {scheduler.failed}")
+        return StripedSendReport(
+            session_id=self.session_id,
+            per_sublink_bytes=self._sent_bytes,
+            redundant_stripes=scheduler.redundant_stripes,
+            redeals=scheduler.redeals,
+            sublink_errors=self._errors,
+        )
 
 
-def _normalize_routes(
-    routes: Sequence[Sequence[Tuple[str, int]]],
-) -> List[Tuple[RouteHop, ...]]:
-    if not routes:
-        raise RouteError("need at least one route")
-    return [tuple(RouteHop(h, p) for h, p in route) for route in routes]
+def _frame_of(assignment: Assignment) -> bytes:
+    """The wire bytes of one assignment: frame header, then its body."""
+    body = assignment.payload if assignment.payload is not None else b""
+    return assignment.frame_header() + body
 
 
 def send_striped(
@@ -126,209 +271,149 @@ def send_striped(
     ``client.session`` span and each sublink carries the trace context
     on its header, parented to a per-sublink ``client.dial`` span.
     """
-    hop_routes = _normalize_routes(routes)
-    if isinstance(redundancy, str):
-        redundancy = parse_redundancy(redundancy)
-    sid = session_id if session_id is not None else new_session_id(
-        rng or random.Random()
+    send = _StripedSend(
+        routes, payload, session_id, stripe_bytes, redundancy, digest,
+        observer, rng, tracer, trace_id, trace_parent,
     )
-    session_span = 0
-    if tracer is not None:
-        if trace_id is None:
-            trace_id = new_trace_id(rng)
-        session_span = tracer.begin(
-            "client.session",
-            trace_id,
-            parent=trace_parent,
-            session=sid.hex()[:8],
-            routes=[[str(RouteHop(h, p)) for h, p in r] for r in routes],
-            striped=True,
-        )
-    scheduler = StripeScheduler(
-        len(payload),
-        data=payload,
-        stripe_bytes=stripe_bytes,
-        redundancy=redundancy,
-        use_digest=digest,
-        observer=observer,
-        session=sid.hex()[:8],
-    )
-    lock = threading.Lock()
-    errors: List[Exception] = []
-    sent_bytes = [0] * len(hop_routes)
 
-    def run_sublink(index: int, route: Tuple[RouteHop, ...]) -> None:
-        key = f"sub{index}"
-        dial_span = 0
-        if tracer is not None:
-            assert trace_id is not None
-            dial_span = tracer.begin(
-                "client.dial", trace_id, session_span,
-                hop=str(route[0]), sublink=key,
-            )
-        header = LslHeader(
-            session_id=sid,
-            route=route,
-            hop_index=0,
-            payload_length=len(payload),
-            digest=digest,
-            sync=False,  # framed joins are asynchronous by design
-            framed=True,
-            trace=(
-                TraceContext(trace_id, dial_span, 0)
-                if tracer is not None and trace_id is not None
-                else None
-            ),
-        )
-        with lock:
-            scheduler.add_sublink(key)
+    def run_sublink(index: int) -> None:
+        header = send.begin(index)
+        hop = send.routes[index][0]
         sock: Optional[socket.socket] = None
         try:
-            sock = socket.create_connection(
-                (route[0].host, route[0].port), timeout=timeout
-            )
-            if dial_span:
-                assert tracer is not None
-                tracer.end(dial_span)
-                dial_span = 0
+            sock = socket.create_connection((hop.host, hop.port), timeout=timeout)
+            send.dialed(index)
             if sndbuf is not None:
                 # shrink the send buffer so demand pacing engages even
                 # on loopback (kernel memory otherwise swallows whole
                 # payloads before slower sublinks pull their share)
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
-            sock.sendall(header.encode())
+            sock.sendall(header)
             while True:
-                with lock:
-                    assignment = scheduler.next_assignment(key)
+                assignment = send.next_assignment(index)
                 if assignment is None:
-                    with lock:
-                        scheduler.sublink_finished(key)
                     sock.shutdown(socket.SHUT_WR)
                     return
-                body = assignment.payload if assignment.payload is not None else b""
                 # blocking sendall is the demand pacing: while this
                 # thread drains into a slow path, the other sublinks
                 # pull the remaining stripes
-                sock.sendall(assignment.frame_header() + body)
-                assignment.header_sent = True
-                assignment.sent = assignment.length
-                if assignment.kind == "data":
-                    sent_bytes[index] += assignment.length
+                sock.sendall(_frame_of(assignment))
+                send.sent(index, assignment)
         except OSError as exc:
-            with lock:
-                scheduler.sublink_lost(key, exc)
-                errors.append(exc)
+            send.lost(index, exc)
         finally:
-            if dial_span:
-                assert tracer is not None
-                tracer.end(dial_span, status="error")
+            send.end(index)
             if sock is not None:
                 try:
                     sock.close()
                 except OSError:
                     pass
 
-    sublinks = [
-        workers.run(run_sublink, i, route)
-        for i, route in enumerate(hop_routes)
-    ]
+    sublinks = [workers.run(run_sublink, i) for i in range(len(send.routes))]
     for done in sublinks:
         done.wait()
-    if tracer is not None and session_span:
-        tracer.end(
-            session_span,
-            status="error" if scheduler.failed is not None else "ok",
-            bytes=sum(sent_bytes),
-            redeals=scheduler.redeals,
-        )
-    if scheduler.failed is not None:
-        raise LslError(f"striped send failed: {scheduler.failed}")
-    return StripedSendReport(
-        session_id=sid,
-        per_sublink_bytes=sent_bytes,
-        redundant_stripes=scheduler.redundant_stripes,
-        redeals=scheduler.redeals,
-        sublink_errors=errors,
-    )
+    return send.report()
 
 
-class StripedThreadedServer:
-    """Accepts framed striped sessions; reassembles and verifies.
+# -- server side ---------------------------------------------------------------
 
-    Sublinks carrying the same session id feed one shared
-    :class:`~repro.lsl.core.StripeAssembler` under a per-session lock;
-    ``on_session(result)`` runs on whichever sublink thread completes
-    the stream.
-    """
+
+class _StripedSession:
+    """Server-side shared state for one striped session."""
+
+    __slots__ = ("header", "lock", "assembler", "chunks", "sublinks", "span")
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        on_session: Optional[Callable[[StripedResult], None]] = None,
-        observer: Optional[ProtocolObserver] = None,
-        tracer: Optional[TraceSpool] = None,
+        header: LslHeader,
+        observer: Optional[ProtocolObserver],
     ) -> None:
-        self._tracer = tracer
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(LISTEN_BACKLOG)
-        self.address: Tuple[str, int] = self._listener.getsockname()
+        self.header = header
+        self.lock = threading.Lock()
+        self.assembler = StripeAssembler(
+            header.payload_length,
+            use_digest=header.digest,
+            observer=observer,
+            session=header.short_id,
+        )
+        self.chunks: List[bytes] = []
+        self.sublinks = 0
+        self.span = 0  # server.session trace span, when traced
+
+
+class StripedSublink:
+    """One accepted sublink: header phase, then the shared assembler."""
+
+    __slots__ = ("engine", "acc", "session", "key")
+
+    def __init__(self, engine: "StripedEngine") -> None:
+        self.engine = engine
+        self.acc = HeaderAccumulator()
+        self.session: Optional[_StripedSession] = None
+        self.key = ""
+
+    def received(self, link: Any, data: bytes) -> None:
+        engine = self.engine
+        try:
+            if self.session is None:
+                header = self.acc.feed(data)
+                if header is None:
+                    return
+                self.session, self.key = engine._join(header)
+                data = self.acc.surplus
+            if self.session.assembler.failed is not None:
+                self.ended(link)
+            elif data:
+                # once completed this only drains to EOF: closing with
+                # unread redundant copies in the buffer would RST a
+                # peer still mid-send, and the sender would count a
+                # healthy sublink as lost
+                engine._feed(self.session, self.key, data)
+        except Exception as exc:
+            with engine._lock:
+                engine.errors.append(exc)
+            self.ended(link)
+
+    def ended(self, link: Any) -> None:
+        session = self.session
+        if session is not None:
+            with session.lock:
+                session.assembler.sublink_closed(self.key)
+        link.close()
+
+    def broken(self, link: Any, exc: BaseException) -> None:
+        self.ended(link)  # a dead sublink degrades, it doesn't fail
+
+
+class StripedEngine:
+    """The striped-session table and its results (mix into a driver)."""
+
+    def __init__(
+        self,
+        on_session: Optional[Callable[[StripedResult], None]],
+        observer: Optional[ProtocolObserver],
+        tracer: Optional[TraceSpool],
+    ) -> None:
         self.on_session = on_session
         self._observer = observer
+        self._tracer = tracer
         self.results: List[StripedResult] = []
         self.errors: List[Exception] = []
         self._sessions: Dict[bytes, _StripedSession] = {}
+        self._finished: Deque[bytes] = deque()  # ids, oldest first
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
-        self._shutdown = threading.Event()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"lsl-striped-srv-{self.address[1]}",
-            daemon=True,
-        )
-        self._accept_thread.start()
 
-    # -- accept loop -----------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._shutdown.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError as exc:
-                if self._shutdown.is_set():
-                    return
-                if exc.errno in _FATAL_ACCEPT_ERRNOS:
-                    return
-                self._shutdown.wait(_ACCEPT_RETRY_DELAY_S)
-                continue
-            workers.run(self._drive, conn)
-
-    def _drive(self, conn: socket.socket) -> None:
-        try:
-            header, surplus = read_header(conn)
-        except ProtocolError as exc:
-            with self._lock:
-                self.errors.append(exc)
-            conn.close()
-            return
+    def _join(self, header: LslHeader) -> Tuple[_StripedSession, str]:
+        """Find or create the session of a sublink's header and attach
+        the sublink to its assembler; returns the session and the
+        sublink's key."""
         if not header.is_last_hop or not header.framed:
-            with self._lock:
-                self.errors.append(
-                    ProtocolError("unframed or mis-routed striped sublink")
-                )
-            conn.close()
-            return
+            raise ProtocolError("unframed or mis-routed striped sublink")
         with self._lock:
             session = self._sessions.get(header.session_id)
             if session is None:
-                try:
-                    session = _StripedSession(header, self._observer)
-                except ProtocolError as exc:
-                    self.errors.append(exc)
-                    conn.close()
-                    return
+                session = _StripedSession(header, self._observer)
                 if self._tracer is not None and header.trace is not None:
                     session.span = self._tracer.begin(
                         "server.session",
@@ -340,41 +425,12 @@ class StripedThreadedServer:
                     )
                 self._sessions[header.session_id] = session
             elif session.header.payload_length != header.payload_length:
-                self.errors.append(
-                    ProtocolError("sublink disagrees on payload length")
-                )
-                conn.close()
-                return
+                raise ProtocolError("sublink disagrees on payload length")
         with session.lock:
             key = f"sub{session.sublinks}"
             session.sublinks += 1
             session.assembler.attach(key)
-            session.socks.append(conn)
-        try:
-            if surplus:
-                self._feed(session, key, surplus)
-            while True:
-                data = conn.recv(CHUNK)
-                if not data:
-                    break
-                if session.assembler.finished:
-                    if session.assembler.failed is not None:
-                        break
-                    # completed: drain to EOF instead of closing with
-                    # unread redundant copies in the buffer — that
-                    # close would RST a peer still mid-send, and the
-                    # sender would count a healthy sublink as lost
-                    continue
-                self._feed(session, key, data)
-        except OSError:
-            pass  # a dead sublink is a degradation, not a failure
-        finally:
-            with session.lock:
-                session.assembler.sublink_closed(key)
-            try:
-                conn.close()
-            except OSError:
-                pass
+        return session, key
 
     def _feed(self, session: _StripedSession, key: str, data: bytes) -> None:
         result: Optional[StripedResult] = None
@@ -400,36 +456,92 @@ class StripedThreadedServer:
                     session.chunks.clear()  # delivered: nothing reads them again
                 elif isinstance(event, Failed):
                     error = event.error
-        if result is not None:
-            if self._tracer is not None and session.span:
+        if result is None and error is None:
+            return
+        if self._tracer is not None and session.span:
+            if result is not None:
                 self._tracer.end(
                     session.span, status="ok",
                     bytes_received=len(result.payload),
                     sublinks=result.sublinks,
                 )
-                session.span = 0
-            with self._lock:
-                self.results.append(result)
-                self._done.notify_all()
-            if self.on_session is not None:
-                self.on_session(result)
-        if error is not None:
-            if self._tracer is not None and session.span:
+            else:
                 self._tracer.end(session.span, status="error")
-                session.span = 0
-            with self._lock:
+            session.span = 0
+        with self._lock:
+            if result is not None:
+                self.results.append(result)
+            else:
+                assert error is not None
                 self.errors.append(error)
-                self._done.notify_all()
-
-    # -- public surface --------------------------------------------------
+            # the entry stays findable for the session's late sublinks;
+            # only the oldest finished one is dropped
+            self._finished.append(session.header.session_id)
+            if len(self._finished) > FINISHED_KEPT:
+                self._sessions.pop(self._finished.popleft(), None)
+            self._done.notify_all()
+        if result is not None and self.on_session is not None:
+            self.on_session(result)
 
     def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
+        """Block the caller until ``count`` sessions completed."""
         with self._done:
             return self._done.wait_for(
-                lambda: len(self.results) >= count
-                or self._shutdown.is_set(),
-                timeout=timeout,
-            ) and len(self.results) >= count
+                lambda: len(self.results) >= count, timeout=timeout
+            )
+
+
+class StripedThreadedServer(StripedEngine):
+    """Accepts framed striped sessions; reassembles and verifies.
+
+    Sublinks carrying the same session id feed one shared
+    :class:`~repro.lsl.core.StripeAssembler` under a per-session lock;
+    ``on_session(result)`` runs on whichever sublink thread completes
+    the stream.
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        on_session: Optional[Callable[[StripedResult], None]] = None,
+        observer: Optional[ProtocolObserver] = None,
+        tracer: Optional[TraceSpool] = None,
+    ) -> None:
+        super().__init__(on_session, observer, tracer)
+        self._listener = make_listener(host, port)
+        self.address: Tuple[str, int] = self._listener.getsockname()
+        self._links: Set[BlockingLink] = set()  # open sublinks, for shutdown
+        self._shutdown = threading.Event()
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop,
+            name=f"lsl-striped-srv-{self.address[1]}",
+            daemon=True,
+        )
+        self._accept_thread.start()
+
+    def _accept_loop(self) -> None:
+        while not self._shutdown.is_set():
+            try:
+                conn, _addr = self._listener.accept()
+            except OSError as exc:
+                if self._shutdown.is_set():
+                    return
+                if exc.errno in _FATAL_ACCEPT_ERRNOS:
+                    return
+                self._shutdown.wait(_ACCEPT_RETRY_DELAY_S)
+                continue
+            link = BlockingLink(conn)
+            with self._lock:
+                self._links.add(link)
+            workers.run(self._serve, link)
+
+    def _serve(self, link: BlockingLink) -> None:
+        try:
+            run_blocking(link, StripedSublink(self))
+        finally:
+            with self._lock:
+                self._links.discard(link)
 
     def shutdown(self) -> None:
         self._shutdown.set()
@@ -439,14 +551,9 @@ class StripedThreadedServer:
             pass
         self._listener.close()
         with self._lock:
-            sessions = list(self._sessions.values())
-            self._done.notify_all()
-        for session in sessions:
-            for sock in session.socks:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            links = list(self._links)
+        for link in links:
+            link.close()
         self._accept_thread.join(timeout=5.0)
 
     def __enter__(self) -> "StripedThreadedServer":

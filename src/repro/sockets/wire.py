@@ -1,49 +1,71 @@
-"""Blocking wire helpers shared by the real-socket client/server/depot."""
+"""The blocking link: how a pooled thread runs a session object.
+
+A terminal session (:mod:`repro.sockets.terminal`, the striped and the
+cluster sublinks) is a plain object with ``received(link, data)`` /
+``ended(link)`` / ``broken(link, exc)`` that touches the world only
+through its link's ``write``, ``close`` and ``closed``. On the event
+loop the link is a :class:`repro.asockets.runtime.Endpoint`; here it is
+a :class:`BlockingLink`, and :func:`run_blocking` is the ``recv`` loop
+that stands in for the loop's readiness callback.
+"""
 
 from __future__ import annotations
 
 import socket
-from typing import Tuple
-
-from repro.lsl.errors import ProtocolError
-from repro.lsl.header import HeaderAccumulator, LslHeader
+from typing import Any
 
 #: Relay copy chunk (matches a typical socket buffer read).
 CHUNK = 64 * 1024
 
-#: Minimum per-read request while header bytes are outstanding. The
-#: accumulator's ``hint`` is a lower bound, so asking for at least this
-#: much collapses the variable-length route section into one read
-#: instead of one recv per hop — any overshoot comes back as surplus.
-_HEADER_READAHEAD = 4096
+
+class BlockingLink:
+    """A blocking socket behind the link protocol of the session objects."""
+
+    __slots__ = ("sock", "closed")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        if not self.closed:
+            self.sock.sendall(data)
+
+    def close(self) -> None:
+        """Safe from any thread, and idempotent. ``shutdown`` first:
+        ``close`` alone does not wake a worker blocked inside ``recv``
+        (the kernel keeps the socket for the syscall in flight), and a
+        rebind, a restart or a TTL sweep closes links it is not
+        reading."""
+        if self.closed:
+            return
+        self.closed = True
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.sock.close()
 
 
-def read_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise ``ProtocolError`` on EOF."""
-    buf = bytearray()
-    while len(buf) < n:
-        piece = sock.recv(n - len(buf))
-        if not piece:
-            raise ProtocolError(f"EOF after {len(buf)}/{n} bytes")
-        buf.extend(piece)
-    return bytes(buf)
+def run_blocking(link: BlockingLink, session: Any) -> None:
+    """Feed ``session`` from ``link`` until either of them closes it.
 
-
-def read_header(sock: socket.socket) -> Tuple[LslHeader, bytes]:
-    """Read and parse one LSL header with bounded buffered reads.
-
-    Feeds :class:`~repro.lsl.core.HeaderAccumulator` from chunked
-    ``recv`` calls — typically a single read for the whole header —
-    instead of a byte-at-a-time loop. Because a read may run past the
-    header, the payload bytes that came along are returned as
-    ``surplus``; callers must consume them before reading the socket
-    again.
+    The same contract as an ``Endpoint``: no callback once the link is
+    closed, and none after ``ended`` or ``broken``.
     """
-    acc = HeaderAccumulator()
-    while True:
-        data = sock.recv(min(CHUNK, max(acc.hint, _HEADER_READAHEAD)))
-        if not data:
-            raise ProtocolError("EOF before LSL header complete")
-        header = acc.feed(data)
-        if header is not None:
-            return header, acc.surplus
+    try:
+        while not link.closed:
+            try:
+                data = link.sock.recv(CHUNK)
+            except OSError as exc:
+                if not link.closed:
+                    session.broken(link, exc)
+                return
+            if link.closed:
+                return  # closed under the read: what it returned is void
+            if not data:
+                session.ended(link)
+                return
+            session.received(link, data)
+    finally:
+        link.close()

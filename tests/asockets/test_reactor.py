@@ -449,7 +449,7 @@ def test_rebind_displaces_the_old_sublink_without_touching_the_receiver():
 
         assert _wait(lambda: received() == cut)
         live = server.registry.get(SESSION_ID).attachment
-        receiver, displaced = live.receiver, live.ep
+        receiver, displaced = live.receiver, live.link
         new = LslSocketClient(
             [server.address], payload_length=len(payload),
             session_id=SESSION_ID, rebind=True, resume_query=True,
@@ -459,7 +459,7 @@ def test_rebind_displaces_the_old_sublink_without_touching_the_receiver():
         # the old sublink is still open at the client and keeps sending:
         # its endpoint is closed, so none of it reaches the receiver
         assert _loop_call(server, lambda: displaced.closed)
-        assert live.ep is not displaced and live.receiver is receiver
+        assert live.link is not displaced and live.receiver is receiver
         try:
             old.sock.sendall(payload[cut : cut + 10_000])
         except OSError:

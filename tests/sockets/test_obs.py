@@ -137,6 +137,7 @@ class TestLiveExposition:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(ex.url + "/nope")
             assert err.value.code == 404
+            err.value.close()  # the error is the response: it holds the socket
 
     def test_server_exposition(self):
         payload = os.urandom(10_000)
@@ -166,7 +167,8 @@ class TestDumpOnSignal:
         path = dump_snapshot(
             tmp_path, {"sessions_accepted": 2}, log, reason="test"
         )
-        data = json.loads(open(path).read())
+        with open(path) as fp:
+            data = json.load(fp)
         assert data["reason"] == "test"
         assert data["counters"]["sessions_accepted"] == 2
         assert data["events"][0]["kind"] == "relay-forward"
@@ -261,3 +263,5 @@ class TestLsdDaemon:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.wait()
+            proc.stdout.close()

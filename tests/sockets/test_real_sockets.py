@@ -8,9 +8,9 @@ import time
 import pytest
 
 from repro.lsl.errors import LslError
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.header import HeaderAccumulator, LslHeader, RouteHop
 from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
-from repro.sockets.wire import read_header
+from repro.sockets.wire import BlockingLink, run_blocking
 
 
 def _wait_completed(depot, count=1, timeout=5.0):
@@ -165,6 +165,8 @@ def test_server_rejects_intermediate_hop_role():
 
 
 def test_wire_read_header_roundtrip():
+    # ``read_header`` is gone: a pooled worker now reads a sublink with
+    # ``run_blocking``, which hands a session object whatever arrives
     a, b = socket.socketpair()
     header = LslHeader(
         session_id=os.urandom(16),
@@ -174,17 +176,33 @@ def test_wire_read_header_roundtrip():
     )
     a.sendall(header.encode() + b"surplus-untouched")
     a.close()
-    parsed, surplus = read_header(b)
-    assert parsed == header
-    # over-read bytes are handed back, in order, as surplus
-    got = surplus
-    while True:
-        piece = b.recv(100)
-        if not piece:
-            break
-        got += piece
-    assert got == b"surplus-untouched"
-    b.close()
+
+    class Recorder:
+        def __init__(self):
+            self.acc = HeaderAccumulator()
+            self.parsed = None
+            self.got = b""
+            self.calls = []
+
+        def received(self, link, data):
+            if self.parsed is None:
+                self.parsed = self.acc.feed(data)
+                # over-read bytes are handed back, in order, as surplus
+                data = self.acc.surplus if self.parsed is not None else b""
+            self.got += data
+
+        def ended(self, link):
+            self.calls.append("ended")
+
+        def broken(self, link, exc):
+            self.calls.append("broken")
+
+    session, link = Recorder(), BlockingLink(b)
+    run_blocking(link, session)
+    assert session.parsed == header
+    assert session.got == b"surplus-untouched"
+    assert session.calls == ["ended"]
+    assert link.closed and b.fileno() == -1
 
 
 def test_concurrent_sessions_through_one_depot():

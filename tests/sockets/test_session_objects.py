@@ -1,0 +1,386 @@
+"""The session objects against a scripted link: no sockets, no clocks.
+
+``TerminalSublink``, ``StripedSublink`` and ``NodeSublink`` touch the
+transport only through their link's ``write`` / ``close`` / ``closed``,
+so a fake link that records both can replay any delivery schedule —
+every cut of a stream, a reset before the header, bytes on a displaced
+sublink — and the outcome is asserted by counts.
+"""
+
+import struct
+
+import pytest
+
+from repro.cluster import InMemoryStore
+from repro.cluster.node import NodeSublink, StoreNode
+from repro.lsl.core import SESSION_ACK, real_digest_factory
+from repro.lsl.errors import ProtocolError
+from repro.lsl.header import LslHeader, RouteHop
+from repro.sockets.client import plan_client_session
+from repro.sockets.lsd import DepotCounters
+from repro.sockets.striped import StripedEngine, StripedSublink, _StripedSend
+from repro.sockets.striped import _frame_of
+from repro.sockets.terminal import TerminalEngine, TerminalSublink
+from repro.telemetry.tracing import TraceSpool
+
+SID = bytes(range(16))
+PAYLOAD = bytes(range(256)) * 2
+ME = [("server", 9)]
+
+
+class FakeLink:
+    """Records what a session object does to its transport."""
+
+    def __init__(self):
+        self.closed = False
+        self.written = b""
+
+    def write(self, data):
+        assert not self.closed, "write after close"
+        self.written += bytes(data)
+
+    def close(self):
+        self.closed = True
+
+
+def _stream(payload=PAYLOAD, route=ME, **options):
+    """The bytes a client puts on the wire for one whole session."""
+    header, _, sender = plan_client_session(
+        route, payload_length=len(payload), session_id=SID, **options
+    )
+    sender.record(payload)
+    return header.encode() + payload + sender.finish()
+
+
+def _engine(**kwargs):
+    events = []
+    options = dict(
+        on_session=None, reply=None, observer=events.append,
+        session_ttl=None, tracer=None,
+    )
+    options.update(kwargs)
+    return TerminalEngine(**options), events
+
+
+# -- TerminalSublink ----------------------------------------------------------
+
+
+def _deliver(stream, cut):
+    engine, events = _engine(reply=b"THANKS")
+    link, sublink = FakeLink(), TerminalSublink(engine)
+    for piece in (stream[:cut], stream[cut:]):
+        if piece:
+            sublink.received(link, piece)
+    assert not engine.errors
+    (result,) = engine.results
+    return result, link.written, link.closed, events
+
+
+def test_a_stream_cut_at_every_byte_gives_the_same_session():
+    stream = _stream()
+    whole = _deliver(stream, 0)
+    result, written, closed, events = whole
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert (result.route_len, result.rebinds) == (1, 0)
+    assert written == SESSION_ACK + b"THANKS" and closed
+    assert [e.kind for e in events] == ["session-accepted", "payload-complete"]
+    for cut in range(1, len(stream)):
+        assert _deliver(stream, cut) == whole, cut
+
+
+def test_header_surplus_reaches_the_receiver():
+    # a read may run past the header; nothing is lost — the overshoot
+    # is fed to the receiver ahead of the remaining stream
+    engine, _ = _engine()
+    header = LslHeader(
+        session_id=SID, route=(RouteHop("server", 9),),
+        payload_length=7, digest=False,
+    )
+    link, sublink = FakeLink(), TerminalSublink(engine)
+    sublink.received(link, header.encode() + b"PAY")
+    assert sublink.live.receiver.payload_received == 3
+    sublink.received(link, b"LOAD")
+    (result,) = engine.results
+    assert result.payload == b"PAYLOAD" and result.digest_ok is None
+    assert link.closed and not engine.errors
+
+
+def test_bad_magic_is_one_error():
+    engine, _ = _engine()
+    link, sublink = FakeLink(), TerminalSublink(engine)
+    sublink.received(link, b"NOPE" + bytes(60))
+    (error,) = engine.errors
+    assert isinstance(error, ProtocolError)
+    assert link.closed and not link.written and not engine.results
+
+
+def test_truncated_header_stream_is_one_error():
+    engine, _ = _engine()
+    link, sublink = FakeLink(), TerminalSublink(engine)
+    sublink.received(link, _stream()[:10])
+    sublink.ended(link)
+    (error,) = engine.errors
+    assert isinstance(error, ProtocolError) and "EOF before" in str(error)
+    assert link.closed and len(engine.registry) == 0
+
+
+def test_reset_before_any_header_is_one_error():
+    engine, _ = _engine()
+    link, sublink = FakeLink(), TerminalSublink(engine)
+    sublink.broken(link, ConnectionResetError("peer reset"))
+    (error,) = engine.errors
+    assert isinstance(error, ConnectionResetError)
+    assert link.closed and not engine.results
+
+
+def _half_sent(engine, cut, **options):
+    """A session whose first sublink delivered ``cut`` payload bytes."""
+    stream = _stream(**options)
+    header_len = len(stream) - len(PAYLOAD) - 16
+    link, sublink = FakeLink(), TerminalSublink(engine)
+    sublink.received(link, stream[: header_len + cut])
+    return link, sublink
+
+
+def _rebind(engine, trace=None):
+    """Attach a resume-query rebind; returns its link, sublink and the
+    rest of the stream from the granted offset."""
+    header, _, sender = plan_client_session(
+        ME, payload_length=len(PAYLOAD), session_id=SID, rebind=True,
+        resume_query=True, digest_factory=real_digest_factory(PAYLOAD),
+        trace=trace,
+    )
+    link, sublink = FakeLink(), TerminalSublink(engine)
+    sublink.received(link, header.encode())
+    assert link.written[:1] == SESSION_ACK
+    (granted,) = struct.unpack(">Q", link.written[1:])
+    sender.rebase(granted)
+    sender.record(PAYLOAD[granted:])
+    return link, sublink, granted, PAYLOAD[granted:] + sender.finish()
+
+
+def test_reset_mid_payload_keeps_the_receiver_and_a_rebind_resumes_it():
+    engine, events = _engine()
+    old, sublink = _half_sent(engine, 200)
+    receiver = sublink.live.receiver
+    sublink.broken(old, ConnectionResetError("peer reset"))
+    assert old.closed and not engine.errors and not engine.results
+    assert engine.registry.get(SID).attachment.receiver is receiver
+    new, resumed, granted, rest = _rebind(engine)
+    assert granted == 200 and resumed.live.receiver is receiver
+    resumed.received(new, rest)
+    (result,) = engine.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert result.rebinds == 1 and new.closed and not engine.errors
+    assert [e.kind for e in events] == [
+        "session-accepted", "session-rebound", "resume-granted",
+        "payload-complete",
+    ]
+
+
+def test_bytes_and_eof_on_a_displaced_link_change_nothing():
+    from repro.lsl.core import TraceContext
+
+    tracer = TraceSpool("server")
+    engine, events = _engine(tracer=tracer)
+    trace = TraceContext(bytes(16), 7, 0)
+    old, displaced = _half_sent(engine, 200, trace=trace)
+    new, resumed, granted, rest = _rebind(engine, trace=trace)
+    # the rebind closed the old link itself and waited for nobody
+    assert granted == 200 and old.closed and not new.closed
+    live = resumed.live
+    assert live is displaced.live and live.link is new
+    before = (tracer.total_records, len(events), live.span)
+    displaced.received(old, PAYLOAD[200:300])  # still sending: stale
+    assert live.receiver.payload_received == 200
+    displaced.ended(old)  # no suspend, no span, the session is not over
+    assert (tracer.total_records, len(events), live.span) == before
+    assert engine.registry.get(SID).bytes_received == 0
+    assert live.link is new and not new.closed and old.written == SESSION_ACK
+    resumed.received(new, rest)
+    (result,) = engine.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert result.rebinds == 1 and not engine.errors
+    statuses = [
+        r["attrs"].get("status") for r in tracer.tail()
+        if r["rt"] == "e" and r["name"] == "server.session"
+    ]
+    assert statuses == ["rebound", "ok"] and tracer.open_span_count() == 0
+
+
+def test_restart_orphans_the_stale_session():
+    engine, events = _engine()
+    old, stale = _half_sent(engine, 200)
+    link, sublink = FakeLink(), TerminalSublink(engine)
+    sublink.received(link, _stream())  # fresh connect, same id, from 0
+    assert old.closed and stale.live.link is None
+    (result,) = engine.results
+    assert result.payload == PAYLOAD and result.rebinds == 0
+    # what the stale sublink still delivers must not finish (and so
+    # close the record of) the session that replaced it
+    stale.received(old, _stream()[-(len(PAYLOAD) - 200 + 16):])
+    assert len(engine.results) == 1 and not engine.errors
+    assert "session-restarted" in [e.kind for e in events]
+
+
+# -- StripedSublink -----------------------------------------------------------
+
+
+def _striped_engine():
+    return StripedEngine(on_session=None, observer=None, tracer=None)
+
+
+def _striped_sublinks(payload, routes=2):
+    """Per sublink: its header, then its frames, as a sender deals them."""
+    send = _StripedSend(
+        [ME] * routes, payload, SID, 64, "none", True,
+        None, None, None, None, 0,
+    )
+    streams = [[send.begin(i)] for i in range(routes)]
+    live = set(range(routes))
+    while live:
+        for i in sorted(live):
+            assignment = send.next_assignment(i)
+            if assignment is None:
+                live.discard(i)
+                continue
+            streams[i].append(_frame_of(assignment))
+            send.sent(i, assignment)
+    assert send.report().per_sublink_bytes == [
+        len(payload) // 2, len(payload) // 2
+    ]
+    return streams
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        LslHeader(session_id=SID, route=(RouteHop("server", 9),),
+                  payload_length=512),  # unframed
+        LslHeader(session_id=SID,
+                  route=(RouteHop("server", 9), RouteHop("beyond", 1)),
+                  payload_length=512, framed=True),  # mis-routed
+    ],
+)
+def test_striped_sublink_refuses_an_unframed_or_misrouted_header(header):
+    engine = _striped_engine()
+    link, sublink = FakeLink(), StripedSublink(engine)
+    sublink.received(link, header.encode() + b"junk")
+    (error,) = engine.errors
+    assert "unframed or mis-routed" in str(error)
+    assert link.closed and not engine._sessions
+
+
+def test_striped_sublinks_must_agree_on_the_payload_length():
+    engine = _striped_engine()
+    first, second = (
+        LslHeader(session_id=SID, route=(RouteHop("server", 9),),
+                  payload_length=length, framed=True, sync=False)
+        for length in (512, 513)
+    )
+    a, b = FakeLink(), FakeLink()
+    StripedSublink(engine).received(a, first.encode())
+    StripedSublink(engine).received(b, second.encode())
+    (error,) = engine.errors
+    assert "disagrees on payload length" in str(error)
+    assert b.closed and not a.closed
+    assert engine._sessions[SID].sublinks == 1
+
+
+def test_striped_sublink_drains_after_completion():
+    engine = _striped_engine()
+    streams = _striped_sublinks(PAYLOAD)
+    links = [FakeLink(), FakeLink()]
+    sublinks = [StripedSublink(engine), StripedSublink(engine)]
+    for link, sublink, stream in zip(links, sublinks, streams):
+        sublink.received(link, b"".join(stream))
+    (result,) = engine.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert result.sublinks == 2 and not engine.errors
+    # completed, but a peer may still be mid-send: closing now would
+    # reset it, so the sublinks only drain until their own EOF
+    assert not links[0].closed and not links[1].closed
+    sublinks[0].received(links[0], streams[0][-1])
+    assert len(engine.results) == 1 and not links[0].closed
+    for link, sublink in zip(links, sublinks):
+        sublink.ended(link)
+        assert link.closed
+    assert list(engine._finished) == [SID] and SID in engine._sessions
+
+
+# -- NodeSublink --------------------------------------------------------------
+
+
+class FakeNode(StoreNode):
+    def __init__(self, store, worker="w0", checkpoint_bytes=64):
+        super().__init__(store, worker, None, None, checkpoint_bytes, None, None)
+        self.counters = DepotCounters()
+        self._observer = self._tracer = None
+        self.handed_over = []
+
+    def _hand_over(self, link, header, surplus):
+        self.handed_over.append((link, header, surplus))
+        return False
+
+
+def test_node_sublink_hands_a_relay_over_once_with_the_surplus():
+    node = FakeNode(InMemoryStore())
+    stream = _stream(route=[("node", 1), ("server", 9)])
+    header_len = len(stream) - len(PAYLOAD) - 16
+    link, sublink = FakeLink(), NodeSublink(node)
+    sublink.received(link, stream[:10])
+    assert not node.handed_over
+    sublink.received(link, stream[10 : header_len + 5])
+    ((got_link, header, surplus),) = node.handed_over
+    assert got_link is link and surplus == PAYLOAD[:5]
+    assert header.encode() == stream[:header_len] and not header.is_last_hop
+    # the link has a new owner: the sublink neither closed nor counted it
+    assert not link.closed and sublink.term is None
+    assert node.counters.sessions_completed == node.counters.sessions_failed == 0
+
+
+def test_node_sublink_that_loses_ownership_mid_stream_ends_suspended():
+    store = InMemoryStore()
+    node = FakeNode(store)
+    stream = _stream()
+    header_len = len(stream) - len(PAYLOAD) - 16
+    link, sublink = FakeLink(), NodeSublink(node)
+    sublink.received(link, stream[: header_len + 100])  # one checkpoint
+    assert store.load(SID).bytes_received == 100
+    assert store.claim(SID, "w1", 0.0) is not None  # a takeover elsewhere
+    sublink.received(link, stream[header_len + 100 : header_len + 200])
+    assert link.closed and not node.results
+    assert node.counters.sessions_suspended == 1
+    assert node.counters.sessions_failed == 0
+    assert store.load(SID).owner == "w1"
+    assert store.load(SID).bytes_received == 100
+
+
+def test_node_sublink_resume_primes_the_digest_from_the_spool():
+    store = InMemoryStore()
+    first = FakeNode(store, "w0")
+    stream = _stream()
+    header_len = len(stream) - len(PAYLOAD) - 16
+    link, sublink = FakeLink(), NodeSublink(first)
+    sublink.received(link, stream[: header_len + 200])
+    sublink.ended(link)  # suspends: everything received is spooled
+    assert first.counters.sessions_suspended == 1
+    assert store.payload(SID) == PAYLOAD[:200]
+
+    second = FakeNode(store, "w1")  # the rebind lands on another worker
+    header, _, sender = plan_client_session(
+        ME, payload_length=len(PAYLOAD), session_id=SID, rebind=True,
+        resume_query=True, digest_factory=real_digest_factory(PAYLOAD),
+    )
+    link, sublink = FakeLink(), NodeSublink(second)
+    sublink.received(link, header.encode())
+    assert link.written == SESSION_ACK + struct.pack(">Q", 200)
+    sender.rebase(200)
+    sender.record(PAYLOAD[200:])
+    sublink.received(link, PAYLOAD[200:] + sender.finish())
+    (result,) = second.results
+    # the MD5 covers the re-fed spool and the live bytes
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert result.rebinds == 1 and link.closed
+    assert second.counters.takeovers == 1
+    assert second.counters.sessions_completed == 1
