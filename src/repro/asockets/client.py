@@ -5,9 +5,10 @@ Drives the exact machines the blocking client drives —
 :class:`~repro.lsl.core.ClientHandshake` and
 :class:`~repro.lsl.core.PayloadSender` from the same arguments — so
 the two clients put byte-identical streams on the wire. The transport
-is a plain non-blocking socket driven through ``loop.sock_*``; during
-establishment reads are capped at ``handshake.bytes_needed`` so no
-reverse-direction application byte is ever swallowed.
+is a plain non-blocking socket, dialed try-first
+(:func:`~repro.asockets.runtime.connect_by`), then driven through
+``loop.sock_*``; establishment reads are capped at
+``handshake.bytes_needed``: no reverse-direction byte is swallowed.
 
 Usage::
 

@@ -6,8 +6,9 @@ one event loop carries every session instead of three threads per
 session, so concurrent-session count is bounded by file descriptors,
 not threads. A session is a :class:`RelaySession` — no task, no
 future: the header phase runs in the upstream endpoint's read
-callback, the dial is ``connect_ex`` plus a one-shot writer and a
-``call_later`` deadline, and the relay is two cross-wired endpoints
+callback, the dial is ``connect_ex`` — plus a one-shot writer and a
+``call_later`` deadline only when the kernel has not finished by then
+(never on loopback) — and the relay is two cross-wired endpoints
 reading into the loop's one shared buffer and sending straight from
 it, copying out only what a partial ``send`` left behind.
 
@@ -20,7 +21,6 @@ cannot tell which driver is behind the socket.
 from __future__ import annotations
 
 import asyncio
-import errno
 import os
 import socket
 from typing import Any, Dict, Optional
@@ -34,7 +34,7 @@ from repro.lsl.core import (
 )
 from repro.lsl.core.events import emit
 from repro.lsl.errors import ProtocolError
-from repro.asockets.runtime import AsyncLoopService, Endpoint
+from repro.asockets.runtime import AsyncLoopService, Endpoint, dial
 from repro.sockets.lsd import DepotCounters
 from repro.telemetry.tracing import TraceSpool
 
@@ -113,24 +113,27 @@ class RelaySession:
         self.up.pause()
         self.dialing = sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setblocking(False)
-        err = sock.connect_ex((nxt.host, nxt.port))
-        if err not in (0, errno.EINPROGRESS):
-            raise OSError(err, os.strerror(err))
+        if dial(sock, (nxt.host, nxt.port)):
+            self._dialed(sock)  # loopback: the kernel has already finished
+            return
         loop = depot._loop
-        loop.add_writer(sock, self._dialed, sock)
+        loop.add_writer(sock.fileno(), self._writable, sock)
         self.deadline = loop.call_later(
             depot._connect_timeout, self.end,
             asyncio.TimeoutError(f"dial {nxt}"),
         )
 
-    def _dialed(self, sock: socket.socket) -> None:
-        depot = self.depot
-        depot._loop.remove_writer(sock)
+    def _writable(self, sock: socket.socket) -> None:
+        self.depot._loop.remove_writer(sock.fileno())
         err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
         if err:
             self.end(OSError(err, os.strerror(err)))
             return
         self.deadline.cancel()
+        self._dialed(sock)
+
+    def _dialed(self, sock: socket.socket) -> None:
+        depot = self.depot
         self.dialing = None
         decision = self.decision
         onward = decision.onward_bytes
@@ -157,7 +160,7 @@ class RelaySession:
         if self.deadline is not None:
             self.deadline.cancel()
         if self.dialing is not None:
-            depot._loop.remove_writer(self.dialing)
+            depot._loop.remove_writer(self.dialing.fileno())
             self.dialing.close()
         if depot._tracer is not None:
             if self.dial_span:
@@ -224,10 +227,11 @@ class AsyncDepot(AsyncLoopService):
         emit(self._observer, "accept-error", "",
              error=type(exc).__name__, detail=str(exc))
 
-    def _open(self, sock: socket.socket) -> None:
+    def _open(self, sock: socket.socket) -> Endpoint:
         self.counters.session_started()
         relay = RelaySession(self)
         relay.up = Endpoint(self, sock, relay)
+        return relay.up
 
     # -- observability -----------------------------------------------------
 

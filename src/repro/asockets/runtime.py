@@ -12,6 +12,9 @@ dialed socket is an :class:`Endpoint`, registered with ``add_reader``
 once for its life, and its session is a plain object whose
 ``received(ep, data)`` / ``ended(ep)`` / ``broken(ep, exc)`` callbacks
 feed the sans-I/O machines straight from the readiness callback.
+One rule throughout: do the I/O first, ask the loop only on ``EAGAIN``
+— a write is a ``send``, a dial is ``connect_ex`` (:func:`dial`), an
+accepted socket is read once in the accept's own turn.
 
 The constructor returns with the listener bound and the loop accepting
 — same contract as the threaded classes, so tests, the CLI, and the
@@ -25,6 +28,8 @@ are taken here and never contended.
 from __future__ import annotations
 
 import asyncio
+import errno
+import os
 import socket
 import threading
 from typing import Any, Optional, Set, Tuple
@@ -48,31 +53,56 @@ READS_PER_EVENT = 16
 SHUTDOWN = asyncio.CancelledError("service shutdown")
 
 
+def connected(sock: socket.socket) -> bool:
+    """Whether a non-blocking dial has already finished: on loopback
+    ``connect_ex`` says ``EINPROGRESS`` with the handshake done."""
+    try:
+        sock.getpeername()
+    except OSError:
+        return False
+    return True
+
+
+def dial(sock: socket.socket, address: Tuple[str, int]) -> bool:
+    """Start a non-blocking connect; true when it is already over."""
+    err = sock.connect_ex(address)
+    if err not in (0, errno.EINPROGRESS):
+        raise OSError(err, os.strerror(err))
+    return connected(sock)
+
+
 async def connect_by(
     sock: socket.socket, address: Tuple[str, int], timeout: float
 ) -> None:
-    """``loop.sock_connect`` under a deadline, without the second task
-    ``asyncio.wait_for`` spawns (``asyncio.timeout`` is 3.11+)."""
+    """Connect under a deadline, trying first: only a dial the kernel
+    has not finished costs a future, a writer (by fd) and a timer whose
+    expiry fails the future (no second task, as ``wait_for`` spawns)."""
+    if dial(sock, address):
+        return
     loop = asyncio.get_running_loop()
-    task = asyncio.current_task()
-    expired = False
+    done = loop.create_future()
 
-    def expire() -> None:
-        nonlocal expired
-        expired = True
-        task.cancel()
+    def settle(exc: Optional[BaseException] = None) -> None:
+        if done.done():
+            return
+        if exc is None:
+            done.set_result(None)
+        else:
+            done.set_exception(exc)
 
-    deadline = loop.call_later(timeout, expire)
+    fd = sock.fileno()
+    loop.add_writer(fd, settle)
+    deadline = loop.call_later(
+        timeout, settle, asyncio.TimeoutError(f"connect to {address}")
+    )
     try:
-        await loop.sock_connect(sock, address)
-    except asyncio.CancelledError:
-        if not expired:
-            raise
-        if hasattr(task, "uncancel"):  # 3.11+: the cancel was ours
-            task.uncancel()
-        raise asyncio.TimeoutError(f"connect to {address}") from None
+        await done
     finally:
         deadline.cancel()
+        loop.remove_writer(fd)
+    err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+    if err:
+        raise OSError(err, os.strerror(err))
 
 
 class Endpoint:
@@ -89,7 +119,7 @@ class Endpoint:
     """
 
     __slots__ = (
-        "_service", "_loop", "sock", "owner", "peer", "closed",
+        "_service", "_loop", "sock", "_fd", "owner", "peer", "closed",
         "eof", "_registered", "_paused", "_fin", "_queue",
     )
 
@@ -103,13 +133,14 @@ class Endpoint:
         self._service = service
         self._loop = service._loop
         self.sock = sock
+        self._fd = sock.fileno()  # a selector miss formats its key
         self.owner = owner
         self.peer = peer
         self.closed = self.eof = self._paused = self._fin = False
         self._queue: Optional[bytearray] = None  # the unsent remainder
         self._registered = True
         service._live.add(self)
-        self._loop.add_reader(sock, self._readable)
+        self._loop.add_reader(self._fd, self._readable)
 
     # -- reading -----------------------------------------------------------
 
@@ -120,19 +151,19 @@ class Endpoint:
         self._paused = False
         if not (self._registered or self.eof or self.closed):
             self._registered = True
-            self._loop.add_reader(self.sock, self._readable)
+            self._loop.add_reader(self._fd, self._readable)
 
     def _unregister(self) -> None:
         if self._registered:
             self._registered = False
-            self._loop.remove_reader(self.sock)
+            self._loop.remove_reader(self._fd)
 
-    def _readable(self) -> None:
+    def _readable(self, reads: int = READS_PER_EVENT) -> None:
         if self._paused:
             self._unregister()  # what arrived waits in the kernel
             return
         service = self._service
-        for _ in range(READS_PER_EVENT):
+        for _ in range(reads):
             try:
                 if self.peer is None:
                     data: Any = self.sock.recv(CHUNK)
@@ -174,7 +205,7 @@ class Endpoint:
             return
         if sent < len(data):
             self._queue = bytearray(memoryview(data)[sent:])
-            self._loop.add_writer(self.sock, self._writable)
+            self._loop.add_writer(self._fd, self._writable)
             if self.peer is not None:
                 self.peer.pause()
 
@@ -196,7 +227,7 @@ class Endpoint:
             self.close(flush=False)
             return
         self._queue = None
-        self._loop.remove_writer(self.sock)
+        self._loop.remove_writer(self._fd)
         if self._fin:
             self.finish()
         if self.peer is not None:
@@ -222,7 +253,7 @@ class Endpoint:
             if flush:
                 return
             self._queue = None
-            self._loop.remove_writer(self.sock)
+            self._loop.remove_writer(self._fd)
         service = self._service
         service._live.discard(self)
         self.sock.close()
@@ -281,7 +312,7 @@ class AsyncLoopService:
 
     # -- subclass hooks ----------------------------------------------------
 
-    def _open(self, sock: socket.socket) -> None:
+    def _open(self, sock: socket.socket) -> Endpoint:
         """Start the session of one accepted (non-blocking) socket."""
         raise NotImplementedError
 
@@ -347,7 +378,8 @@ class AsyncLoopService:
                 self._loop.call_later(_ACCEPT_RETRY_DELAY_S, self._listen)
                 return
             sock.setblocking(False)
-            self._open(sock)
+            # try first; one read each keeps an accept event bounded
+            self._open(sock)._readable(1)
 
     # -- public lifecycle --------------------------------------------------
 

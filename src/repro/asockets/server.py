@@ -69,5 +69,5 @@ class AsyncLslServer(TerminalEngine, AsyncLoopService):
     def _on_accept_error(self, exc: OSError) -> None:
         self.accept_errors += 1
 
-    def _open(self, sock: socket.socket) -> None:
-        Endpoint(self, sock, TerminalSublink(self))
+    def _open(self, sock: socket.socket) -> Endpoint:
+        return Endpoint(self, sock, TerminalSublink(self))

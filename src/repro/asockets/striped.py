@@ -124,5 +124,5 @@ class AsyncStripedServer(StripedEngine, AsyncLoopService):
         StripedEngine.__init__(self, on_session, observer, tracer)
         AsyncLoopService.__init__(self, host, port, drain_timeout=drain_timeout)
 
-    def _open(self, sock: socket.socket) -> None:
-        Endpoint(self, sock, StripedSublink(self))
+    def _open(self, sock: socket.socket) -> Endpoint:
+        return Endpoint(self, sock, StripedSublink(self))

@@ -88,9 +88,9 @@ class AsyncClusterNode(StoreNode, AsyncDepot):
             await asyncio.sleep(self._sweep_every)
             self._sweep()
 
-    def _open(self, sock: socket.socket) -> None:
+    def _open(self, sock: socket.socket) -> Endpoint:
         self.counters.session_started()
-        Endpoint(self, sock, NodeSublink(self))
+        return Endpoint(self, sock, NodeSublink(self))
 
     def _hand_over(self, ep: Endpoint, header: LslHeader, surplus: bytes) -> bool:
         # the endpoint changes owner: re-feed the canonical header bytes

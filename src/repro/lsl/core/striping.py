@@ -217,7 +217,7 @@ class StripeScheduler:
 
     Driver contract, per sublink ``key``:
 
-    - ``add_sublink(key)`` once the sublink's transport exists;
+    - ``add_sublink(key)`` once the sublink is planned, before any dials;
     - whenever the sublink can send, call ``next_assignment(key)`` and
       transmit the returned frame; ``None`` means the sublink will
       never carry more — send FIN and call ``sublink_finished(key)``;

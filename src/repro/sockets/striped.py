@@ -159,13 +159,17 @@ class _StripedSend:
             observer=observer,
             session=self.session_id.hex()[:8],
         )
+        # every sublink is known before any dials: one lost early still
+        # finds its siblings alive to take over
+        for key in self._keys:
+            self._scheduler.add_sublink(key)
         self._lock = threading.Lock()
         self._errors: List[Exception] = []
         self._sent_bytes = [0] * len(self.routes)
 
     def begin(self, index: int) -> bytes:
-        """Register sublink ``index``; returns its encoded header, which
-        carries the trace context parented to its ``client.dial`` span."""
+        """Open sublink ``index``'s ``client.dial`` span; returns its
+        encoded header, which carries the trace context parented to it."""
         route = self.routes[index]
         trace = None
         if self._tracer is not None and self._trace_id is not None:
@@ -174,8 +178,6 @@ class _StripedSend:
                 hop=str(route[0]), sublink=self._keys[index],
             )
             trace = TraceContext(self._trace_id, self._dial_spans[index], 0)
-        with self._lock:
-            self._scheduler.add_sublink(self._keys[index])
         return LslHeader(
             session_id=self.session_id,
             route=route,

@@ -16,11 +16,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.asockets import AsyncDepot, AsyncLslClient, AsyncLslServer
+from repro.asockets import AsyncDepot, AsyncLslClient, AsyncLslServer, runtime
+from repro.asockets.depot import RelaySession
 from repro.asockets.runtime import READS_PER_EVENT, Endpoint
 from repro.lsl.core import real_digest_factory
 from repro.sockets import LslSocketClient
 from repro.sockets.client import plan_client_session
+from repro.sockets.terminal import TerminalSublink
 from repro.sockets.wire import CHUNK
 
 from tests.asockets.test_async_stack import RecordingObserver, _wait
@@ -235,10 +237,13 @@ class _LoopCounts:
 
     def __init__(self, service):
         self.tasks = self.futures = self.readers = self.unreaders = 0
-        self.errors = []
+        self.writers = self.unwriters = 0
+        self.fds, self.timers, self.errors = [], [], []
         loop = service._loop
         create_task, create_future = loop.create_task, loop.create_future
         add_reader, remove_reader = loop.add_reader, loop.remove_reader
+        add_writer, remove_writer = loop.add_writer, loop.remove_writer
+        call_later = loop.call_later
 
         def counted_task(*args, **kwargs):
             self.tasks += 1
@@ -250,14 +255,34 @@ class _LoopCounts:
 
         def counted_add(fd, callback, *args):
             self.readers += 1
+            self.fds.append(fd)
             return add_reader(fd, callback, *args)
 
         def counted_remove(fd):
             self.unreaders += 1
+            self.fds.append(fd)
             return remove_reader(fd)
+
+        def counted_add_writer(fd, callback, *args):
+            self.writers += 1
+            self.fds.append(fd)
+            return add_writer(fd, callback, *args)
+
+        def counted_remove_writer(fd):
+            self.unwriters += 1
+            self.fds.append(fd)
+            return remove_writer(fd)
+
+        def counted_call_later(delay, callback, *args):
+            self.timers.append(call_later(delay, callback, *args))
+            return self.timers[-1]
 
         loop.create_task, loop.create_future = counted_task, counted_future
         loop.add_reader, loop.remove_reader = counted_add, counted_remove
+        loop.add_writer, loop.remove_writer = (
+            counted_add_writer, counted_remove_writer
+        )
+        loop.call_later = counted_call_later
         loop.set_exception_handler(
             lambda _loop, context: self.errors.append(context)
         )
@@ -320,6 +345,159 @@ def test_two_thousand_sessions_leave_nothing_behind():
     # registered twice) would surface through the loop's handler
     assert not on_depot.errors and not on_server.errors
     assert len(server.results) == 10 + sessions and not server.errors
+
+
+# -- try first: what the kernel has already done costs the loop nothing -------
+
+
+def test_loopback_sessions_register_by_number_and_arm_no_writer_no_timer(
+    monkeypatch,
+):
+    sessions = 200
+    formatted = []
+    with AsyncLslServer() as server, AsyncDepot() as depot:
+        route = [depot.address, server.address]
+        on_depot, on_server = _LoopCounts(depot), _LoopCounts(server)
+        # the listeners are in (one registration for life, by object);
+        # from here on, what the two service loops format is counted
+        services = (depot._thread, server._thread)
+
+        def counted_repr(sock):
+            if threading.current_thread() in services:
+                formatted.append(sock.fileno())
+            return "<socket>"
+
+        monkeypatch.setattr(socket.socket, "__repr__", counted_repr)
+        _run_sessions(route, server, sessions, 0)
+        assert _wait(lambda: depot.counters.sessions_completed == sessions)
+        assert _wait(lambda: depot.active_tasks == server.active_tasks == 0)
+        for counts in (on_depot, on_server):
+            # the dial finished inside connect_ex, 4 KiB never fills a
+            # send buffer: nothing to wait for, so nothing is asked
+            assert counts.writers == counts.unwriters == 0
+            assert counts.timers == []
+            assert counts.fds and all(type(fd) is int for fd in counts.fds)
+            assert not counts.errors
+        assert on_depot.readers == on_depot.unreaders == 2 * sessions
+    # a selector miss formats its key: by number that is an int
+    assert formatted == []
+    assert all(r.payload == PAYLOAD and r.digest_ok for r in server.results)
+    assert depot.counters.sessions_failed == 0
+
+
+def test_a_dial_the_kernel_has_not_finished_costs_one_writer_and_one_timer(
+    monkeypatch,
+):
+    """The WAN case, forced on loopback: every dial takes the waiting
+    path, which is the parent's — one writer and one deadline each,
+    both gone when the dial is over."""
+    sessions = 200
+    monkeypatch.setattr(runtime, "connected", lambda sock: False)
+    with AsyncLslServer() as server, AsyncDepot() as depot:
+        route = [depot.address, server.address]
+        on_depot, on_server = _LoopCounts(depot), _LoopCounts(server)
+        _run_sessions(route, server, sessions, 0)
+        assert _wait(lambda: depot.counters.sessions_completed == sessions)
+        assert _wait(lambda: depot.active_tasks == server.active_tasks == 0)
+        assert on_depot.writers == on_depot.unwriters == sessions
+        assert len(on_depot.timers) == sessions
+        assert all(timer.cancelled() for timer in on_depot.timers)
+        assert on_depot.readers == on_depot.unreaders == 2 * sessions
+        assert on_server.writers == 0 and on_server.timers == []
+        for counts in (on_depot, on_server):
+            assert counts.tasks == counts.futures == 0
+            assert all(type(fd) is int for fd in counts.fds)
+            assert not counts.errors
+    assert all(r.payload == PAYLOAD and r.digest_ok for r in server.results)
+    assert depot.counters.sessions_failed == 0
+
+
+def _frozen(service):
+    """Hold ``service``'s loop until the returned event is set."""
+    hold = threading.Event()
+    service._loop.call_soon_threadsafe(hold.wait, 30)
+    return hold
+
+
+def _send_whole_session(route, payload):
+    """Header, payload, trailer and FIN in one go, from a raw socket."""
+    header, handshake, sender = plan_client_session(
+        route, payload_length=len(payload), sync=False,
+    )
+    sender.record(payload)
+    raw = socket.create_connection(route[0], timeout=5)
+    raw.sendall(handshake.initial_bytes() + payload + sender.finish())
+    raw.shutdown(socket.SHUT_WR)
+    return raw
+
+
+def test_header_that_came_with_the_handshake_is_decided_in_the_accept_turn(
+    monkeypatch,
+):
+    log = []
+    acceptable, dial = AsyncDepot._acceptable, RelaySession._dial
+
+    def spy_acceptable(depot):
+        acceptable(depot)
+        log.append("accept returned")
+
+    def spy_dial(relay, decision):
+        dial(relay, decision)
+        log.append("dialed" if relay.down is not None else "dialing")
+
+    monkeypatch.setattr(AsyncDepot, "_acceptable", spy_acceptable)
+    monkeypatch.setattr(RelaySession, "_dial", spy_dial)
+    with AsyncLslServer() as server, AsyncDepot() as depot:
+        hold = _frozen(depot)
+        raw = _send_whole_session([depot.address, server.address], PAYLOAD)
+        hold.set()
+        assert server.wait_for_sessions(1, timeout=10)
+        assert raw.recv(1) == b""
+        raw.close()
+        assert _wait(lambda: depot.active_tasks == 0)
+    # no turn between accept and header, none between header and dial
+    assert log[:2] == ["dialed", "accept returned"]
+    (result,) = server.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+
+
+def test_an_accept_event_reads_each_accepted_socket_once(monkeypatch):
+    """Three connections wait in the backlog with 300 kB each: the one
+    accept event that takes them reads one chunk of each and returns
+    to the loop — bounded, like every other readiness event."""
+    payload = os.urandom(300_000)
+    log = []
+    acceptable, received = (
+        AsyncLslServer._acceptable, TerminalSublink.received
+    )
+
+    def spy_acceptable(server):
+        log.append("accept")
+        acceptable(server)
+        log.append("accept returned")
+
+    def spy_received(sublink, link, data):
+        log.append(link)
+        received(sublink, link, data)
+
+    monkeypatch.setattr(AsyncLslServer, "_acceptable", spy_acceptable)
+    monkeypatch.setattr(TerminalSublink, "received", spy_received)
+    with AsyncLslServer() as server:
+        hold = _frozen(server)
+        raws = [
+            _send_whole_session([server.address], payload) for _ in range(3)
+        ]
+        hold.set()
+        assert server.wait_for_sessions(3, timeout=10)
+        for raw in raws:
+            raw.close()
+        assert _wait(lambda: server.active_tasks == 0)
+    assert log[0] == "accept"
+    in_accept = log[1 : log.index("accept returned")]
+    assert len(in_accept) == len(set(in_accept)) == 3
+    assert len(log) > 3 * (300_000 // CHUNK)  # the rest came by events
+    assert not server.errors
+    assert all(r.payload == payload and r.digest_ok for r in server.results)
 
 
 # -- the dial window ----------------------------------------------------------
@@ -423,6 +601,36 @@ def test_client_connect_deadline_raises_timeout_without_a_second_task():
         fds = _open_fds()
         # asyncio.wait_for would have spawned a task around the connect
         assert asyncio.run(dial()) == (0, 0)
+        assert _open_fds() == fds
+    finally:
+        for sock in (listener, *fillers):
+            sock.close()
+
+
+def test_client_connect_deadline_leaves_no_future_writer_or_fd_behind():
+    listener, fillers = _silent_listener()
+
+    async def dial():
+        loop = asyncio.get_running_loop()
+        counts = _LoopCounts(SimpleNamespace(_loop=loop))
+        futures, create_future = [], loop.create_future
+        loop.create_future = lambda: futures.append(create_future()) or futures[-1]
+        with pytest.raises(asyncio.TimeoutError):
+            await AsyncLslClient.open(
+                [listener.getsockname()], payload_length=0, timeout=0.2
+            )
+        # the waiting path: one future, one writer by number, one
+        # timer (asyncio.run's own teardown is not the client's)
+        assert counts.tasks == 0
+        assert len(futures) == 1 and futures[0].done()
+        assert counts.writers == counts.unwriters == 1
+        assert len(counts.timers) == 1
+        assert all(type(fd) is int for fd in counts.fds)
+        return counts.errors
+
+    try:
+        fds = _open_fds()
+        assert asyncio.run(dial()) == []
         assert _open_fds() == fds
     finally:
         for sock in (listener, *fillers):

@@ -1,5 +1,6 @@
 """Striped multipath transfer over real sockets (threaded driver)."""
 
+import asyncio
 import hashlib
 import os
 import random
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+from repro.asockets import AsyncStripedServer, async_send_striped
 from repro.lsl.errors import LslError
 from repro.sockets import StripedThreadedServer, ThreadedDepot, send_striped
 
@@ -126,6 +128,79 @@ def test_sublink_crash_degrades_under_duplicate_redundancy():
             assert server.results[0].digest_ok is True
     finally:
         relay.close()
+
+
+def _closed_port():
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    address = probe.getsockname()
+    probe.close()
+    return address
+
+
+def _sends_on_threads(routes_of, payload, count):
+    return [
+        send_striped(routes_of(), payload, redundancy="duplicate-1")
+        for _ in range(count)
+    ]
+
+
+def _sends_on_asyncio(routes_of, payload, count):
+    async def run():
+        return [
+            await async_send_striped(
+                routes_of(), payload, redundancy="duplicate-1"
+            )
+            for _ in range(count)
+        ]
+
+    return asyncio.run(run())
+
+
+@pytest.mark.parametrize("first_route", ["refusing", "crashing"])
+@pytest.mark.parametrize(
+    "server_cls, sends",
+    [
+        (StripedThreadedServer, _sends_on_threads),
+        (AsyncStripedServer, _sends_on_asyncio),
+    ],
+)
+def test_sublink_lost_before_its_siblings_begin_degrades(
+    server_cls, sends, first_route
+):
+    """Sublink 0 is refused (or reset on accept) while sublinks 1 and 2
+    may not have started: they are known to the scheduler all the same,
+    so the send degrades onto them instead of failing for want of a
+    live sibling (one threaded send in six did, refused)."""
+    count = 100
+    payload = os.urandom(1 << 20)
+    relays = []
+
+    def routes_of():
+        if first_route == "refusing":
+            first = _closed_port()
+        else:
+            relays.append(_CrashingRelay(read_bytes=0))
+            first = relays[-1].address
+        return [[first], [server.address], [server.address]]
+
+    try:
+        with server_cls() as server:
+            reports = sends(routes_of, payload, count)  # no LslError
+            assert server.wait_for_sessions(count)
+            assert not server.errors
+            assert len(server.results) == count
+            assert all(
+                r.payload == payload and r.digest_ok for r in server.results
+            )
+    finally:
+        for relay in relays:
+            relay.close()
+    if first_route == "refusing":
+        assert all(len(report.sublink_errors) == 1 for report in reports)
+    else:
+        # a reset may land after sublink 0 has written its whole share
+        assert all(len(report.sublink_errors) <= 1 for report in reports)
 
 
 def test_all_routes_dead_raises():
