@@ -20,7 +20,7 @@ import pytest
 from repro.experiments.scenarios import SCENARIOS
 from repro.experiments.transfer import run_failover_transfer
 from repro.faults import DepotFault, FaultPlan
-from repro.lsl.session import BackoffPolicy
+from repro.lsl.core.session import BackoffPolicy
 from repro.util.units import fmt_bytes, parse_size
 
 FAULT_RATES = (0, 1, 2)  # depot flaps per transfer

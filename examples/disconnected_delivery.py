@@ -11,8 +11,9 @@ depot never needs to be trusted with integrity.
 Run:  python examples/disconnected_delivery.py
 """
 
-from repro.lsl import StoreForwardDepot, lsl_connect
+from repro.lsl.client import lsl_connect
 from repro.lsl.server import LslServer
+from repro.lsl.storeforward import StoreForwardDepot
 from repro.net import Network
 from repro.tcp import TcpStack
 from repro.util.units import fmt_bytes

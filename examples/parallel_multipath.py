@@ -16,7 +16,8 @@ Run:  python examples/parallel_multipath.py
 
 from repro.analysis.stats import mean
 from repro.experiments.transfer import run_direct_transfer, run_lsl_transfer
-from repro.lsl import Depot, StripedClient, StripedLslServer
+from repro.lsl.depot import Depot
+from repro.lsl.striped import StripedClient, StripedLslServer
 from repro.net import BernoulliLoss, Network
 from repro.tcp import TcpOptions, TcpStack
 from repro.util.units import fmt_bytes

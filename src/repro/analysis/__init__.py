@@ -9,44 +9,10 @@ The paper derives everything from sender-side ``tcpdump`` captures:
 - **loss-case selection**: comparing runs with minimum / median /
   maximum observed retransmissions (Figs 15–25) —
   :mod:`repro.analysis.losscases`;
+- trace files on disk — :mod:`repro.analysis.traceio`;
 - summary statistics — :mod:`repro.analysis.stats`.
+
+The package itself imports nothing, so that the fleet collector's
+import of :mod:`repro.analysis.stats` does not load the simulator
+through :mod:`repro.analysis.rtt`.
 """
-
-from repro.analysis.rtt import average_rtt, rtt_summary
-from repro.analysis.seqgrowth import (
-    SeqCurve,
-    average_curves,
-    curve_from_trace,
-    resample_curve,
-)
-from repro.analysis.losscases import LossCases, select_loss_cases
-from repro.analysis.traceio import dump_trace, load_trace, load_traces, save_traces
-from repro.analysis.stats import (
-    TransferStats,
-    mean,
-    median,
-    percentile,
-    stddev,
-    summarize_transfers,
-)
-
-__all__ = [
-    "average_rtt",
-    "rtt_summary",
-    "SeqCurve",
-    "curve_from_trace",
-    "resample_curve",
-    "average_curves",
-    "LossCases",
-    "select_loss_cases",
-    "TransferStats",
-    "mean",
-    "median",
-    "stddev",
-    "percentile",
-    "summarize_transfers",
-    "dump_trace",
-    "load_trace",
-    "save_traces",
-    "load_traces",
-]

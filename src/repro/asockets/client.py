@@ -32,7 +32,7 @@ from repro.lsl.core import (
     TraceContext,
     encode_frame_header,
 )
-from repro.lsl.session import new_session_id
+from repro.lsl.core.session import new_session_id
 from repro.asockets.runtime import connect_by
 from repro.sockets.client import plan_client_session
 from repro.telemetry.tracing import TraceSpool, new_trace_id

@@ -33,7 +33,7 @@ from repro.lsl.core import (
     RelayReject,
 )
 from repro.lsl.core.events import emit
-from repro.lsl.errors import ProtocolError
+from repro.lsl.core.errors import ProtocolError
 from repro.asockets.runtime import AsyncLoopService, Endpoint, dial
 from repro.sockets.lsd import DepotCounters
 from repro.telemetry.tracing import TraceSpool

@@ -50,7 +50,7 @@ from repro.lsl.core import (
 )
 from repro.lsl.core.events import emit
 from repro.lsl.core.wire import LslHeader
-from repro.lsl.errors import ProtocolError
+from repro.lsl.core.errors import ProtocolError
 from repro.cluster.acceptor import (
     StoreAcceptResume,
     StoreDecision,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lsl.core import BackoffPolicy, real_digest_factory
-from repro.lsl.errors import FailoverExhausted, LslError
+from repro.lsl.core.errors import FailoverExhausted, LslError
 
 DRIVERS = ("threads", "asyncio")
 

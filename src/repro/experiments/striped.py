@@ -41,7 +41,7 @@ from repro.logistics.planner import DepotPlanner
 from repro.logistics.replan import PathProber, StripedReplanner
 from repro.lsl.core.events import ProtocolEvent
 from repro.lsl.core.striping import DEFAULT_STRIPE
-from repro.lsl.session import new_session_id
+from repro.lsl.core.session import new_session_id
 from repro.lsl.striped import StripedClient, StripedLslServer
 from repro.telemetry import Telemetry
 from repro.telemetry.protocol import protocol_observer

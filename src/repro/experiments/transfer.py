@@ -30,7 +30,7 @@ from repro.experiments.scenarios import (
 from repro.faults.plan import FaultPlan
 from repro.lsl.client import FailoverTransfer, lsl_connect
 from repro.lsl.server import LslServer
-from repro.lsl.session import BackoffPolicy, new_session_id
+from repro.lsl.core.session import BackoffPolicy, new_session_id
 from repro.tcp.trace import ConnectionTrace
 from repro.telemetry import Telemetry
 from repro.telemetry.protocol import protocol_observer

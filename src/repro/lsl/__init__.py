@@ -15,75 +15,22 @@ relay buffer. Because each sublink's RTT is a fraction of the
 end-to-end RTT, every sublink's window opens faster and recovers from
 loss faster — the source of the throughput gain the paper measures.
 
+The package itself imports nothing: import the submodule you need, so
+that the transport-free core (:mod:`repro.lsl.core`) and the
+real-socket drivers built on it never load the simulator adapters.
+
 Public API
 ----------
 - :func:`repro.lsl.client.lsl_connect` — open a session over a route.
 - :class:`repro.lsl.server.LslServer` — accept sessions.
 - :class:`repro.lsl.depot.Depot` — run a depot (``lsd``).
-- :class:`repro.lsl.header.LslHeader` — the wire header.
-- :class:`repro.lsl.digest.StreamDigest` — end-to-end MD5 over the
-  stream (the end-to-end integrity check the paper keeps at the ends).
+- :class:`repro.lsl.striped.StripedClient` /
+  :class:`repro.lsl.striped.StripedLslServer` — one session striped
+  over several routes.
+- :class:`repro.lsl.storeforward.StoreForwardDepot` — a depot that
+  holds a session while the server is unreachable.
+- :class:`repro.lsl.core.wire.LslHeader` — the wire header.
+- :class:`repro.lsl.core.digest.StreamDigest` — end-to-end MD5 over
+  the stream (the end-to-end integrity check the paper keeps at the
+  ends).
 """
-
-from repro.lsl.errors import (
-    DepotDown,
-    DigestMismatch,
-    FailoverExhausted,
-    LslError,
-    ProtocolError,
-    RouteError,
-    SessionUnknown,
-)
-from repro.lsl.header import HEADER_MAGIC, LslHeader, RouteHop
-from repro.lsl.session import (
-    BackoffPolicy,
-    SessionId,
-    SessionRegistry,
-    new_session_id,
-)
-from repro.lsl.digest import StreamDigest
-from repro.lsl.relay import RelayPump
-from repro.lsl.depot import Depot
-from repro.lsl.client import (
-    FailoverTransfer,
-    LslClientConnection,
-    lsl_connect,
-    lsl_rebind,
-    virtual_digest_factory,
-)
-from repro.lsl.server import LslServer, LslServerConnection
-from repro.lsl.framing import FrameDecoder, encode_frame_header
-from repro.lsl.striped import StripedClient, StripedLslServer
-from repro.lsl.storeforward import StoreForwardDepot
-
-__all__ = [
-    "LslError",
-    "ProtocolError",
-    "RouteError",
-    "SessionUnknown",
-    "DigestMismatch",
-    "DepotDown",
-    "FailoverExhausted",
-    "BackoffPolicy",
-    "FailoverTransfer",
-    "virtual_digest_factory",
-    "LslHeader",
-    "RouteHop",
-    "HEADER_MAGIC",
-    "SessionId",
-    "new_session_id",
-    "SessionRegistry",
-    "StreamDigest",
-    "RelayPump",
-    "Depot",
-    "lsl_connect",
-    "lsl_rebind",
-    "LslClientConnection",
-    "LslServer",
-    "LslServerConnection",
-    "FrameDecoder",
-    "encode_frame_header",
-    "StripedClient",
-    "StripedLslServer",
-    "StoreForwardDepot",
-]

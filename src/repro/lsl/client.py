@@ -38,9 +38,9 @@ from repro.lsl.core import (
     TraceContext,
     virtual_digest_factory,
 )
-from repro.lsl.errors import FailoverExhausted, LslError, RouteError
-from repro.lsl.header import STREAM_UNTIL_FIN, LslHeader, RouteHop
-from repro.lsl.session import BackoffPolicy, SessionId, new_session_id
+from repro.lsl.core.errors import FailoverExhausted, LslError, RouteError
+from repro.lsl.core.session import BackoffPolicy, SessionId, new_session_id
+from repro.lsl.core.wire import STREAM_UNTIL_FIN, LslHeader, RouteHop
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.sockets import SimSocket, TcpStack
 from repro.tcp.trace import ConnectionTrace

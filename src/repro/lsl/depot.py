@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.lsl.core import RelayCore, RelayReject
-from repro.lsl.errors import DepotDown, RouteError
-from repro.lsl.header import LslHeader
+from repro.lsl.core.errors import DepotDown, RouteError
+from repro.lsl.core.wire import LslHeader
 from repro.lsl.relay import RelayPump
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.options import TcpOptions

@@ -29,10 +29,10 @@ from repro.lsl.core import (
     SessionAcceptor,
     negotiate_resume,
 )
-from repro.lsl.digest import StreamDigest
-from repro.lsl.errors import LslError, ProtocolError
-from repro.lsl.header import HeaderAccumulator, LslHeader
-from repro.lsl.session import SessionRegistry
+from repro.lsl.core.digest import StreamDigest
+from repro.lsl.core.errors import LslError, ProtocolError
+from repro.lsl.core.session import SessionRegistry
+from repro.lsl.core.wire import HeaderAccumulator, LslHeader
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.options import TcpOptions
 from repro.tcp.sockets import SimSocket, TcpStack

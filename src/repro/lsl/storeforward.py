@@ -22,8 +22,8 @@ from typing import List, Optional
 
 from repro.lsl.core import RelayCore, RelayReject
 from repro.lsl.depot import DepotStats
-from repro.lsl.errors import ProtocolError
-from repro.lsl.header import LslHeader
+from repro.lsl.core.errors import ProtocolError
+from repro.lsl.core.wire import LslHeader
 from repro.sim import Timer
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.options import TcpOptions

@@ -47,10 +47,10 @@ from repro.lsl.core import (
     parse_redundancy,
 )
 from repro.lsl.core.striping import DEFAULT_STRIPE, KIND_DATA, Assignment
-from repro.lsl.errors import LslError, ProtocolError, RouteError
-from repro.lsl.header import STREAM_UNTIL_FIN
+from repro.lsl.core.errors import LslError, ProtocolError, RouteError
+from repro.lsl.core.session import SessionId, SessionRegistry, new_session_id
+from repro.lsl.core.wire import STREAM_UNTIL_FIN
 from repro.lsl.server import _PendingAccept
-from repro.lsl.session import SessionId, SessionRegistry, new_session_id
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.options import TcpOptions
 from repro.tcp.sockets import SimSocket, TcpStack

@@ -22,9 +22,9 @@ from repro.lsl.core import (
     encode_frame_header,
     MAX_FRAME_PAYLOAD,
 )
-from repro.lsl.errors import LslError
-from repro.lsl.header import LslHeader, RouteHop, STREAM_UNTIL_FIN
-from repro.lsl.session import new_session_id
+from repro.lsl.core.errors import LslError
+from repro.lsl.core.session import new_session_id
+from repro.lsl.core.wire import LslHeader, RouteHop, STREAM_UNTIL_FIN
 from repro.telemetry.tracing import TraceSpool, new_trace_id
 
 

@@ -31,7 +31,7 @@ from repro.lsl.core import (
     RelayReject,
 )
 from repro.lsl.core.events import emit
-from repro.lsl.errors import ProtocolError
+from repro.lsl.core.errors import ProtocolError
 from repro.sockets import workers
 from repro.sockets.wire import CHUNK
 from repro.telemetry.tracing import TraceSpool

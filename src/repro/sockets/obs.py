@@ -28,8 +28,9 @@ import os
 import signal
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple, Union,
+)
 from urllib.parse import parse_qs, urlparse
 
 from repro.lsl.core.events import ProtocolEvent, ProtocolObserver
@@ -39,6 +40,9 @@ from repro.telemetry.exposition import (
     render_prometheus,
 )
 from repro.telemetry.tracing import TraceSpool
+
+if TYPE_CHECKING:
+    from http.server import BaseHTTPRequestHandler
 
 _PROCESS_START = time.time()
 
@@ -260,6 +264,9 @@ class ExpositionServer:
         event_log: Optional[JsonEventLog] = None,
         trace_spool: Optional[TraceSpool] = None,
     ) -> None:
+        # deferred: a service that never exposes never loads http.server
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self._collect = collect
         self._health = health
         self._event_log = event_log

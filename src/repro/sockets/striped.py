@@ -52,9 +52,9 @@ from repro.lsl.core import (
 )
 from repro.lsl.core import TraceContext
 from repro.lsl.core.striping import DEFAULT_STRIPE, Assignment
-from repro.lsl.errors import LslError, ProtocolError, RouteError
-from repro.lsl.header import HeaderAccumulator
-from repro.lsl.session import new_session_id
+from repro.lsl.core.errors import LslError, ProtocolError, RouteError
+from repro.lsl.core.session import new_session_id
+from repro.lsl.core.wire import HeaderAccumulator
 from repro.telemetry.tracing import TraceSpool, new_trace_id
 from repro.sockets import workers
 from repro.sockets.lsd import (

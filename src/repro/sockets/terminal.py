@@ -53,8 +53,8 @@ from repro.lsl.core import (
     negotiate_resume,
 )
 from repro.lsl.core.events import emit
-from repro.lsl.errors import ProtocolError
-from repro.lsl.header import HeaderAccumulator, LslHeader
+from repro.lsl.core.errors import ProtocolError
+from repro.lsl.core.wire import HeaderAccumulator, LslHeader
 from repro.telemetry.tracing import TraceSpool
 
 

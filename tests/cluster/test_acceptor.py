@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from repro.lsl.core import SESSION_ACK, RejectSession
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core.wire import LslHeader, RouteHop
 from repro.cluster import (
     InMemoryStore,
     StoreAcceptNew,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lsl.core import ClientHandshake, ProtocolError, SESSION_ACK
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core.wire import LslHeader, RouteHop
 
 
 def make_header(**kw):

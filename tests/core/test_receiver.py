@@ -24,7 +24,7 @@ from repro.lsl.core import (
     STREAM_UNTIL_FIN,
     encode_frame_header,
 )
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core.wire import LslHeader, RouteHop
 
 
 def make_header(**kw):

@@ -4,7 +4,7 @@ FIN-timing rules the cascaded-relay bugfix sweep pinned down."""
 import pytest
 
 from repro.lsl.core import Chunk, ProtocolError, RelayCore, RelayForward, RelayReject
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core.wire import LslHeader, RouteHop
 
 
 def make_header(**kw):

@@ -12,7 +12,7 @@ from repro.lsl.core import (
     real_digest_factory,
     virtual_digest_factory,
 )
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core.wire import LslHeader, RouteHop
 
 
 def make_header(**kw):

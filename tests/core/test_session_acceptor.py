@@ -17,7 +17,7 @@ from repro.lsl.core import (
     establishment_reply,
     negotiate_resume,
 )
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core.wire import LslHeader, RouteHop
 
 
 def make_header(**kw):

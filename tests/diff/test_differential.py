@@ -221,7 +221,7 @@ def test_trailer_is_the_payload_md5_in_both_stacks():
 
 
 def test_framed_stream_decodes_to_same_logical_content():
-    from repro.lsl.header import HeaderAccumulator
+    from repro.lsl.core.wire import HeaderAccumulator
 
     _route, real = capture_real_stream(["127.0.0.1"], PAYLOAD, framed=True)
     acc = HeaderAccumulator()

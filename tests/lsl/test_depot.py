@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lsl.client import lsl_connect
-from repro.lsl.errors import RouteError
+from repro.lsl.core.errors import RouteError
 from tests.lsl.conftest import LslWorld
 from tests.lsl.test_client_server import drive
 

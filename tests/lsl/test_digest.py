@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsl.digest import StreamDigest
+from repro.lsl.core.digest import StreamDigest
 from repro.tcp.buffers import StreamChunk
 
 

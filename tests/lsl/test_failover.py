@@ -13,8 +13,8 @@ from repro.lsl.client import (
     lsl_rebind,
     virtual_digest_factory,
 )
-from repro.lsl.errors import LslError, RouteError
-from repro.lsl.session import BackoffPolicy, new_session_id
+from repro.lsl.core.errors import LslError, RouteError
+from repro.lsl.core.session import BackoffPolicy, new_session_id
 from tests.helpers import two_host_net
 from tests.lsl.conftest import LslWorld
 from tests.lsl.test_client_server import drive

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsl.errors import ProtocolError
-from repro.lsl.framing import (
+from repro.lsl.core.errors import ProtocolError
+from repro.lsl.core.framing import (
     FRAME_HEADER_LEN,
     FrameDecoder,
     MAX_FRAME_PAYLOAD,

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsl.errors import ProtocolError, RouteError
-from repro.lsl.header import (
+from repro.lsl.core.errors import ProtocolError, RouteError
+from repro.lsl.core.wire import (
     HEADER_MAGIC,
     HeaderAccumulator,
     IncompleteHeader,

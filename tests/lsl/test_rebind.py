@@ -3,8 +3,8 @@
 import pytest
 
 from repro.lsl.client import lsl_connect, lsl_rebind
-from repro.lsl.errors import SessionUnknown
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core.errors import SessionUnknown
+from repro.lsl.core.wire import LslHeader, RouteHop
 from tests.lsl.conftest import LslWorld
 
 
@@ -156,7 +156,7 @@ def test_rebind_through_different_depot_route(world):
 
 
 def test_rebind_requires_digest_state(world):
-    from repro.lsl.errors import LslError
+    from repro.lsl.core.errors import LslError
 
     with pytest.raises(LslError):
         lsl_rebind(

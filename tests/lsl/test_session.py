@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.lsl.errors import SessionUnknown
-from repro.lsl.session import SessionRegistry, new_session_id
+from repro.lsl.core.errors import SessionUnknown
+from repro.lsl.core.session import SessionRegistry, new_session_id
 
 
 def test_session_id_is_16_bytes_and_seeded():

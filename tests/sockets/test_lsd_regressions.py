@@ -27,7 +27,7 @@ import time
 
 import pytest
 
-from repro.lsl.errors import ProtocolError
+from repro.lsl.core.errors import ProtocolError
 from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
 
 PAYLOAD = bytes(range(256)) * 400  # 102_400 bytes

@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from repro.lsl.errors import LslError
-from repro.lsl.header import HeaderAccumulator, LslHeader, RouteHop
+from repro.lsl.core.errors import LslError
+from repro.lsl.core.wire import HeaderAccumulator, LslHeader, RouteHop
 from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
 from repro.sockets.wire import BlockingLink, run_blocking
 

@@ -14,8 +14,8 @@ import pytest
 from repro.cluster import InMemoryStore
 from repro.cluster.node import NodeSublink, StoreNode
 from repro.lsl.core import SESSION_ACK, real_digest_factory
-from repro.lsl.errors import ProtocolError
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core.errors import ProtocolError
+from repro.lsl.core.wire import LslHeader, RouteHop
 from repro.sockets.client import plan_client_session
 from repro.sockets.lsd import DepotCounters
 from repro.sockets.striped import StripedEngine, StripedSublink, _StripedSend

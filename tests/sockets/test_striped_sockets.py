@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.asockets import AsyncStripedServer, async_send_striped
-from repro.lsl.errors import LslError
+from repro.lsl.core.errors import LslError
 from repro.sockets import StripedThreadedServer, ThreadedDepot, send_striped
 
 
