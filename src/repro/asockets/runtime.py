@@ -4,8 +4,8 @@
 and servers: a bound listener registered with a private loop **once**
 (accepted until ``EAGAIN``, surviving transient ``accept()`` failures —
 the threaded stack's permadeath bug class), a daemon thread running
-that loop, and a graceful shutdown that waits for the live endpoints
-to close before aborting stragglers.
+that loop, the TTL sweeper's timer, and a graceful shutdown that waits
+for the live endpoints to close before aborting stragglers.
 
 No service creates a task or a future per session. Each accepted or
 dialed socket is an :class:`Endpoint`, registered with ``add_reader``
@@ -21,8 +21,8 @@ The constructor returns with the listener bound and the loop accepting
 benchmarks can treat either driver interchangeably. All cross-thread
 interaction goes through ``call_soon_threadsafe``; everything else
 runs single-threaded inside the loop, so the locks of the session
-objects shared with the threaded drivers (:mod:`repro.sockets.terminal`)
-are taken here and never contended.
+objects shared with the threaded drivers (:mod:`repro.sockets.terminal`,
+:mod:`repro.sockets.lsd`) are taken here and never contended.
 """
 
 from __future__ import annotations
@@ -34,23 +34,20 @@ import socket
 import threading
 from typing import Any, Optional, Set, Tuple
 
-from repro.sockets.lsd import (
+from repro.sockets.wire import (
     _ACCEPT_RETRY_DELAY_S,
     _FATAL_ACCEPT_ERRNOS,
+    CHUNK,
     LISTEN_BACKLOG,
+    SHUTDOWN,
     make_listener,
 )
-from repro.sockets.wire import CHUNK
 
 #: Reads (or accepts) per readiness event. A read that filled the
 #: buffer is followed by another without a poll in between (a bulk
 #: relay would pay a loop turn per chunk), but at most this many —
 #: 1 MiB — so one busy socket cannot starve the loop.
 READS_PER_EVENT = 16
-
-#: What ``broken`` receives when the service shuts down under a
-#: session: not an ``OSError``, so never mistaken for a dead sublink.
-SHUTDOWN = asyncio.CancelledError("service shutdown")
 
 
 def connected(sock: socket.socket) -> bool:
@@ -262,10 +259,20 @@ class Endpoint:
 
 
 class AsyncLoopService:
-    """A TCP service on its own event loop thread (subclass me)."""
+    """A TCP service on its own event loop thread (subclass me).
+
+    The same hooks as :class:`repro.sockets.wire.ThreadedService`: the
+    engine mixed in before it supplies ``_open(sock)`` (via
+    :meth:`_link`), ``_on_accept_error(exc)`` and, when it sets
+    ``_session_ttl``, ``_sweep()``, run on a loop timer every
+    ``_sweep_every`` seconds.
+    """
 
     #: Thread-name prefix; subclasses override for readable dumps.
     _thread_prefix = "alsl"
+    _driver = "asyncio"
+    _session_ttl: Optional[float] = None
+    _sweep_every = 1.0
 
     def __init__(
         self,
@@ -310,14 +317,16 @@ class AsyncLoopService:
         self._thread.start()
         self._ready.wait()
 
-    # -- subclass hooks ----------------------------------------------------
-
     def _open(self, sock: socket.socket) -> Endpoint:
-        """Start the session of one accepted (non-blocking) socket."""
+        """Start the session of one accepted (non-blocking) socket (the
+        engine's)."""
         raise NotImplementedError
 
-    def _on_accept_error(self, exc: OSError) -> None:
-        """Called in-loop for each survived transient accept failure."""
+    def _link(
+        self, sock: socket.socket, owner: Any, peer: Optional[Endpoint] = None
+    ) -> Endpoint:
+        """Wrap ``sock`` in an endpoint, registered for reading."""
+        return Endpoint(self, sock, owner, peer)
 
     # -- loop lifecycle ----------------------------------------------------
 
@@ -326,19 +335,14 @@ class AsyncLoopService:
         try:
             self._loop.run_until_complete(self._main())
         finally:
-            pending = asyncio.all_tasks(self._loop)  # the TTL sweeper
-            for task in pending:
-                task.cancel()
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
             self._loop.close()
 
     async def _main(self) -> None:
         self._stop = asyncio.Event()
         self._idle = asyncio.Event()
         self._listen()
+        if self._session_ttl is not None:
+            self._loop.call_later(self._sweep_every, self._sweeper)
         self._ready.set()
         await self._stop.wait()
         self._closing = True
@@ -362,6 +366,11 @@ class AsyncLoopService:
     def _listen(self) -> None:
         if not self._closing:
             self._loop.add_reader(self._listener, self._acceptable)
+
+    def _sweeper(self) -> None:
+        if not self._closing:
+            self._sweep()
+            self._loop.call_later(self._sweep_every, self._sweeper)
 
     def _acceptable(self) -> None:
         for _ in range(READS_PER_EVENT):

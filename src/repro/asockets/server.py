@@ -3,26 +3,20 @@
 The session itself is :mod:`repro.sockets.terminal` — the very objects
 the threaded server runs — fed straight from each sublink's readiness
 callback (an :class:`~repro.asockets.runtime.Endpoint` is the link; no
-task per session). This module is the event-loop *driver*: the
-:class:`~repro.asockets.runtime.AsyncLoopService` chassis (listener,
-accept, drain on shutdown) and the TTL sweeper's timer. Every callback
-runs on the one loop, so the engine's two locks are taken and never
-contended.
+task per session), and the listener, accept, the TTL sweeper's timer
+and the drain on shutdown are the
+:class:`~repro.asockets.runtime.AsyncLoopService` chassis. What is left
+here is the constructor. Every callback runs on the one loop, so the
+engine's two locks are taken and never contended.
 """
 
 from __future__ import annotations
 
-import asyncio
-import socket
 from typing import Callable, Optional
 
 from repro.lsl.core import ProtocolObserver
-from repro.asockets.runtime import AsyncLoopService, Endpoint
-from repro.sockets.terminal import (
-    SessionResult,
-    TerminalEngine,
-    TerminalSublink,
-)
+from repro.asockets.runtime import AsyncLoopService
+from repro.sockets.terminal import SessionResult, TerminalEngine
 from repro.telemetry.tracing import TraceSpool
 
 
@@ -36,7 +30,6 @@ class AsyncLslServer(TerminalEngine, AsyncLoopService):
     """
 
     _thread_prefix = "alsl-srv"
-    _driver = "asyncio"
 
     def __init__(
         self,
@@ -55,19 +48,3 @@ class AsyncLslServer(TerminalEngine, AsyncLoopService):
             self, on_session, reply, observer, session_ttl, tracer
         )
         AsyncLoopService.__init__(self, host, port, drain_timeout=drain_timeout)
-        if session_ttl is not None:
-            # keeps the task referenced; the loop's shutdown cancels it
-            self._sweeper = asyncio.run_coroutine_threadsafe(
-                self._sweep_loop(), self._loop
-            )
-
-    async def _sweep_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self._sweep_every)
-            self._sweep()
-
-    def _on_accept_error(self, exc: OSError) -> None:
-        self.accept_errors += 1
-
-    def _open(self, sock: socket.socket) -> Endpoint:
-        return Endpoint(self, sock, TerminalSublink(self))

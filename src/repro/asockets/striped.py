@@ -2,9 +2,9 @@
 
 The event-loop driver of :mod:`repro.sockets.striped`, which holds the
 one implementation of both sides: the server here is the
-:class:`~repro.asockets.runtime.AsyncLoopService` chassis handing each
-accepted sublink to a :class:`~repro.sockets.striped.StripedSublink`
-(one read callback per sublink, no task), and :func:`send_striped` is
+:class:`~repro.asockets.runtime.AsyncLoopService` chassis under
+:class:`~repro.sockets.striped.StripedEngine`, which hands each accepted
+sublink to a ``StripedSublink`` (one read callback per sublink, no task), and :func:`send_striped` is
 the awaitable dial-and-write loop over
 :class:`~repro.sockets.striped._StripedSend`, one task per sublink.
 Everything runs on one loop, so the shared locks are never contended,
@@ -23,12 +23,11 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 from repro.lsl.core import ProtocolObserver, Redundancy
 from repro.lsl.core.striping import DEFAULT_STRIPE
 from repro.telemetry.tracing import TraceSpool
-from repro.asockets.runtime import AsyncLoopService, Endpoint, connect_by
+from repro.asockets.runtime import AsyncLoopService, connect_by
 from repro.sockets.striped import (
     StripedEngine,
     StripedResult,
     StripedSendReport,
-    StripedSublink,
     _StripedSend,
     _frame_of,
 )
@@ -123,6 +122,3 @@ class AsyncStripedServer(StripedEngine, AsyncLoopService):
     ) -> None:
         StripedEngine.__init__(self, on_session, observer, tracer)
         AsyncLoopService.__init__(self, host, port, drain_timeout=drain_timeout)
-
-    def _open(self, sock: socket.socket) -> Endpoint:
-        return Endpoint(self, sock, StripedSublink(self))

@@ -5,9 +5,10 @@ sublink is that module's :class:`~repro.cluster.node.NodeSublink` fed
 from an :class:`~repro.asockets.runtime.Endpoint`'s read callback (no
 task), over the same :class:`~repro.cluster.node.StoreNode` state the
 threaded worker has, so the two drivers cannot drift on resume or
-checkpoint semantics. What is left here is what differs: the sweeper's
-timer, and the hand-over of an intermediate-hop sublink to the base
-depot's :class:`~repro.asockets.depot.RelaySession`.
+checkpoint semantics; an intermediate-hop sublink goes to the same
+:class:`~repro.sockets.lsd.RelaySession` on both. What is left here is
+the constructor: the sweeper's timer is the chassis's, and the dial the
+:class:`~repro.asockets.depot.AsyncDepot`'s.
 
 Store operations are short blocking calls executed in-loop (see the
 :mod:`repro.cluster.node` docstring); checkpoint batching keeps them
@@ -17,19 +18,12 @@ behind one port — the multi-core story asyncio alone lacks.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 from typing import Callable, Optional
 
 from repro.lsl.core import ProtocolObserver
-from repro.lsl.core.wire import LslHeader
-from repro.asockets.depot import AsyncDepot, RelaySession
-from repro.asockets.runtime import Endpoint
-from repro.cluster.node import (
-    DEFAULT_CHECKPOINT_BYTES,
-    NodeSublink,
-    StoreNode,
-)
+from repro.asockets.depot import AsyncDepot
+from repro.cluster.node import DEFAULT_CHECKPOINT_BYTES, StoreNode
 from repro.cluster.store import SessionStore
 from repro.sockets.terminal import SessionResult
 from repro.telemetry.tracing import TraceSpool
@@ -77,29 +71,6 @@ class AsyncClusterNode(StoreNode, AsyncDepot):
             listener=listener,
             tracer=tracer,
         )
-        if session_ttl is not None:
-            # keeps the task referenced; the loop's shutdown cancels it
-            self._sweeper = asyncio.run_coroutine_threadsafe(
-                self._sweep_loop(), self._loop
-            )
-
-    async def _sweep_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self._sweep_every)
-            self._sweep()
-
-    def _open(self, sock: socket.socket) -> Endpoint:
-        self.counters.session_started()
-        return Endpoint(self, sock, NodeSublink(self))
-
-    def _hand_over(self, ep: Endpoint, header: LslHeader, surplus: bytes) -> bool:
-        # the endpoint changes owner: re-feed the canonical header bytes
-        # into the same machine the base depot drives (the codec is
-        # byte-exact, so it cannot tell the difference)
-        ep.owner = relay = RelaySession(self)
-        relay.up = ep
-        relay.received(ep, header.encode() + surplus)
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

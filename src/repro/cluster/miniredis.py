@@ -26,7 +26,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.sockets import workers
-from repro.sockets.lsd import make_listener
+from repro.sockets.wire import make_listener
 
 _WRONG_ARGS = b"-ERR wrong number of arguments\r\n"
 

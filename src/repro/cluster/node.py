@@ -18,8 +18,12 @@ only portable representation.
 Everything here but :class:`ClusterNode` itself is shared with the
 asyncio worker (:mod:`repro.cluster.anode`): :class:`_TerminalSession`
 (the store-backed bookkeeping), :class:`NodeSublink` (one accepted
-sublink, run from a ``recv`` loop here and from a read callback there)
-and :class:`StoreNode` (the worker's state, sweep and counters). Store
+sublink, run from a ``recv`` loop here and from a read callback there,
+which hands an intermediate-hop link to the depot's
+:class:`~repro.sockets.lsd.RelaySession` by making it the link's owner)
+and :class:`StoreNode` (the worker's state, ``_open``, sweep and
+counters). :class:`ClusterNode` is that over
+:class:`~repro.sockets.lsd.ThreadedDepot` — a constructor. Store
 calls are short blocking operations (bounded by checkpoint batching);
 the asyncio driver accepts them in-loop for the same reason it accepts
 blocking DNS in tests — micro-milliseconds against a 64 KiB read
@@ -45,8 +49,6 @@ from repro.lsl.core import (
     PayloadReceiver,
     ProtocolObserver,
     RejectSession,
-    RelayCore,
-    RelayReject,
 )
 from repro.lsl.core.events import emit
 from repro.lsl.core.wire import LslHeader
@@ -57,9 +59,8 @@ from repro.cluster.acceptor import (
     StoreSessionAcceptor,
 )
 from repro.cluster.store import SessionStore
-from repro.sockets.lsd import DepotCounters, ThreadedDepot
+from repro.sockets.lsd import DepotCounters, RelaySession, ThreadedDepot
 from repro.sockets.terminal import SessionResult
-from repro.sockets.wire import BlockingLink, run_blocking
 from repro.telemetry.tracing import TraceSpool
 
 #: Spool checkpoint granularity: how much received payload a worker
@@ -284,8 +285,10 @@ class NodeSublink:
     store-backed terminal session.
 
     Shared by both cluster nodes: it touches the transport only through
-    its link (``write`` / ``close``), and leaves relaying — where the
-    drivers genuinely differ — to the node's ``_hand_over``.
+    its link (``write`` / ``close`` / ``owner``). An intermediate-hop
+    sublink is handed over by making a depot
+    :class:`~repro.sockets.lsd.RelaySession` the link's owner, which
+    accounts for the session from then on.
     """
 
     __slots__ = ("node", "acc", "term", "short_id", "rebinds")
@@ -325,8 +328,11 @@ class NodeSublink:
                 self.short_id = header.short_id
                 data = self.acc.surplus
                 if not header.is_last_hop:
-                    if self.node._hand_over(link, header, data):
-                        self._finish(link, "completed")
+                    # the link changes owner: re-feed the canonical
+                    # header bytes into the depot's relay (the codec is
+                    # byte-exact, so it cannot tell the difference)
+                    link.owner = RelaySession(self.node)
+                    link.owner.received(link, header.encode() + data)
                     return
                 self.term = term = self._terminal(header)
                 if term.reply:
@@ -395,17 +401,16 @@ class StoreNode:
     stored sessions — the sweep is store-global and safe to run on every
     worker; each expired session is reported by exactly one.
 
-    The driver supplies the depot (``counters``, ``_observer``,
-    ``_tracer``) and ``_hand_over(link, header, surplus)``: relay an
-    intermediate-hop sublink whose header (and ``surplus`` bytes after
-    it) a :class:`NodeSublink` has read. True means the relay ran to
-    completion inside the call and the sublink accounts for it and
-    closes the link; false, that the link has a new owner which does.
+    The depot it is mixed into supplies ``counters``, ``_observer``,
+    ``_tracer``, ``_link`` and the relay's dial; this class supplies the
+    depot's ``_open``, which puts a :class:`NodeSublink` behind each
+    accepted socket.
     """
 
     counters: DepotCounters
     _observer: Optional[ProtocolObserver]
     _tracer: Optional[TraceSpool]
+    _link: Callable[..., Any]
 
     def __init__(
         self,
@@ -433,8 +438,9 @@ class StoreNode:
         self._results_lock = threading.Lock()
         self._done = threading.Condition(self._results_lock)
 
-    def _hand_over(self, link: Any, header: LslHeader, surplus: bytes) -> bool:
-        raise NotImplementedError
+    def _open(self, sock: socket.socket) -> Any:
+        self.counters.session_started()
+        return self._link(sock, NodeSublink(self))
 
     def _sweep(self) -> None:
         assert self._session_ttl is not None
@@ -463,7 +469,7 @@ class StoreNode:
 
 
 class ClusterNode(StoreNode, ThreadedDepot):
-    """Thread-per-connection depot worker with terminal sessions.
+    """Threaded depot worker with terminal sessions.
 
     Intermediate-hop sublinks are relayed exactly like the base depot;
     last-hop sublinks are terminated against ``store`` (see
@@ -504,35 +510,6 @@ class ClusterNode(StoreNode, ThreadedDepot):
             listener=listener,
             tracer=tracer,
         )
-        if session_ttl is not None:
-            threading.Thread(
-                target=self._sweep_loop,
-                name=f"cluster-sweep-{self.address[1]}",
-                daemon=True,
-            ).start()
-
-    def _sweep_loop(self) -> None:
-        while not self._shutdown.wait(self._sweep_every):
-            self._sweep()
-
-    def _session(self, upstream: socket.socket) -> None:
-        self._track(upstream)
-        try:
-            run_blocking(BlockingLink(upstream), NodeSublink(self))
-        finally:
-            self._untrack(upstream)
-
-    def _hand_over(self, link: Any, header: LslHeader, surplus: bytes) -> bool:
-        # re-feed the canonical header bytes into the same machine the
-        # base depot drives (the codec is byte-exact, so the depot
-        # cannot tell the difference), then pump until both ends EOF
-        core = RelayCore(observer=self._observer)
-        decision = core.feed([Chunk.real(header.encode()), Chunk.real(surplus)])
-        assert decision is not None  # full header was fed
-        if isinstance(decision, RelayReject):
-            raise decision.error
-        self._relay(link.sock, decision)
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

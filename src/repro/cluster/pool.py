@@ -32,13 +32,13 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.exposition import expose_cluster
 from repro.cluster.node import DEFAULT_CHECKPOINT_BYTES, ClusterNode
 from repro.cluster.store import InMemoryStore, SessionStore, open_store
-from repro.sockets.lsd import make_listener
 from repro.sockets.obs import ExpositionServer
+from repro.sockets.wire import make_listener
 from repro.telemetry.tracing import TraceSpool
 
 
@@ -95,6 +95,7 @@ class LocalCluster:
             self._shared = make_listener(host, port)
             self.address = self._shared.getsockname()
         self.nodes: List[object] = []
+        self._down: Set[str] = set()  # workers kill() crashed
         for i in range(workers):
             self.nodes.append(self._make_node(i))
 
@@ -147,10 +148,11 @@ class LocalCluster:
     def kill(self, index: int) -> None:
         """Crash one worker: abort its sessions, leave the rest serving."""
         node = self.nodes[index]
-        if isinstance(node, ClusterNode):
-            node.shutdown(abort_sessions=True)
-        else:
-            node.shutdown(drain=False)
+        self._down.add(node.worker)
+        node.shutdown(drain=False)
+
+    def workers_alive(self) -> Dict[str, bool]:
+        return {node.worker: node.worker not in self._down for node in self.nodes}
 
     def publish_counters(self) -> None:
         for node in self.nodes:
@@ -181,9 +183,7 @@ class LocalCluster:
             self.worker_counters,
             host=host,
             port=port,
-            workers_alive=lambda: {
-                node.worker: node is not None for node in self.nodes
-            },
+            workers_alive=self.workers_alive,
             store_sessions=self.store.live_sessions,
             health_extra=lambda: {
                 "cluster": f"{self.address[0]}:{self.address[1]}",

@@ -271,17 +271,14 @@ def _crash_when_received(
     """Crash ``depot`` once the server has ``threshold`` payload bytes.
 
     Watches the live receiver through the session registry (the relay's
-    own ``bytes_relayed`` counter is batched per pump run, so it shows
-    nothing until the relay *ends* — useless as a mid-stream trigger).
+    own ``bytes_relayed`` counter is posted once, when the relay
+    *ends* — useless as a mid-stream trigger).
     """
     while not crashed.is_set():
         record = server.registry.get(session_id)
         live = getattr(record, "attachment", None) if record else None
         if live is not None and live.receiver.payload_received >= threshold:
-            if hasattr(depot, "_session_socks"):  # ThreadedDepot
-                depot.shutdown(abort_sessions=True)
-            else:  # AsyncDepot: non-draining shutdown == crash
-                depot.shutdown(drain=False)
+            depot.shutdown(drain=False)  # non-draining shutdown == crash
             crashed.set()
             return
         time.sleep(0.002)

@@ -8,20 +8,21 @@ the end-to-end MD5 all come from the shared machines, so the two
 stacks emit identical wire bytes. Runs on localhost for the examples
 and tests.
 
-The terminal sessions live here for *both* real-socket drivers:
-:mod:`repro.sockets.terminal` (server) and :mod:`repro.sockets.striped`
-(striped server and sender) are plain objects that reach the transport
-only through a link's ``write`` / ``close`` / ``closed``. This package
-runs them from a ``recv`` loop on a pooled worker
+The sessions live here for *both* real-socket drivers:
+:mod:`repro.sockets.lsd` (the depot relay), :mod:`repro.sockets.terminal`
+(server) and :mod:`repro.sockets.striped` (striped server and sender)
+are plain objects that reach the transport only through their links.
+This package runs them from a ``recv`` loop on a pooled worker
 (:mod:`repro.sockets.wire`); :mod:`repro.asockets` runs the same
 objects from its reactor.
 
-**Thread model.** Accept loops, TTL sweepers and exposition are
-long-lived named threads. Everything per connection — a depot session,
-its forward pump, a server session, a striped sublink — runs on the
-reusable daemon threads of :mod:`repro.sockets.workers`: up to three
-pooled workers per live session, and no thread started for it unless
-every worker is busy.
+**Thread model.** Each service's accept loop and TTL sweeper (the
+:class:`~repro.sockets.wire.ThreadedService` chassis) and the
+exposition are long-lived named threads. Everything per connection runs
+on the reusable daemon threads of :mod:`repro.sockets.workers`, one
+pooled worker reading each link: a relay holds two, one per direction
+(its dial blocks the upstream one), a server, striped or cluster
+sublink one — and no thread is started unless every worker is busy.
 
 **Measurement caveat** (why throughput experiments use the simulator):
 CPython's GIL serializes the relay threads, so absolute throughput

@@ -1,27 +1,30 @@
-"""``lsd`` — the real-socket depot daemon.
+"""``lsd`` — the real-socket depot daemon, once for both drivers.
 
 "The daemon runs without privileges — it is a user-level process ...
 the lsd process very simply establishes a transport to transport
 binding based on the LSL header information."
 
-One thread accepts sublinks; each accepted sublink is handed to a
-pooled worker (:mod:`repro.sockets.workers`) that drives
-:class:`~repro.lsl.core.RelayCore` over blocking reads until it decides
-(the same header-phase machine the simulator depot runs), dials the
-decided next hop, forwards the onward bytes, and then pumps one
-direction itself and the other on a second pooled worker, each copying
-through a small user-space buffer. Backpressure is the kernel's: a blocking
-``send`` on a full downstream socket stalls the pump, the upstream
-receive buffer fills, and the sender's window closes — the same chain
-the simulator models explicitly.
+That binding is :class:`RelaySession`: the upstream link's ``received``
+drives :class:`~repro.lsl.core.RelayCore` until it decides (the same
+header-phase machine the simulator depot runs), the depot's ``_dial``
+hook connects the decided next hop, the onward header and the surplus
+go down it, and from then on each link's bytes go to its peer, with a
+FIN passed on as a half-close. :class:`DepotEngine` is the depot around
+it — counters, observer, tracer, the accept hooks and the exposition —
+and a driver adds only its chassis and its dial: :class:`ThreadedDepot`
+here (two pooled workers per relay, one reading each direction, and a
+blocking ``create_connection``), :class:`repro.asockets.depot.AsyncDepot`
+on the event loop. Backpressure is the kernel's: a blocking ``send`` on
+a full downstream socket stalls its reader, the upstream receive buffer
+fills, and the sender's window closes — the same chain the simulator
+models explicitly.
 """
 
 from __future__ import annotations
 
-import errno
 import socket
 import threading
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.lsl.core import (
     Chunk,
@@ -32,61 +35,9 @@ from repro.lsl.core import (
 )
 from repro.lsl.core.events import emit
 from repro.lsl.core.errors import ProtocolError
-from repro.sockets import workers
-from repro.sockets.wire import CHUNK
+from repro.lsl.core.wire import RouteHop
+from repro.sockets.wire import ThreadedService
 from repro.telemetry.tracing import TraceSpool
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sockets.obs import ExpositionServer, JsonEventLog
-
-#: Listen backlog for depot/server listeners. 16 was enough for the
-#: demos but drops SYNs under a connection storm; the kernel clamps to
-#: ``net.core.somaxconn`` anyway, so asking high is free.
-LISTEN_BACKLOG = 128
-
-#: ``errno`` values that mean the *listener itself* is gone — any other
-#: ``OSError`` out of ``accept()`` (EMFILE, ENFILE, ECONNABORTED,
-#: ENOBUFS, ...) is a transient, per-connection condition the accept
-#: loop must survive.
-_FATAL_ACCEPT_ERRNOS = frozenset(
-    {errno.EBADF, errno.ENOTSOCK, errno.EINVAL}
-)
-
-#: Pause before retrying a transiently-failed ``accept()`` — long
-#: enough for fds to be released under EMFILE pressure, short enough
-#: to be invisible at human timescales.
-_ACCEPT_RETRY_DELAY_S = 0.05
-
-
-def make_listener(
-    host: str,
-    port: int,
-    *,
-    backlog: int = LISTEN_BACKLOG,
-    reuse_port: bool = False,
-    listen: bool = True,
-) -> socket.socket:
-    """Create a bound (and by default listening) TCP listener socket.
-
-    ``reuse_port=True`` joins/creates an ``SO_REUSEPORT`` group on
-    ``(host, port)`` so several workers — threads or processes — can
-    accept on the same port and let the kernel load-balance inbound
-    connections (the cluster's shared-listener mode).
-    ``listen=False`` yields a bound-but-not-listening socket: a parent
-    process uses it to *reserve* a concrete port for a REUSEPORT group
-    without itself receiving connections (only LISTEN sockets are in
-    the kernel's dispatch set).
-    """
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    if reuse_port:
-        if not hasattr(socket, "SO_REUSEPORT"):
-            raise OSError("SO_REUSEPORT is not available on this platform")
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-    sock.bind((host, port))
-    if listen:
-        sock.listen(backlog)
-    return sock
 
 
 class DepotCounters:
@@ -162,14 +113,233 @@ class DepotCounters:
         return f"DepotCounters({self.snapshot()})"
 
 
-class ThreadedDepot:
-    """A depot listening on ``(host, port)`` until :meth:`shutdown`.
+class RelaySession:
+    """One relayed session: header phase, dial, two cross-wired links.
+
+    The upstream link is the one its first callback names (a cluster
+    node hands over a link it has read the header from by making a
+    relay its owner and re-feeding the header). Upstream reads stay
+    paused during the dial, so bytes (and a FIN) that arrive in that
+    window wait in the kernel. On threads the two directions are read
+    by two workers at once: each direction keeps its own byte count, so
+    every count has one writer, and :meth:`end` takes the relay's lock
+    — per call, never across a read — so the session is accounted
+    exactly once. The per-chunk path takes no lock.
+    """
+
+    def __init__(self, depot: "DepotEngine") -> None:
+        self.depot = depot
+        self.core = RelayCore(observer=depot._observer)
+        self.up: Any = None
+        self.down: Any = None
+        self.lock = threading.Lock()
+        self.decision: Optional[RelayForward] = None
+        #: set by a driver whose dial is waiting on the loop
+        self.cancel_dial: Optional[Callable[[], None]] = None
+        self.relay_span = self.dial_span = 0
+        # posted to the counter when the session ends
+        self.forwarded = self.returned = 0
+
+    # -- link callbacks ----------------------------------------------------
+
+    def received(self, link: Any, data: Any) -> None:
+        peer = link.peer
+        if peer is not None:
+            try:
+                peer.write(data)
+            except OSError as exc:  # threads: a blocking send to a dead
+                # peer raises here; an Endpoint reports its own to broken
+                self.broken(peer, exc)
+                return
+            if link is self.up:
+                self.forwarded += len(data)
+            else:
+                self.returned += len(data)
+            return
+        self.up = link
+        decision = self.core.feed([Chunk.real(data)])
+        if isinstance(decision, RelayReject):
+            self.end(decision.error)
+        elif decision is not None:
+            try:
+                self._dial(decision)
+            except Exception as exc:  # unresolvable hop, refused, EMFILE, ...
+                self.end(exc)
+
+    def ended(self, link: Any) -> None:
+        peer = link.peer
+        if peer is None:
+            self.up = link
+            self.end(self.core.on_upstream_fin() or ProtocolError(
+                "upstream closed during header phase"
+            ))
+            return
+        peer.finish()
+        if peer.eof:  # both directions have ended
+            self.end()
+
+    def broken(self, link: Any, exc: BaseException) -> None:
+        if self.up is None:
+            self.up = link  # reset before the first byte
+        # once relaying, a reset is the pumps' business, not a failure:
+        # both directions are over and whatever is queued still drains
+        relaying = self.up.peer is not None and isinstance(exc, OSError)
+        self.end(None if relaying else exc)
+
+    # -- dial --------------------------------------------------------------
+
+    def _dial(self, decision: RelayForward) -> None:
+        self.decision = decision
+        depot = self.depot
+        tracer, tctx = depot._tracer, decision.header.trace
+        nxt = decision.next_hop
+        if tracer is not None and tctx is not None:
+            self.relay_span = tracer.begin(
+                "depot.relay",
+                tctx.trace_id,
+                tctx.parent_span,
+                session=decision.header.short_id,
+                depot=f"{depot.address[0]}:{depot.address[1]}",
+                hop=tctx.hop,
+            )
+            self.dial_span = tracer.begin(
+                "depot.dial", tctx.trace_id, self.relay_span, hop=str(nxt)
+            )
+        self.up.pause()
+        depot._dial(self, nxt)
+
+    def _dialed(self, sock: socket.socket) -> None:
+        """The next hop is connected: onward header, then the surplus,
+        then upstream reads resume — core outputs are never reordered."""
+        depot, decision = self.depot, self.decision
+        assert decision is not None
+        onward = decision.onward_bytes
+        with self.lock:
+            if self.up.closed:  # ended during the dial: a crash
+                sock.close()
+                return
+            self.down = down = depot._link(sock, self, peer=self.up)
+            if self.relay_span:
+                # traced depot: forward our relay span as the downstream
+                # parent instead of the core's verbatim onward header
+                depot._tracer.end(self.dial_span)
+                self.dial_span = 0
+                onward = decision.header.traced_onward(self.relay_span).encode()
+        down.write(onward)
+        for chunk in decision.surplus:  # payload that came with the header
+            down.write(chunk.data)
+            self.forwarded += chunk.length
+        self.up.peer = down  # relaying from here on
+        self.up.resume()
+
+    # -- end ---------------------------------------------------------------
+
+    def end(self, failure: Optional[BaseException] = None) -> None:
+        """Close both links and account for the session, once."""
+        with self.lock:
+            if self.up.closed:
+                return
+            self.up.close()
+            down = self.down
+        if self.cancel_dial is not None:
+            self.cancel_dial()
+        depot = self.depot
+        if depot._tracer is not None:
+            if self.dial_span:
+                depot._tracer.end(self.dial_span, status="error")
+            if self.relay_span:
+                depot._tracer.end(
+                    self.relay_span,
+                    status="ok" if failure is None else "error",
+                )
+        if down is not None:
+            down.close()
+        relayed = self.forwarded + self.returned
+        if relayed:
+            depot.counters.add(bytes_relayed=relayed)
+        if failure is not None:
+            header = self.core.header
+            emit(depot._observer, "relay-failed",
+                 header.short_id if header is not None else "",
+                 reason=f"{type(failure).__name__}: {failure}")
+        depot.counters.session_ended(failure is None)
+
+
+class DepotEngine:
+    """The depot both drivers run (mix in before a chassis).
 
     ``connect_timeout`` bounds the *dial* of the downstream hop only;
     once the relay is up the sockets carry no timeout, so an idle
     mid-transfer gap of any length (a stalled sender, a long
-    zero-window) never kills a healthy relay.
+    zero-window) never kills a healthy relay. The chassis supplies
+    ``address``, ``_link`` and ``_driver``; the driver supplies
+    ``_dial(relay, hop)``, which calls ``relay._dialed(sock)`` once the
+    next hop is connected.
     """
+
+    address: Any
+    _driver: str
+    _link: Callable[..., Any]
+
+    def __init__(
+        self,
+        observer: Optional[ProtocolObserver],
+        connect_timeout: float,
+        tracer: Optional[TraceSpool],
+    ) -> None:
+        self.counters = DepotCounters()
+        self._observer = observer
+        self._tracer = tracer
+        self._connect_timeout = connect_timeout
+
+    def _dial(self, relay: RelaySession, hop: RouteHop) -> None:
+        raise NotImplementedError
+
+    # -- accept hooks ------------------------------------------------------
+
+    def _open(self, sock: socket.socket) -> Any:
+        self.counters.session_started()
+        return self._link(sock, RelaySession(self))
+
+    def _on_accept_error(self, exc: OSError) -> None:
+        self.counters.add(accept_errors=1)
+        emit(self._observer, "accept-error", "",
+             error=type(exc).__name__, detail=str(exc))
+
+    # -- observability -----------------------------------------------------
+
+    def expose(self, host: str = "127.0.0.1", port: int = 0, event_log=None):
+        """Serve ``/metrics`` + ``/healthz`` + ``/events`` for this depot.
+
+        The same families and label set whichever driver runs the depot,
+        so dashboards and the diagnosis tooling cannot tell. The
+        returned server runs on its own daemon threads; callers own its
+        lifecycle (it is *not* stopped by ``shutdown``, so one
+        exposition endpoint can outlive a depot restart).
+        """
+        from repro.sockets.obs import ExpositionServer, depot_families
+
+        def collect():
+            return depot_families(self.counters.snapshot(), event_log)
+
+        def health() -> Dict[str, object]:
+            return {
+                "status": "ok",
+                "depot": f"{self.address[0]}:{self.address[1]}",
+                "driver": self._driver,
+                "active_sessions": self.counters.active_sessions,
+            }
+
+        return ExpositionServer(
+            collect, host=host, port=port, health=health,
+            event_log=event_log, trace_spool=self._tracer,
+        )
+
+
+class ThreadedDepot(DepotEngine, ThreadedService):
+    """A depot listening on ``(host, port)`` until :meth:`shutdown`."""
+
+    _thread_prefix = "lsd-accept"
 
     def __init__(
         self,
@@ -182,266 +352,20 @@ class ThreadedDepot:
         listener: Optional[socket.socket] = None,
         tracer: Optional[TraceSpool] = None,
     ) -> None:
-        # an injected listener (already bound + listening) supports the
-        # cluster's FD-handoff mode, where the parent acceptor owns the
-        # socket and workers inherit it
-        self._listener = (
-            listener
-            if listener is not None
-            else make_listener(host, port, reuse_port=reuse_port)
-        )
-        self.address: Tuple[str, int] = self._listener.getsockname()
-        self.counters = DepotCounters()
-        self._observer = observer
-        self._tracer = tracer
-        self._connect_timeout = connect_timeout
-        self._shutdown = threading.Event()
-        self._session_socks: Set[socket.socket] = set()
-        self._socks_lock = threading.Lock()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"lsd-accept-{self.address[1]}", daemon=True
-        )
-        self._accept_thread.start()
-
-    # -- accept / session ------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._shutdown.is_set():
-            try:
-                upstream, _ = self._listener.accept()
-            except OSError as exc:
-                if (
-                    self._shutdown.is_set()
-                    or exc.errno in _FATAL_ACCEPT_ERRNOS
-                ):
-                    return  # listener closed / gone
-                # Transient accept failure (EMFILE, ECONNABORTED, ...):
-                # the depot must keep accepting — exiting here would
-                # permanently wedge a depot that /healthz still calls
-                # healthy. Count it, surface it, back off briefly.
-                self.counters.add(accept_errors=1)
-                emit(self._observer, "accept-error", "",
-                     error=type(exc).__name__, detail=str(exc))
-                self._shutdown.wait(_ACCEPT_RETRY_DELAY_S)
-                continue
-            self.counters.session_started()
-            workers.run(self._session, upstream)
-
-    def _session(self, upstream: socket.socket) -> None:
-        completed = False
-        core = RelayCore(observer=self._observer)
-        self._track(upstream)
-        try:
-            decision = None
-            while decision is None:
-                data = upstream.recv(CHUNK)
-                if not data:
-                    error = core.on_upstream_fin()
-                    raise error if error is not None else ProtocolError(
-                        "upstream closed during header phase"
-                    )
-                decision = core.feed([Chunk.real(data)])
-            if isinstance(decision, RelayReject):
-                raise decision.error
-            self._relay(upstream, decision)
-            completed = True
-        except Exception as exc:
-            emit(self._observer, "relay-failed",
-                 core.header.short_id if core.header is not None else "",
-                 reason=f"{type(exc).__name__}: {exc}")
-        finally:
-            self.counters.session_ended(completed)
-            self._untrack(upstream)
-            try:
-                upstream.close()
-            except OSError:
-                pass
-
-    def _relay(self, upstream: socket.socket, decision: "RelayForward") -> None:
-        """Dial the decided next hop and pump both directions to EOF.
-
-        Owns the downstream socket for its whole life (tracked for
-        crash-abort, closed before returning) so callers only manage
-        the upstream side. Shared with the cluster node, whose sessions
-        enter here after their own header phase.
-
-        When this depot carries a tracer and the header a trace
-        context, the onward header is re-encoded with this depot's
-        relay span as the downstream parent (``traced_onward``) instead
-        of the core's precomputed verbatim forward.
-        """
-        tracer = self._tracer
-        tctx = decision.header.trace
-        relay_span = 0
-        dial_span = 0
-        onward = decision.onward_bytes
-        if tracer is not None and tctx is not None:
-            relay_span = tracer.begin(
-                "depot.relay",
-                tctx.trace_id,
-                tctx.parent_span,
-                session=decision.header.short_id,
-                depot=f"{self.address[0]}:{self.address[1]}",
-                hop=tctx.hop,
-            )
-            onward = decision.header.traced_onward(relay_span).encode()
-        downstream: Optional[socket.socket] = None
-        status = "error"
-        try:
-            nxt = decision.next_hop
-            if relay_span:
-                assert tracer is not None and tctx is not None
-                dial_span = tracer.begin(
-                    "depot.dial", tctx.trace_id, relay_span, hop=str(nxt)
-                )
-            downstream = socket.create_connection(
-                (nxt.host, nxt.port), timeout=self._connect_timeout
-            )
-            if dial_span:
-                assert tracer is not None
-                tracer.end(dial_span)
-                dial_span = 0
-            # the timeout was for the dial only: a relay must tolerate
-            # arbitrarily long mid-transfer idle gaps without dying
-            downstream.settimeout(None)
-            self._track(downstream)
-            downstream.sendall(onward)
-            relayed = 0
-            for chunk in decision.surplus:
-                assert chunk.data is not None  # real sockets carry real bytes
-                downstream.sendall(chunk.data)
-                relayed += chunk.length
-            if relayed:
-                self.counters.add(bytes_relayed=relayed)
-            # full-duplex relay: two pumps, half-close aware
-            fwd = workers.run(self._pump, upstream, downstream)
-            self._pump(downstream, upstream)
-            fwd.wait()
-            status = "ok"
-        finally:
-            if tracer is not None:
-                if dial_span:
-                    tracer.end(dial_span, status="error")
-                if relay_span:
-                    tracer.end(relay_span, status=status)
-            if downstream is not None:
-                self._untrack(downstream)
-                try:
-                    downstream.close()
-                except OSError:
-                    pass
-
-    def _track(self, sock: socket.socket) -> None:
-        with self._socks_lock:
-            self._session_socks.add(sock)
-
-    def _untrack(self, sock: socket.socket) -> None:
-        with self._socks_lock:
-            self._session_socks.discard(sock)
-
-    def _pump(self, src: socket.socket, dst: socket.socket) -> None:
-        """Copy src -> dst until EOF, then half-close dst.
-
-        The byte counter is batched per pump run — one locked update
-        instead of one per chunk, keeping the hot copy loop free of
-        lock traffic.
-        """
-        copied = 0
-        try:
-            while True:
-                data = src.recv(CHUNK)
-                if not data:
-                    break
-                dst.sendall(data)
-                copied += len(data)
-        except OSError:
-            pass
-        finally:
-            if copied:
-                self.counters.add(bytes_relayed=copied)
-            try:
-                dst.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
-
-    # -- observability -------------------------------------------------------
-
-    def expose(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        event_log: Optional["JsonEventLog"] = None,
-    ) -> "ExpositionServer":
-        """Serve ``/metrics`` + ``/healthz`` + ``/events`` for this depot.
-
-        The returned server runs on its own daemon threads; callers own
-        its lifecycle (it is *not* stopped by :meth:`shutdown`, so one
-        exposition endpoint can outlive a depot restart).
-        """
-        from repro.sockets.obs import ExpositionServer, depot_families
-
-        def collect():  # type: ignore[no-untyped-def]
-            return depot_families(self.counters.snapshot(), event_log)
-
-        def health() -> Dict[str, object]:
-            return {
-                "status": "ok",
-                "depot": f"{self.address[0]}:{self.address[1]}",
-                "driver": "threads",
-                "active_sessions": self.counters.active_sessions,
-            }
-
-        return ExpositionServer(
-            collect, host=host, port=port, health=health,
-            event_log=event_log, trace_spool=self._tracer,
+        DepotEngine.__init__(self, observer, connect_timeout, tracer)
+        ThreadedService.__init__(
+            self, host, port, reuse_port=reuse_port, listener=listener
         )
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def shutdown(self, abort_sessions: bool = False) -> None:
-        """Stop accepting; with ``abort_sessions`` also cut live relays.
-
-        The default leaves in-flight relay pumps to drain naturally
-        (their sockets close when both directions EOF). Aborting models
-        a depot crash: every tracked session socket is closed, so peers
-        see a reset mid-transfer — what the failover path exercises.
-        """
-        self._shutdown.set()
-        # shutdown() wakes an accept() blocked in the kernel (EINVAL);
-        # close() alone would leave the accept thread parked and the
-        # port in LISTEN until the next connection arrived
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if abort_sessions:
-            with self._socks_lock:
-                socks = list(self._session_socks)
-            for s in socks:
-                # shutdown() before close(): close() alone does not
-                # interrupt a pump blocked inside recv() — the kernel
-                # keeps the socket alive for the in-flight syscall and
-                # never sends the peer a FIN, so the "crashed" relay
-                # would linger invisibly
-                try:
-                    s.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    s.close()
-                except OSError:
-                    pass
-        self._accept_thread.join(timeout=5)
-
-    def __enter__(self) -> "ThreadedDepot":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+    def _dial(self, relay: RelaySession, hop: RouteHop) -> None:
+        # blocks the upstream reader, which is what pauses it
+        sock = socket.create_connection(
+            (hop.host, hop.port), timeout=self._connect_timeout
+        )
+        # the timeout was for the dial only: a relay must tolerate
+        # arbitrarily long mid-transfer idle gaps without dying
+        sock.settimeout(None)
+        relay._dialed(sock)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ThreadedDepot {self.address[0]}:{self.address[1]}>"

@@ -9,7 +9,8 @@ into a shared :class:`~repro.lsl.core.StripeAssembler`. Like the
 terminal session (:mod:`repro.sockets.terminal`) they reach the
 transport only through the sublink's link, so
 :class:`StripedThreadedServer` runs them on a pooled worker per sublink
-and :class:`repro.asockets.striped.AsyncStripedServer` from the loop's
+(the :class:`~repro.sockets.wire.ThreadedService` chassis) and
+:class:`repro.asockets.striped.AsyncStripedServer` from the loop's
 read callbacks, under the same locking rule: the engine lock around the
 table and the result lists, each session's lock around one assembler
 call, never across a read.
@@ -36,7 +37,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
-from typing import Set, Tuple, Union
+from typing import Tuple, Union
 
 from repro.lsl.core import (
     Completed,
@@ -56,13 +57,9 @@ from repro.lsl.core.errors import LslError, ProtocolError, RouteError
 from repro.lsl.core.session import new_session_id
 from repro.lsl.core.wire import HeaderAccumulator
 from repro.telemetry.tracing import TraceSpool, new_trace_id
+from repro.lsl.core.events import emit
 from repro.sockets import workers
-from repro.sockets.lsd import (
-    _ACCEPT_RETRY_DELAY_S,
-    _FATAL_ACCEPT_ERRNOS,
-    make_listener,
-)
-from repro.sockets.wire import BlockingLink, run_blocking
+from repro.sockets.wire import ThreadedService
 
 #: Finished striped sessions a server keeps findable. Sublinks of one
 #: session arrive with arbitrary skew, so a late one must still find
@@ -388,7 +385,10 @@ class StripedSublink:
 
 
 class StripedEngine:
-    """The striped-session table and its results (mix into a driver)."""
+    """The striped-session table and its results (mix in before a
+    chassis)."""
+
+    _link: Callable[..., Any]
 
     def __init__(
         self,
@@ -401,10 +401,19 @@ class StripedEngine:
         self._tracer = tracer
         self.results: List[StripedResult] = []
         self.errors: List[Exception] = []
+        self.accept_errors = 0
         self._sessions: Dict[bytes, _StripedSession] = {}
         self._finished: Deque[bytes] = deque()  # ids, oldest first
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
+
+    def _open(self, sock: Any) -> Any:
+        return self._link(sock, StripedSublink(self))
+
+    def _on_accept_error(self, exc: OSError) -> None:
+        self.accept_errors += 1
+        emit(self._observer, "accept-error", "",
+             error=type(exc).__name__, detail=str(exc))
 
     def _join(self, header: LslHeader) -> Tuple[_StripedSession, str]:
         """Find or create the session of a sublink's header and attach
@@ -493,7 +502,7 @@ class StripedEngine:
             )
 
 
-class StripedThreadedServer(StripedEngine):
+class StripedThreadedServer(StripedEngine, ThreadedService):
     """Accepts framed striped sessions; reassembles and verifies.
 
     Sublinks carrying the same session id feed one shared
@@ -501,6 +510,8 @@ class StripedThreadedServer(StripedEngine):
     ``on_session(result)`` runs on whichever sublink thread completes
     the stream.
     """
+
+    _thread_prefix = "lsl-striped-srv"
 
     def __init__(
         self,
@@ -510,56 +521,5 @@ class StripedThreadedServer(StripedEngine):
         observer: Optional[ProtocolObserver] = None,
         tracer: Optional[TraceSpool] = None,
     ) -> None:
-        super().__init__(on_session, observer, tracer)
-        self._listener = make_listener(host, port)
-        self.address: Tuple[str, int] = self._listener.getsockname()
-        self._links: Set[BlockingLink] = set()  # open sublinks, for shutdown
-        self._shutdown = threading.Event()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"lsl-striped-srv-{self.address[1]}",
-            daemon=True,
-        )
-        self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        while not self._shutdown.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError as exc:
-                if self._shutdown.is_set():
-                    return
-                if exc.errno in _FATAL_ACCEPT_ERRNOS:
-                    return
-                self._shutdown.wait(_ACCEPT_RETRY_DELAY_S)
-                continue
-            link = BlockingLink(conn)
-            with self._lock:
-                self._links.add(link)
-            workers.run(self._serve, link)
-
-    def _serve(self, link: BlockingLink) -> None:
-        try:
-            run_blocking(link, StripedSublink(self))
-        finally:
-            with self._lock:
-                self._links.discard(link)
-
-    def shutdown(self) -> None:
-        self._shutdown.set()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
-        with self._lock:
-            links = list(self._links)
-        for link in links:
-            link.close()
-        self._accept_thread.join(timeout=5.0)
-
-    def __enter__(self) -> "StripedThreadedServer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
+        StripedEngine.__init__(self, on_session, observer, tracer)
+        ThreadedService.__init__(self, host, port)

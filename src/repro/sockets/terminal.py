@@ -15,7 +15,8 @@ the granted offset.
 transport only through the sublink's *link* — ``write``, ``close``,
 ``closed`` — so ``ThreadedLslServer`` runs them from a ``recv`` loop
 (:func:`repro.sockets.wire.run_blocking`) and ``AsyncLslServer`` from a
-readiness callback (:class:`repro.asockets.runtime.Endpoint`).
+readiness callback (:class:`repro.asockets.runtime.Endpoint`); each
+driver adds only its chassis and a constructor.
 
 **The contract a driver must keep.** Two locks, each held for one call
 and never across a read: the engine lock around the accept decision,
@@ -145,17 +146,18 @@ class TerminalSublink:
 
 
 class TerminalEngine:
-    """Server-side session state and bookkeeping (mix into a driver).
+    """Server-side session state and bookkeeping (mix in before a
+    chassis).
 
-    The driver owns the listener, the accept loop, the sweeper's timer
-    and shutdown; it hands every accepted socket to a
-    :class:`TerminalSublink` behind its kind of link and calls
-    :meth:`_sweep` on its timer.
+    The chassis owns the listener, accept, the sweeper's timer and
+    shutdown; it hands every accepted socket to :meth:`_open`, which
+    puts a :class:`TerminalSublink` behind the chassis's kind of link,
+    and calls :meth:`_sweep` on its timer.
     """
 
-    #: ``/healthz`` names the driver behind the socket.
-    _driver = ""
     address: Tuple[str, int]
+    _driver: str  # ``/healthz`` names the driver behind the socket
+    _link: Callable[..., Any]
 
     def __init__(
         self,
@@ -182,6 +184,16 @@ class TerminalEngine:
         self.sessions_expired = 0
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
+
+    # -- accept hooks ------------------------------------------------------
+
+    def _open(self, sock: Any) -> Any:
+        return self._link(sock, TerminalSublink(self))
+
+    def _on_accept_error(self, exc: OSError) -> None:
+        self.accept_errors += 1
+        emit(self._observer, "accept-error", "",
+             error=type(exc).__name__, detail=str(exc))
 
     # -- sublinks ----------------------------------------------------------
 

@@ -4,8 +4,9 @@ A session used to cost a ``threading.Thread`` per accepted sublink and
 per relay pump; creating one is several times dearer than handing the
 same callable to a thread that already exists. :func:`run` does the
 latter, on one process-wide :class:`Pool`. The pool is **unbounded**: a
-task never queues behind a busy worker (a depot session submits its
-forward pump and then waits on it, so a bound could deadlock) — a new
+task never queues behind a busy worker (a relay's upstream reader
+starts its downstream reader and neither direction can finish without
+the other, so a bound could deadlock) — a new
 thread starts whenever no worker is idle. The most recently idled
 worker is taken first, so after a burst the surplus sits untouched and
 retires after ``_IDLE_TIMEOUT_S``. Workers are daemons: a session

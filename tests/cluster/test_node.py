@@ -230,6 +230,31 @@ def test_cluster_aggregated_exposition():
             assert health["workers_up"] == 2
 
 
+def test_a_killed_worker_reports_down_and_the_fleet_degraded(driver):
+    import json
+    import urllib.request
+
+    with LocalCluster(2, driver=driver) as cluster:
+        cluster.kill(0)
+        with cluster.expose() as exposer:
+            with urllib.request.urlopen(exposer.url + "/metrics") as resp:
+                text = resp.read().decode()
+            with urllib.request.urlopen(exposer.url + "/healthz") as resp:
+                health = json.loads(resp.read().decode())
+        assert 'lsl_cluster_worker_up{worker="w0"} 0' in text
+        assert 'lsl_cluster_worker_up{worker="w1"} 1' in text
+        assert health["status"] == "degraded" and health["workers_up"] == 1
+        # the survivor still serves the fleet's port
+        with LslSocketClient(
+            [cluster.address], payload_length=len(PAYLOAD)
+        ) as client:
+            client.sendall(PAYLOAD)
+            client.finish()
+        assert cluster.nodes[1].wait_for_sessions(1)
+    (result,) = cluster.nodes[1].results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+
+
 def test_memory_store_rejects_nothing_but_validates_args():
     with pytest.raises(ValueError):
         LocalCluster(0)

@@ -21,7 +21,9 @@ session can die must land in ``sessions_failed`` with an observable
 from __future__ import annotations
 
 import errno
+import os
 import socket
+import sys
 import threading
 import time
 
@@ -29,6 +31,7 @@ import pytest
 
 from repro.lsl.core.errors import ProtocolError
 from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
+from repro.sockets.client import plan_client_session
 
 PAYLOAD = bytes(range(256)) * 400  # 102_400 bytes
 
@@ -243,7 +246,7 @@ def test_abort_sessions_resets_live_relays():
             return live is not None and live.receiver.payload_received >= n
 
         assert _wait(lambda: server_got(len(PAYLOAD) // 2))
-        depot.shutdown(abort_sessions=True)
+        depot.shutdown(drain=False)
         # the client's next writes must fail fast, not block forever
         rest = PAYLOAD[len(PAYLOAD) // 2 :]
         with pytest.raises(OSError):
@@ -252,3 +255,163 @@ def test_abort_sessions_resets_live_relays():
                 time.sleep(0.01)
         client.close()
         assert _wait(lambda: depot.counters.active_sessions == 0)
+
+
+# -- one relay object: accounting under two readers, and a crash -----------
+
+
+def _whole_session(route, payload):
+    """Header, payload, trailer and FIN from a raw socket, then read the
+    server's reply to EOF; returns (bytes a depot relays, bytes read)."""
+    header, handshake, sender = plan_client_session(
+        route, payload_length=len(payload), sync=False,
+    )
+    sender.record(payload)
+    rest = payload + sender.finish()
+    raw = socket.create_connection(route[0], timeout=10)
+    try:
+        raw.sendall(handshake.initial_bytes() + rest)
+        raw.shutdown(socket.SHUT_WR)
+        got = b""
+        while True:
+            data = raw.recv(65536)
+            if not data:
+                return len(rest), got
+            got += data
+    finally:
+        raw.close()
+
+
+def test_concurrent_relays_that_end_both_ways_at_once_are_counted_once():
+    """With ``reply=`` the server answers and closes as the client's FIN
+    arrives, so both directions of every relay end together and both
+    readers race to end it: each session is accounted exactly once and
+    every byte either way is counted."""
+    n = 64
+    payloads = [os.urandom(8192 + i) for i in range(n)]
+    totals = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: shake the race
+    try:
+        with ThreadedLslServer(reply=b"THANKS") as server:
+            with ThreadedDepot() as depot:
+                route = [depot.address, server.address]
+
+                def one(payload):
+                    totals.append(_whole_session(route, payload))
+
+                clients = [
+                    threading.Thread(target=one, args=(p,)) for p in payloads
+                ]
+                for client in clients:
+                    client.start()
+                for client in clients:
+                    client.join(30)
+                assert not any(client.is_alive() for client in clients)
+                assert server.wait_for_sessions(n, timeout=10)
+                assert _wait(lambda: depot.counters.active_sessions == 0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [reply for _, reply in totals] == [b"THANKS"] * n
+    assert not server.errors and len(server.results) == n
+    counters = depot.counters
+    assert counters.sessions_completed == n
+    assert counters.sessions_failed == 0
+    assert counters.active_sessions == 0
+    assert counters.bytes_relayed == sum(
+        forward + len(reply) for forward, reply in totals
+    )
+
+
+@pytest.mark.parametrize("driver", ["threads", "asyncio"])
+def test_a_crash_fails_a_live_relay_once(driver):
+    from repro.asockets import AsyncDepot
+
+    observer = RecordingObserver()
+    depot_cls = AsyncDepot if driver == "asyncio" else ThreadedDepot
+    with ThreadedLslServer() as server:
+        depot = depot_cls(observer=observer)
+        client = LslSocketClient(
+            [depot.address, server.address], payload_length=len(PAYLOAD)
+        )
+        try:
+            client.sendall(PAYLOAD[: len(PAYLOAD) // 2])
+
+            def server_got(n):
+                record = server.registry.get(client.header.session_id)
+                live = getattr(record, "attachment", None) if record else None
+                return live is not None and live.receiver.payload_received >= n
+
+            assert _wait(lambda: server_got(len(PAYLOAD) // 2))
+            depot.shutdown(drain=False)
+            assert _wait(lambda: depot.counters.active_sessions == 0)
+        finally:
+            client.close()
+    assert depot.counters.sessions_failed == 1
+    assert depot.counters.sessions_completed == 0
+    assert observer.kinds().count("relay-failed") == 1
+
+
+# -- every service survives, counts and reports transient accept errors ----
+
+
+def _services():
+    from repro.asockets import AsyncDepot, AsyncLslServer, AsyncStripedServer
+    from repro.sockets import StripedThreadedServer
+
+    return {
+        ("depot", "threads"): ThreadedDepot,
+        ("depot", "asyncio"): AsyncDepot,
+        ("server", "threads"): ThreadedLslServer,
+        ("server", "asyncio"): AsyncLslServer,
+        ("striped", "threads"): StripedThreadedServer,
+        ("striped", "asyncio"): AsyncStripedServer,
+    }
+
+
+@pytest.mark.parametrize("kind", ["depot", "server", "striped"])
+@pytest.mark.parametrize("driver", ["threads", "asyncio"])
+def test_every_service_survives_counts_and_reports_accept_errors(
+    kind, driver
+):
+    from repro.sockets import send_striped
+
+    observer = RecordingObserver()
+    with ThreadedLslServer() as sink:
+        with _services()[kind, driver](observer=observer) as service:
+            real = service._accept
+            left = [2]
+
+            def flaky():
+                if left[0]:
+                    left[0] -= 1
+                    raise OSError(errno.EMFILE, "injected transient failure")
+                return real()
+
+            service._accept = flaky
+            # a threaded accept is already waiting inside the real
+            # accept(), an asyncio one waits for readiness: one
+            # throwaway connection gets either to the patched seam
+            _flush_pending_accept(service.address)
+            # a depot counts in its DepotCounters, a server on itself
+            counts = getattr(service, "counters", service)
+            assert _wait(lambda: counts.accept_errors == 2)
+            # and it keeps serving
+            if kind == "striped":
+                send_striped([[service.address]], PAYLOAD)
+                assert service.wait_for_sessions(1, timeout=10)
+                (result,) = service.results
+            else:
+                route = [service.address]
+                if kind == "depot":
+                    route.append(sink.address)
+                with LslSocketClient(route, payload_length=len(PAYLOAD)) as c:
+                    c.sendall(PAYLOAD)
+                    c.finish()
+                target = sink if kind == "depot" else service
+                assert _wait(lambda: len(target.results) == 1, timeout=10)
+                (result,) = target.results
+            assert result.payload == PAYLOAD and result.digest_ok is True
+    assert counts.accept_errors == 2
+    assert observer.kinds().count("accept-error") == 2
+    assert observer.detail_for("accept-error")["error"] == "OSError"

@@ -1,10 +1,12 @@
 """The session objects against a scripted link: no sockets, no clocks.
 
-``TerminalSublink``, ``StripedSublink`` and ``NodeSublink`` touch the
-transport only through their link's ``write`` / ``close`` / ``closed``,
-so a fake link that records both can replay any delivery schedule —
-every cut of a stream, a reset before the header, bytes on a displaced
-sublink — and the outcome is asserted by counts.
+``TerminalSublink``, ``StripedSublink``, ``NodeSublink`` and the depot's
+``RelaySession`` touch the transport only through their links
+(``write`` / ``close`` / ``closed``, and for a relay ``peer`` / ``eof``
+/ ``finish``), so a fake link that records them can replay any delivery
+schedule — every cut of a stream, a reset before the header, bytes on a
+displaced sublink, both directions ending — and the outcome is asserted
+by counts.
 """
 
 import struct
@@ -13,14 +15,21 @@ import pytest
 
 from repro.cluster import InMemoryStore
 from repro.cluster.node import NodeSublink, StoreNode
-from repro.lsl.core import SESSION_ACK, real_digest_factory
+from repro.lsl.core import (
+    SESSION_ACK,
+    Chunk,
+    RelayCore,
+    TraceContext,
+    real_digest_factory,
+)
 from repro.lsl.core.errors import ProtocolError
 from repro.lsl.core.wire import LslHeader, RouteHop
 from repro.sockets.client import plan_client_session
-from repro.sockets.lsd import DepotCounters
+from repro.sockets.lsd import DepotCounters, DepotEngine, RelaySession
 from repro.sockets.striped import StripedEngine, StripedSublink, _StripedSend
 from repro.sockets.striped import _frame_of
 from repro.sockets.terminal import TerminalEngine, TerminalSublink
+from repro.sockets.wire import SHUTDOWN
 from repro.telemetry.tracing import TraceSpool
 
 SID = bytes(range(16))
@@ -31,13 +40,23 @@ ME = [("server", 9)]
 class FakeLink:
     """Records what a session object does to its transport."""
 
-    def __init__(self):
-        self.closed = False
+    def __init__(self, peer=None):
+        self.closed = self.eof = self.finished = False
+        self.peer = peer
         self.written = b""
 
     def write(self, data):
         assert not self.closed, "write after close"
         self.written += bytes(data)
+
+    def finish(self):
+        self.finished = True
+
+    def pause(self):
+        pass
+
+    def resume(self):
+        pass
 
     def close(self):
         self.closed = True
@@ -318,9 +337,9 @@ class FakeNode(StoreNode):
         self._observer = self._tracer = None
         self.handed_over = []
 
-    def _hand_over(self, link, header, surplus):
-        self.handed_over.append((link, header, surplus))
-        return False
+    def _dial(self, relay, hop):
+        surplus = b"".join(chunk.data for chunk in relay.decision.surplus)
+        self.handed_over.append((relay.up, relay.decision.header, surplus))
 
 
 def test_node_sublink_hands_a_relay_over_once_with_the_surplus():
@@ -384,3 +403,125 @@ def test_node_sublink_resume_primes_the_digest_from_the_spool():
     assert result.rebinds == 1 and link.closed
     assert second.counters.takeovers == 1
     assert second.counters.sessions_completed == 1
+
+
+# -- RelaySession -------------------------------------------------------------
+
+RELAYED = [("depot", 1), ("server", 9)]
+
+
+class FakeDepot(DepotEngine):
+    """A depot whose every dial connects at once, to a fake link."""
+
+    address = ("depot", 1)
+    _driver = "fake"
+
+    def __init__(self, tracer=None):
+        self.events = []
+        super().__init__(self.events.append, 30.0, tracer)
+        self.dials = []
+
+    def _dial(self, relay, hop):
+        self.dials.append(hop)
+        relay._dialed(None)
+
+    def _link(self, sock, owner, peer=None):
+        return FakeLink(peer)
+
+    def failures(self):
+        return [e for e in self.events if e.kind == "relay-failed"]
+
+
+def _relay(tracer=None):
+    depot = FakeDepot(tracer)
+    depot.counters.session_started()  # what _open counts
+    return depot, FakeLink(), RelaySession(depot)
+
+
+def _relaying(stream):
+    """A relay that has dialed and forwarded the whole ``stream``."""
+    depot, up, relay = _relay()
+    relay.received(up, stream)
+    assert relay.down is not None and up.peer is relay.down
+    return depot, up, relay
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_relay_header_cut_at_every_byte_dials_once(traced):
+    trace = TraceContext(bytes(16), 7, 0) if traced else None
+    stream = _stream(route=RELAYED, trace=trace)
+    header_len = len(stream) - len(PAYLOAD) - 16
+    decision = RelayCore().feed([Chunk.real(stream[:header_len])])
+    for cut in range(1, len(stream)):
+        tracer = TraceSpool("depot") if traced else None
+        depot, up, relay = _relay(tracer)
+        for piece in (stream[:cut], stream[cut:]):
+            relay.received(up, piece)
+        assert depot.dials == [RouteHop("server", 9)], cut
+        onward = decision.onward_bytes
+        if traced:
+            onward = decision.header.traced_onward(relay.relay_span).encode()
+            assert onward != decision.onward_bytes
+        # the onward header, then the surplus, then every later byte
+        assert relay.down.written == onward + stream[header_len:], cut
+        assert [e.kind for e in depot.events] == ["relay-forward"]
+        assert not up.closed
+
+
+def test_eof_in_both_directions_ends_the_relay_once_and_completed():
+    stream = _stream(route=RELAYED)
+    header_len = len(stream) - len(PAYLOAD) - 16
+    depot, up, relay = _relaying(stream)
+    down = relay.down
+    relay.received(down, b"REPLY")
+    assert up.written == b"REPLY"
+    up.eof = True
+    relay.ended(up)
+    # a half-close is passed on; the reverse direction still flows
+    assert down.finished and not up.closed and not down.closed
+    relay.received(down, b"MORE")
+    down.eof = True
+    relay.ended(down)
+    relay.ended(up)  # both readers may report the end
+    assert up.finished and up.closed and down.closed
+    counters = depot.counters
+    assert (counters.sessions_completed, counters.sessions_failed) == (1, 0)
+    assert counters.active_sessions == 0
+    assert counters.bytes_relayed == len(stream) - header_len + 9
+    assert not depot.failures()
+
+
+def test_a_reset_while_relaying_counts_as_completed():
+    depot, up, relay = _relaying(_stream(route=RELAYED))
+    relay.broken(relay.down, ConnectionResetError("peer reset"))
+    relay.broken(up, ConnectionResetError("peer reset"))
+    assert up.closed and relay.down.closed
+    assert depot.counters.sessions_completed == 1
+    assert depot.counters.sessions_failed == 0 and not depot.failures()
+
+
+def test_a_shutdown_while_relaying_counts_as_failed_once():
+    depot, up, relay = _relaying(_stream(route=RELAYED))
+    relay.broken(up, SHUTDOWN)
+    relay.broken(relay.down, SHUTDOWN)
+    assert up.closed and relay.down.closed
+    assert depot.counters.sessions_failed == 1
+    assert depot.counters.sessions_completed == 0
+    assert depot.counters.active_sessions == 0
+    (event,) = depot.failures()
+    assert "service shutdown" in event.detail["reason"]
+
+
+@pytest.mark.parametrize("ending", ["rejected", "fin"])
+def test_a_relay_that_fails_its_header_phase_never_dials(ending):
+    depot, up, relay = _relay()
+    if ending == "rejected":
+        relay.received(up, b"NOPE" + bytes(60))
+    else:
+        relay.received(up, _stream(route=RELAYED)[:10])
+        up.eof = True
+        relay.ended(up)
+    assert not depot.dials and relay.down is None and up.closed
+    assert depot.counters.sessions_failed == 1
+    assert depot.counters.sessions_completed == 0
+    assert len(depot.failures()) == 1
