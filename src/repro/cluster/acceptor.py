@@ -17,7 +17,8 @@ Differences forced by distribution:
 * The granted resume offset is the store's ``bytes_received`` — the
   durably spooled prefix — not whatever a live receiver had in memory.
   The decision carries ``prefix_length`` so the worker can rebuild
-  receiver state (including the running MD5) by re-feeding the spool.
+  receiver state (including the running MD5) by re-feeding the spool,
+  or check that the session it parked holds exactly that prefix.
 * A restart (fresh connect reusing a live id after a lost
   SESSION_ACK) resets the stored record **and truncates the spool**:
   the old accumulated digest prefix must not survive into the
@@ -56,8 +57,9 @@ class StoreAcceptResume:
     """Rebind accepted; ownership now belongs to the deciding worker.
 
     ``prefix_length`` bytes of already-spooled payload must be re-fed
-    into a fresh receiver before the sublink's live bytes; ``reply``
-    already grants exactly that offset. ``takeover`` marks a
+    into a fresh receiver before the sublink's live bytes, unless the
+    deciding worker parked the session at exactly that offset (see
+    :mod:`repro.cluster.node`); ``reply`` already grants that offset. ``takeover`` marks a
     cross-worker claim (the counter the cluster dashboards watch).
     """
 

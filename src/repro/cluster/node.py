@@ -15,14 +15,22 @@ length and rebuild the receiver — running MD5 included — by re-feeding
 the spool. The digest is never serialized; the spooled bytes are its
 only portable representation.
 
+The worker that suspended a session needs no portable form: it parks
+the suspended :class:`_TerminalSession` — receiver and running MD5 as
+they stand — in a table of at most :data:`PARKED_SESSIONS`, oldest
+dropped first. A rebind the store grants back to it at the very next
+epoch and at the parked offset re-attaches that session and reads
+nothing back; any other rebind (a takeover, a claim in between, an
+entry already dropped) re-feeds the spool, so a miss costs only time.
+
 Everything here but :class:`ClusterNode` itself is shared with the
 asyncio worker (:mod:`repro.cluster.anode`): :class:`_TerminalSession`
 (the store-backed bookkeeping), :class:`NodeSublink` (one accepted
 sublink, run from a ``recv`` loop here and from a read callback there,
 which hands an intermediate-hop link to the depot's
 :class:`~repro.sockets.lsd.RelaySession` by making it the link's owner)
-and :class:`StoreNode` (the worker's state, ``_open``, sweep and
-counters). :class:`ClusterNode` is that over
+and :class:`StoreNode` (the worker's state, parked sessions, ``_open``,
+sweep and counters). :class:`ClusterNode` is that over
 :class:`~repro.sockets.lsd.ThreadedDepot` — a constructor. Store
 calls are short blocking operations (bounded by checkpoint batching);
 the asyncio driver accepts them in-loop for the same reason it accepts
@@ -35,7 +43,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.lsl.core import (
     Chunk,
@@ -69,6 +77,13 @@ from repro.telemetry.tracing import TraceSpool
 #: per-read hot path while bounding client re-send after failover.
 DEFAULT_CHECKPOINT_BYTES = 256 * 1024
 
+#: How many suspended sessions a worker keeps in memory for a rebind
+#: that lands back on it. Each holds its delivered prefix, so this is
+#: the bound on what parking costs: this many times the largest
+#: suspended prefix. A miss only costs the spool read, so the oldest
+#: entry is dropped without asking anyone.
+PARKED_SESSIONS = 16
+
 
 class _TerminalSession:
     """Driver-agnostic state for one store-backed terminal session."""
@@ -85,34 +100,9 @@ class _TerminalSession:
     ) -> None:
         self.store = store
         self.worker = worker
-        self.header = header
         self.session_id = header.session_id
-        self.epoch = decision.record.epoch
-        self.reply = decision.reply
         self.checkpoint_bytes = checkpoint_bytes
-        self.takeover = (
-            isinstance(decision, StoreAcceptResume) and decision.takeover
-        )
-        self.tracer = tracer if header.trace is not None else None
-        self.span = 0
-        if self.tracer is not None:
-            tctx = header.trace
-            assert tctx is not None
-            self.span = self.tracer.begin(
-                "server.session",
-                tctx.trace_id,
-                tctx.parent_span,
-                session=header.short_id,
-                worker=worker,
-                rebind=header.rebind,
-                hop=tctx.hop,
-            )
-            if isinstance(decision, StoreAcceptResume):
-                self.tracer.instant(
-                    "server.resume-grant", tctx.trace_id, self.span,
-                    granted=decision.prefix_length,
-                    takeover=decision.takeover,
-                )
+        self._attach(header, decision, tracer)
         receiver: Union[PayloadReceiver, FramedReceiver]
         if header.framed:
             receiver = FramedReceiver(header, observer)
@@ -126,6 +116,67 @@ class _TerminalSession:
         self.ownership_lost = False
         if isinstance(decision, StoreAcceptResume) and decision.prefix_length:
             self._prime(store.payload(self.session_id))
+
+    def _attach(
+        self,
+        header: LslHeader,
+        decision: StoreDecision,
+        tracer: Optional[TraceSpool],
+    ) -> None:
+        """Take what a sublink's header and the store's decision set:
+        epoch, reply, takeover, tracing and the ``server.session`` span.
+        A fresh session and a parked one resumed here both come
+        through this, so the two paths trace and report alike."""
+        self.header = header
+        self.epoch = decision.record.epoch
+        self.reply = decision.reply
+        self.takeover = (
+            isinstance(decision, StoreAcceptResume) and decision.takeover
+        )
+        self.tracer = tracer if header.trace is not None else None
+        self.span = 0
+        if self.tracer is not None:
+            tctx = header.trace
+            assert tctx is not None
+            self.span = self.tracer.begin(
+                "server.session",
+                tctx.trace_id,
+                tctx.parent_span,
+                session=header.short_id,
+                worker=self.worker,
+                rebind=header.rebind,
+                hop=tctx.hop,
+            )
+            if isinstance(decision, StoreAcceptResume):
+                self.tracer.instant(
+                    "server.resume-grant", tctx.trace_id, self.span,
+                    granted=decision.prefix_length,
+                    takeover=decision.takeover,
+                )
+
+    def resumes(self, header: LslHeader, decision: StoreDecision) -> bool:
+        """Whether this parked session is exactly what ``decision``
+        grants: this worker's own rebind at the very next epoch, at the
+        offset the receiver holds, with the same framing. Anything else
+        (a takeover, or a claim in between) goes back to the spool."""
+        return (
+            isinstance(decision, StoreAcceptResume)
+            and not decision.takeover
+            and decision.record.epoch == self.epoch + 1
+            and decision.prefix_length == self.receiver.payload_received
+            and header.framed == self.header.framed
+        )
+
+    def resume(
+        self,
+        header: LslHeader,
+        decision: StoreDecision,
+        tracer: Optional[TraceSpool],
+    ) -> None:
+        """Re-attach a parked session to a rebind that :meth:`resumes`:
+        its receiver, MD5 included, carries over as it stands."""
+        self.receiver.rebind(header)
+        self._attach(header, decision, tracer)
 
     def _prime(self, prefix: bytes) -> None:
         """Rebuild receiver state (offset + MD5) from the spool.
@@ -291,7 +342,7 @@ class NodeSublink:
     accounts for the session from then on.
     """
 
-    __slots__ = ("node", "acc", "term", "short_id", "rebinds")
+    __slots__ = ("node", "acc", "term", "short_id", "rebinds", "lock", "done")
 
     def __init__(self, node: "StoreNode") -> None:
         self.node = node
@@ -299,15 +350,21 @@ class NodeSublink:
         self.term: Optional[_TerminalSession] = None
         self.short_id = ""
         self.rebinds = 0
+        self.lock = threading.Lock()
+        self.done = False
 
     def _terminal(self, header: LslHeader) -> _TerminalSession:
         node = self.node
         decision = node._acceptor.decide(header, time.time())
+        parked = node._unpark(header.session_id)
         if isinstance(decision, RejectSession):
             raise decision.error
         if isinstance(decision, StoreAcceptResume) and decision.takeover:
             node.counters.add(takeovers=1)
         self.rebinds = decision.record.rebinds
+        if parked is not None and parked.resumes(header, decision):
+            parked.resume(header, decision, node._tracer)
+            return parked
         return _TerminalSession(
             node._store,
             node.worker,
@@ -368,16 +425,16 @@ class NodeSublink:
         self, link: Any, status: str,
         failure: Optional[BaseException] = None,
     ) -> None:
+        with self.lock:
+            if self.done:
+                return  # a crash's ``broken`` raced the reader's own end
+            self.done = True
         node, term = self.node, self.term
         if status == "completed" and term is not None:
-            if node.reply is not None:
-                link.write(node.reply)
-            result = term.result(rebinds=self.rebinds)
-            with node._results_lock:
-                node.results.append(result)
-                node._done.notify_all()
-            if node.on_session is not None:
-                node.on_session(result)
+            try:
+                self._deliver(link, term)
+            except Exception as exc:
+                status, failure = "failed", exc
         if term is not None:
             term.finish_trace(status)
         if failure is not None:
@@ -390,6 +447,22 @@ class NodeSublink:
         else:
             node.counters.session_ended(False)
         link.close()
+        if status == "suspended" and term is not None:
+            if not term.ownership_lost:
+                # last: this sublink is done with the session, so a
+                # rebind may take it from here
+                node._park(term)
+
+    def _deliver(self, link: Any, term: _TerminalSession) -> None:
+        node = self.node
+        if node.reply is not None:
+            link.write(node.reply)
+        result = term.result(rebinds=self.rebinds)
+        with node._results_lock:
+            node.results.append(result)
+            node._done.notify_all()
+        if node.on_session is not None:
+            node.on_session(result)
 
 
 class StoreNode:
@@ -437,6 +510,22 @@ class StoreNode:
         self.results: List[SessionResult] = []
         self._results_lock = threading.Lock()
         self._done = threading.Condition(self._results_lock)
+        self._parked: Dict[bytes, _TerminalSession] = {}
+        self._parked_lock = threading.Lock()
+
+    def _park(self, term: _TerminalSession) -> None:
+        """Keep a suspended session for a rebind on this worker."""
+        with self._parked_lock:
+            self._parked.pop(term.session_id, None)
+            self._parked[term.session_id] = term
+            if len(self._parked) > PARKED_SESSIONS:
+                del self._parked[next(iter(self._parked))]
+
+    def _unpark(self, session_id: bytes) -> Optional[_TerminalSession]:
+        """Take the parked session ``session_id``, if any: every
+        decision on an id ends its parking, used or not."""
+        with self._parked_lock:
+            return self._parked.pop(session_id, None)
 
     def _open(self, sock: socket.socket) -> Any:
         self.counters.session_started()

@@ -7,7 +7,9 @@ worker has durably checkpointed. Together they make a session
 resumable **anywhere**: a rebind landing on any worker loads the
 record, grants the spool length as the negotiated resume offset, and
 reconstructs the receiver (including the running MD5) by re-feeding
-the spool through a fresh :class:`~repro.lsl.core.PayloadReceiver`.
+the spool through a fresh :class:`~repro.lsl.core.PayloadReceiver` —
+unless that worker suspended the session itself and still holds its
+receiver (:mod:`repro.cluster.node`), when the spool is not read.
 Hash state never needs to be serialized — the bytes themselves are the
 only portable representation of an MD5 in progress.
 

@@ -143,6 +143,54 @@ def test_same_node_suspend_resume(driver):
     assert node.counters.takeovers == 0  # same worker: not a takeover
 
 
+class CountingStore(InMemoryStore):
+    """Counts spool read-backs (the resume path that re-feeds them)."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def payload(self, session_id):
+        self.reads += 1
+        return super().payload(session_id)
+
+
+def test_a_worker_resumes_the_sessions_it_parked_from_memory(driver):
+    cut = 120_000
+    store = CountingStore()
+    with LocalCluster(1, store=store, driver=driver) as cluster:
+        (node,) = cluster.nodes
+        for i in range(20):
+            sid = bytes([i]) * 16
+            with LslSocketClient(
+                [cluster.address], payload_length=len(PAYLOAD),
+                session_id=sid,
+            ) as client:
+                client.sendall(PAYLOAD[:cut])
+            # parked only once the sublink is done with it, after the
+            # spool has the prefix
+            assert _wait(lambda: sid in node._parked)
+            with LslSocketClient(
+                [cluster.address],
+                payload_length=len(PAYLOAD),
+                session_id=sid,
+                rebind=True,
+                resume_query=True,
+                digest_factory=real_digest_factory(PAYLOAD),
+            ) as client:
+                assert client.granted_offset == cut
+                client.sendall(PAYLOAD[cut:])
+                client.finish()
+        assert node.wait_for_sessions(20)
+        assert store.reads == 0
+    assert [r.session_id for r in node.results] == [
+        bytes([i]) * 16 for i in range(20)
+    ]
+    for result in node.results:
+        assert result.payload == PAYLOAD and result.digest_ok is True
+        assert result.rebinds == 1
+
+
 def test_session_ttl_expires_suspended_session(driver):
     store = InMemoryStore()
     with _make_node(

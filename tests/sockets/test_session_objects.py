@@ -14,7 +14,7 @@ import struct
 import pytest
 
 from repro.cluster import InMemoryStore
-from repro.cluster.node import NodeSublink, StoreNode
+from repro.cluster.node import PARKED_SESSIONS, NodeSublink, StoreNode
 from repro.lsl.core import (
     SESSION_ACK,
     Chunk,
@@ -23,6 +23,7 @@ from repro.lsl.core import (
     real_digest_factory,
 )
 from repro.lsl.core.errors import ProtocolError
+from repro.lsl.core.framing import encode_frame_header
 from repro.lsl.core.wire import LslHeader, RouteHop
 from repro.sockets.client import plan_client_session
 from repro.sockets.lsd import DepotCounters, DepotEngine, RelaySession
@@ -331,10 +332,11 @@ def test_striped_sublink_drains_after_completion():
 
 
 class FakeNode(StoreNode):
-    def __init__(self, store, worker="w0", checkpoint_bytes=64):
+    def __init__(self, store, worker="w0", checkpoint_bytes=64, tracer=None):
         super().__init__(store, worker, None, None, checkpoint_bytes, None, None)
         self.counters = DepotCounters()
-        self._observer = self._tracer = None
+        self._observer = None
+        self._tracer = tracer
         self.handed_over = []
 
     def _dial(self, relay, hop):
@@ -403,6 +405,198 @@ def test_node_sublink_resume_primes_the_digest_from_the_spool():
     assert result.rebinds == 1 and link.closed
     assert second.counters.takeovers == 1
     assert second.counters.sessions_completed == 1
+
+
+class CountingStore(InMemoryStore):
+    """An in-memory store that counts spool read-backs: what a resume
+    costs when it rebuilds the receiver from the spool."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def payload(self, session_id):
+        self.reads += 1
+        return super().payload(session_id)
+
+
+def _on_wire(data, offset, framed):
+    """``data`` (payload from ``offset``, or the trailer) as a sublink
+    carries it."""
+    if not framed:
+        return data
+    return encode_frame_header(offset, len(data)) + data
+
+
+def _suspended(node, cut, sid=SID, framed=False, trace=None):
+    """A first sublink to ``node`` that delivers ``cut`` bytes, then
+    FINs mid-payload."""
+    header, _, _ = plan_client_session(
+        ME, payload_length=len(PAYLOAD), session_id=sid, framed=framed,
+        trace=trace,
+    )
+    link, sublink = FakeLink(), NodeSublink(node)
+    sublink.received(link, header.encode() + _on_wire(PAYLOAD[:cut], 0, framed))
+    sublink.ended(link)
+    assert link.closed
+    return sublink
+
+
+def _resumed(node, sid=SID, framed=False, trace=None, upto=None,
+             hashed=PAYLOAD):
+    """A resume-query rebind to ``node`` that sends from the grant up to
+    ``upto`` (the trailer too when ``upto`` is None); the client's MD5
+    covers ``hashed``."""
+    header, _, sender = plan_client_session(
+        ME, payload_length=len(PAYLOAD), session_id=sid, rebind=True,
+        resume_query=True, digest_factory=real_digest_factory(hashed),
+        framed=framed, trace=trace,
+    )
+    link, sublink = FakeLink(), NodeSublink(node)
+    sublink.received(link, header.encode())
+    assert link.written[:1] == SESSION_ACK
+    (granted,) = struct.unpack(">Q", link.written[1:9])
+    if upto is not None:
+        sublink.received(link, _on_wire(PAYLOAD[granted:upto], granted, framed))
+        sublink.ended(link)
+        return link, sublink, granted
+    sender.rebase(granted)
+    sender.record(hashed[granted:])
+    sublink.received(
+        link,
+        _on_wire(PAYLOAD[granted:], granted, framed)
+        + _on_wire(sender.finish(), len(PAYLOAD), framed),
+    )
+    return link, sublink, granted
+
+
+@pytest.mark.parametrize("framed", [False, True])
+def test_a_rebind_on_the_parking_worker_reads_no_spool(framed):
+    store = CountingStore()
+    node = FakeNode(store)
+    first = _suspended(node, 200, framed=framed)
+    assert node.counters.sessions_suspended == 1 and node._parked
+    link, sublink, granted = _resumed(node, framed=framed)
+    assert granted == 200 and sublink.term is first.term
+    assert store.reads == 0
+    (result,) = node.results
+    # the MD5 the parked receiver ran over the first sublink's bytes
+    # carries on over the rebind's
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert result.rebinds == 1 and link.closed
+    assert node.counters.sessions_completed == 1
+    assert node.counters.takeovers == 0 and not node._parked
+
+
+def test_a_wrong_trailer_after_a_warm_resume_fails_the_session():
+    store = CountingStore()
+    node = FakeNode(store)
+    _suspended(node, 200)
+    link, _, granted = _resumed(node, hashed=bytes(len(PAYLOAD)))
+    assert granted == 200 and store.reads == 0
+    assert link.closed and not node.results
+    assert node.counters.sessions_failed == 1
+    assert store.load(SID).closed  # the id cannot be resumed again
+
+
+def test_a_takeover_reads_the_spool_once():
+    store = CountingStore()
+    w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
+    _suspended(w0, 200)
+    _, _, granted = _resumed(w1)
+    assert granted == 200 and store.reads == 1
+    (result,) = w1.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert w1.counters.takeovers == 1
+
+
+@pytest.mark.parametrize("claimed_by", ["w1", "w0"])
+def test_a_parked_session_claimed_since_is_resumed_from_the_spool(claimed_by):
+    store = CountingStore()
+    w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
+    _suspended(w0, 200)  # parked on w0 at epoch 1
+    if claimed_by == "w1":
+        # taken over, 100 more bytes, suspended again over there
+        _resumed(w1, upto=300)
+        expected, reads = 300, 1
+    else:
+        # a rebind here that overtook the park: same owner, same offset,
+        # but a later epoch than the parked one
+        assert store.claim(SID, "w0", 0.0).epoch == 2
+        expected, reads = 200, 0
+    _, sublink, granted = _resumed(w0)
+    assert granted == expected and store.reads == reads + 1
+    (result,) = w0.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert result.rebinds == 2
+
+
+@pytest.mark.parametrize("first_traced", [False, True])
+def test_a_warm_resume_traces_like_a_cold_one(first_traced):
+    """The rebind's header sets tracing, not the first sublink's."""
+
+    def rebind_records(warm):
+        tracer = TraceSpool("node")
+        store = CountingStore()
+        node = FakeNode(store, tracer=tracer)
+        first = TraceContext(bytes(16), 5, 0) if first_traced else None
+        _suspended(node, 200, trace=first)
+        if not warm:
+            node._parked.clear()
+        since = tracer.total_records
+        _resumed(node, trace=TraceContext(bytes(16), 7, 0))
+        (result,) = node.results
+        assert result.digest_ok is True and result.route_len == 1
+        assert store.reads == (0 if warm else 1)
+        assert tracer.open_span_count() == 0
+        return [
+            (r["rt"], r["name"], r["parent"] == 7, r["attrs"])
+            for r in tracer.tail(since=since)
+        ]
+
+    warm = rebind_records(warm=True)
+    assert [name for _, name, _, _ in warm] == [
+        "server.session", "server.resume-grant", "store.cas", "store.cas",
+        "server.session",
+    ]
+    assert warm == rebind_records(warm=False)
+
+
+@pytest.mark.parametrize("ending", ["abandoned", "taken-over"])
+def test_parked_sessions_stay_bounded(ending):
+    store = InMemoryStore()
+    w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")  # no TTL sweep
+    sids = [i.to_bytes(16, "big") for i in range(200)]
+    for sid in sids:
+        _suspended(w0, 100, sid=sid)
+        if ending == "taken-over":
+            _resumed(w1, sid=sid)
+        assert len(w0._parked) <= PARKED_SESSIONS
+    assert list(w0._parked) == sids[-PARKED_SESSIONS:]
+    assert not w1._parked
+
+
+@pytest.mark.parametrize("suspend_first", [True, False])
+def test_a_crash_racing_a_suspend_accounts_the_sublink_once(suspend_first):
+    node = FakeNode(InMemoryStore())
+    stream = _stream()
+    header_len = len(stream) - len(PAYLOAD) - 16
+    link, sublink = FakeLink(), NodeSublink(node)
+    sublink.received(link, stream[: header_len + 200])
+    if suspend_first:
+        sublink._finish(link, "suspended")
+        sublink.broken(link, SHUTDOWN)
+    else:
+        sublink.broken(link, SHUTDOWN)
+        sublink._finish(link, "suspended")
+    counters = node.counters
+    outcomes = (
+        counters.sessions_suspended, counters.sessions_failed,
+        counters.sessions_completed,
+    )
+    assert outcomes == ((1, 0, 0) if suspend_first else (0, 1, 0))
+    assert len(node._parked) == (1 if suspend_first else 0)
+    assert link.closed
 
 
 # -- RelaySession -------------------------------------------------------------
