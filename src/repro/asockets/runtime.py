@@ -68,14 +68,12 @@ def dial(sock: socket.socket, address: Tuple[str, int]) -> bool:
     return connected(sock)
 
 
-async def connect_by(
-    sock: socket.socket, address: Tuple[str, int], timeout: float
+async def _ready_by(
+    sock: socket.socket, writing: bool, timeout: float, what: str
 ) -> None:
-    """Connect under a deadline, trying first: only a dial the kernel
-    has not finished costs a future, a writer (by fd) and a timer whose
-    expiry fails the future (no second task, as ``wait_for`` spawns)."""
-    if dial(sock, address):
-        return
+    """Wait until the kernel has done what ``sock`` waits for: a
+    future, one writer or reader (by fd) and a timer whose expiry fails
+    the future (no second task, as ``wait_for`` spawns)."""
     loop = asyncio.get_running_loop()
     done = loop.create_future()
 
@@ -88,18 +86,41 @@ async def connect_by(
             done.set_exception(exc)
 
     fd = sock.fileno()
-    loop.add_writer(fd, settle)
-    deadline = loop.call_later(
-        timeout, settle, asyncio.TimeoutError(f"connect to {address}")
-    )
+    if writing:
+        add, remove = loop.add_writer, loop.remove_writer
+    else:
+        add, remove = loop.add_reader, loop.remove_reader
+    add(fd, settle)
+    deadline = loop.call_later(timeout, settle, asyncio.TimeoutError(what))
     try:
         await done
     finally:
         deadline.cancel()
-        loop.remove_writer(fd)
+        remove(fd)
+
+
+async def connect_by(
+    sock: socket.socket, address: Tuple[str, int], timeout: float
+) -> None:
+    """Connect under a deadline, trying first: only a dial the kernel
+    has not finished waits for the loop (:func:`_ready_by`)."""
+    if dial(sock, address):
+        return
+    await _ready_by(sock, True, timeout, f"connect to {address}")
     err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
     if err:
         raise OSError(err, os.strerror(err))
+
+
+async def recv_by(sock: socket.socket, n: int, timeout: float) -> bytes:
+    """Read at most ``n`` bytes under a deadline, trying first: only a
+    read the kernel cannot answer yet waits for the loop."""
+    while True:
+        try:
+            return sock.recv(n)
+        except (BlockingIOError, InterruptedError):
+            pass
+        await _ready_by(sock, False, timeout, "session establishment")
 
 
 class Endpoint:

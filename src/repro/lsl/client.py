@@ -5,12 +5,11 @@ the server for a route of length 1), transmits the LSL header as the
 first bytes of the stream, and then treats the sublink exactly like a
 socket. Everything past the first hop is the depots' business.
 
-The protocol itself — handshake sequencing, payload accounting, the
-digest trailer — lives in the sans-I/O core
-(:class:`repro.lsl.core.ClientHandshake`,
-:class:`repro.lsl.core.PayloadSender`); this module is the simulator
-driver mapping core decisions onto :class:`~repro.tcp.sockets.SimSocket`
-events.
+The protocol itself — option checks, handshake sequencing, payload
+accounting, the digest trailer, the client spans — is the
+:class:`~repro.sockets.client.ClientSession` every client driver runs;
+this module is the simulator driver mapping it onto
+:class:`~repro.tcp.sockets.SimSocket` events.
 
 Example
 -------
@@ -30,17 +29,13 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.lsl.core import (
-    ClientHandshake,
-    PayloadSender,
-    ProtocolError,
-    StreamDigest,
-    TraceContext,
-    virtual_digest_factory,
-)
+from repro.lsl.core import ProtocolError, StreamDigest, virtual_digest_factory
 from repro.lsl.core.errors import FailoverExhausted, LslError, RouteError
+from repro.lsl.core.handshake import ClientHandshake
+from repro.lsl.core.sender import PayloadSender
 from repro.lsl.core.session import BackoffPolicy, SessionId, new_session_id
-from repro.lsl.core.wire import STREAM_UNTIL_FIN, LslHeader, RouteHop
+from repro.lsl.core.wire import LslHeader, RouteHop
+from repro.sockets.client import ClientSession, plan_client_session
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.sockets import SimSocket, TcpStack
 from repro.tcp.trace import ConnectionTrace
@@ -63,7 +58,7 @@ def _normalize_route(route: Sequence[HopLike]) -> Tuple[RouteHop, ...]:
     return tuple(RouteHop(h[0], h[1]) for h in route)
 
 
-class LslClientConnection:
+class LslClientConnection(ClientSession):
     """Client endpoint of an LSL session (simulator driver)."""
 
     def __init__(
@@ -79,35 +74,17 @@ class LslClientConnection:
         trace_id: Optional[bytes] = None,
         trace_parent: int = 0,
     ) -> None:
-        self.stack = stack
         # distributed tracing (wall-clock TraceSpool, distinct from the
-        # sim-time telemetry spans below): same span topology as the
-        # real-socket clients so trace parity holds across drivers
-        self._tracer = tracer
-        self._session_span = 0
-        self._hs_span = 0
-        self.trace_id: Optional[bytes] = trace_id
-        if tracer is not None:
-            if self.trace_id is None:
-                from repro.telemetry.tracing import new_trace_id
-
-                self.trace_id = new_trace_id(
-                    stack.net.rng.stream("lsl-trace-ids")
-                )
-            self._session_span = tracer.begin(
-                "client.session",
-                self.trace_id,
-                parent=trace_parent,
-                session=header.short_id,
-                route=[f"{h.host}:{h.port}" for h in header.route],
-                rebind=header.rebind,
-            )
-            header = header.with_trace(
-                TraceContext(self.trace_id, self._session_span, 0)
-            )
-        self.header = header
-        self.sender = PayloadSender(header, digest_state, digest_factory)
-        self.handshake = ClientHandshake(header)
+        # sim-time telemetry spans below) is the ClientSession's
+        super().__init__(
+            (
+                header, ClientHandshake(header),
+                PayloadSender(header, digest_state, digest_factory),
+            ),
+            tracer, trace_id, trace_parent,
+            stack.net.rng.stream("lsl-trace-ids"),
+        )
+        self.stack = stack
         self._pending_trailer = b""
         self._user_on_connected = on_connected
         self.established = False
@@ -120,15 +97,9 @@ class LslClientConnection:
         self.sock: SimSocket = stack.socket()
         self.sock.on_readable = self._sock_readable
         self.sock.on_writable = self._sock_writable
+        self.sock.on_peer_fin = self._sock_peer_fin
         self.sock.on_close = self._sock_closed
-        first = header.route[header.hop_index]
-        self._dial_span = 0
-        if self._tracer is not None:
-            assert self.trace_id is not None
-            self._dial_span = self._tracer.begin(
-                "client.dial", self.trace_id, self._session_span,
-                hop=f"{first.host}:{first.port}",
-            )
+        first = self.dial()
         self.sock.connect(
             (first.host, first.port), on_connected=self._connected, trace=trace
         )
@@ -154,7 +125,7 @@ class LslClientConnection:
                 self.sock.conn.telemetry_span = self.span
             from repro.telemetry.protocol import protocol_observer
 
-            self.handshake._observer = protocol_observer(
+            self._handshake._observer = protocol_observer(
                 self.telemetry, "client", lambda: self.span
             )
             # the sender-side TCP conn reports congestion-state
@@ -169,84 +140,61 @@ class LslClientConnection:
     # -- connection events ------------------------------------------------
 
     def _connected(self) -> None:
-        if self._tracer is not None:
-            if self._dial_span:
-                self._tracer.end(self._dial_span)
-                self._dial_span = 0
-            assert self.trace_id is not None
-            self._hs_span = self._tracer.begin(
-                "client.handshake", self.trace_id, self._session_span
-            )
-        self.sock.send(self.handshake.initial_bytes())
-        if self.handshake.established:
+        self.sock.send(self.initial_bytes())
+        if not self.bytes_needed:
             self._established()
 
     def _established(self) -> None:
         self.established = True
-        if self._tracer is not None and self._hs_span:
-            granted = self.handshake.granted_offset
-            self._tracer.end(
-                self._hs_span, granted=granted if granted is not None else -1
-            )
-            self._hs_span = 0
         if self._user_on_connected:
             self._user_on_connected()
 
+    def _fail(self, exc: Exception) -> None:
+        """Establishment failed: the spans say why, the sublink goes."""
+        self._end_trace("error", exc)
+        self.sock.abort()
+
     def _sock_readable(self) -> None:
-        while not self.handshake.established:
-            need = self.handshake.bytes_needed
-            chunks = self.sock.recv(need)
+        while self.bytes_needed:
+            chunks = self.sock.recv(self.bytes_needed)
             if not chunks:
                 return
             for chunk in chunks:
                 if chunk.data is None:
                     # ack/offset must travel as real bytes
-                    self.sock.abort()
+                    self._fail(ProtocolError("virtual bytes in handshake"))
                     return
                 try:
-                    done = self.handshake.feed(chunk.data)
-                except ProtocolError:
-                    self.sock.abort()
+                    done = self.feed(chunk.data)
+                except LslError as exc:
+                    self._fail(exc)
                     return
                 if done:
-                    granted = self.handshake.granted_offset
-                    if granted is not None:
-                        self.sender.rebase(granted)
                     self._established()
             if self.sock.readable_bytes == 0:
                 return
         if self.on_readable:
             self.on_readable()
 
+    def _sock_peer_fin(self) -> None:
+        if self.bytes_needed:
+            self._fail(ProtocolError("EOF during session establishment"))
+
     def _sock_writable(self) -> None:
         if self._pending_trailer:
             self._flush_trailer()
             return
-        if self.handshake.awaiting_offset:
+        if self._handshake.awaiting_offset:
             return  # payload base unknown until the server grants an offset
         if self.on_writable:
             self.on_writable()
-
-    def _end_trace(self, status: str, **attrs) -> None:
-        """Close open trace spans; idempotent across close/error paths."""
-        if self._tracer is None:
-            return
-        for span in (self._dial_span, self._hs_span):
-            if span:
-                self._tracer.end(span, status=status)
-        self._dial_span = self._hs_span = 0
-        if self._session_span:
-            self._tracer.end(
-                self._session_span, status=status,
-                bytes=self.sender.bytes_sent, **attrs,
-            )
-            self._session_span = 0
 
     def _sock_closed(self, error: Optional[Exception]) -> None:
         self._end_trace(
             "ok" if error is None and self.trailer_delivered else (
                 "error" if error is not None else "aborted"
             ),
+            error,
         )
         if self.span is not None:
             self.telemetry.spans.end(
@@ -267,50 +215,24 @@ class LslClientConnection:
         return self.header.session_id
 
     @property
-    def digest(self) -> StreamDigest:
-        """The running end-to-end MD5 (carried across rebinds)."""
-        return self.sender.digest
-
-    @property
-    def bytes_sent(self) -> int:
-        return self.sender.bytes_sent
-
-    @property
-    def granted_offset(self) -> Optional[int]:
-        return self.handshake.granted_offset
-
-    @property
-    def declared_length(self) -> Optional[int]:
-        return self.sender.declared_length
-
-    @property
-    def remaining(self) -> Optional[int]:
-        return self.sender.remaining
-
-    @property
     def send_space(self) -> int:
         return self.sock.send_space
 
     def send(self, data: bytes) -> int:
         """Queue payload bytes; returns how many were accepted."""
-        self._check_payload_room(len(data))
+        self._check_room(len(data))
         accepted = self.sock.send(data)
         if accepted:
-            self.sender.record(data[:accepted])
+            self._sender.record(data[:accepted])
         return accepted
 
     def send_virtual(self, nbytes: int) -> int:
         """Queue virtual payload; returns how many bytes were accepted."""
-        self._check_payload_room(nbytes)
+        self._check_room(nbytes)
         accepted = self.sock.send_virtual(nbytes)
         if accepted:
-            self.sender.record_virtual(accepted)
+            self._sender.record_virtual(accepted)
         return accepted
-
-    def _check_payload_room(self, n: int) -> None:
-        if self.handshake.awaiting_offset:
-            raise LslError("send before the resume offset was granted")
-        self.sender.check_room(n)
 
     def recv(self, max_bytes: Optional[int] = None) -> List[StreamChunk]:
         """Read reverse-direction (server to client) data."""
@@ -325,14 +247,14 @@ class LslClientConnection:
     @property
     def trailer_delivered(self) -> bool:
         """True once finish() ran and the whole trailer left our buffer."""
-        return self.sender.finished and not self._pending_trailer
+        return self._sender.finished and not self._pending_trailer
 
     def finish(self) -> None:
         """Declare the payload complete: send the MD5 trailer (when the
         header requested one) and FIN the sublink."""
-        if self.sender.finished:
+        if self._sender.finished:
             return
-        trailer = self.sender.finish()
+        trailer = self.trailer()
         if trailer:
             self._pending_trailer = trailer
             self._flush_trailer()
@@ -348,7 +270,7 @@ class LslClientConnection:
 
     def close(self) -> None:
         """Alias for :meth:`finish` when a digest is pending, else FIN."""
-        if self.header.digest and not self.sender.finished:
+        if self.header.digest and not self._sender.finished:
             self.finish()
         else:
             self.sock.close()
@@ -391,21 +313,10 @@ def lsl_connect(
     the paper's smallest transfers lose with LSL. ``sync=False`` fires
     it as soon as the first sublink is up (optimistic streaming).
     """
-    hops = _normalize_route(route)
-    if digest and payload_length is None:
-        raise LslError("digest=True requires payload_length")
-    if session_id is None:
-        session_id = new_session_id(stack.net.rng.stream("lsl-session-ids"))
-    header = LslHeader(
-        session_id=session_id,
-        route=hops,
-        hop_index=0,
-        payload_length=(
-            STREAM_UNTIL_FIN if payload_length is None else payload_length
-        ),
-        digest=digest,
-        sync=sync,
-    )
+    header = plan_client_session(
+        route, payload_length, digest, sync,
+        rng=stack.net.rng.stream("lsl-session-ids"), session_id=session_id,
+    )[0]
     return LslClientConnection(
         stack, header, on_connected, trace, parent_span=parent_span,
         tracer=tracer, trace_id=trace_id, trace_parent=trace_parent,
@@ -445,40 +356,15 @@ def lsl_rebind(
     sublink). ``digest_factory(offset)`` must then rebuild the MD5 state
     for the logical stream prefix ``[0, offset)``.
     """
-    hops = _normalize_route(route)
-    if digest and payload_length is None:
-        raise LslError("digest=True requires payload_length")
-    if resume_query:
-        if not sync:
-            raise LslError("resume_query requires sync establishment")
-        if digest and digest_factory is None:
-            raise LslError("resume_query with digest needs digest_factory")
-    elif digest and resume_offset > 0 and digest_state is None:
-        raise LslError("rebind with digest needs the prior digest_state")
-    header = LslHeader(
-        session_id=session_id,
-        route=hops,
-        hop_index=0,
-        payload_length=(
-            STREAM_UNTIL_FIN if payload_length is None else payload_length
-        ),
-        digest=digest,
-        sync=sync,
-        rebind=True,
-        resume_offset=0 if resume_query else resume_offset,
-        resume_query=resume_query,
-    )
+    header = plan_client_session(
+        route, payload_length, digest, sync,
+        session_id=session_id, rebind=True, resume_offset=resume_offset,
+        resume_query=resume_query, digest_state=digest_state,
+        digest_factory=digest_factory,
+    )[0]
     return LslClientConnection(
-        stack,
-        header,
-        on_connected,
-        trace,
-        digest_state,
-        digest_factory,
-        parent_span=parent_span,
-        tracer=tracer,
-        trace_id=trace_id,
-        trace_parent=trace_parent,
+        stack, header, on_connected, trace, digest_state, digest_factory,
+        parent_span, tracer, trace_id, trace_parent,
     )
 
 

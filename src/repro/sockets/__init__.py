@@ -32,26 +32,31 @@ unprivileged user-level relay, voluntary use, unmodified TCP beneath —
 while the discrete-event simulator carries the performance claims.
 """
 
-from repro.sockets.lsd import ThreadedDepot
-from repro.sockets.client import LslSocketClient
-from repro.sockets.obs import ExpositionServer, JsonEventLog
-from repro.sockets.server import SessionResult, ThreadedLslServer
-from repro.sockets.striped import (
-    StripedResult,
-    StripedSendReport,
-    StripedThreadedServer,
-    send_striped,
-)
+import importlib
 
-__all__ = [
-    "ThreadedDepot",
-    "LslSocketClient",
-    "ThreadedLslServer",
-    "SessionResult",
-    "ExpositionServer",
-    "JsonEventLog",
-    "StripedResult",
-    "StripedSendReport",
-    "StripedThreadedServer",
-    "send_striped",
-]
+#: public name -> the submodule defining it, imported on first use, so
+#: importing one submodule (the simulator's client imports
+#: :mod:`repro.sockets.client`) does not load the whole driver
+_EXPORTS = {
+    "ThreadedDepot": "lsd",
+    "LslSocketClient": "client",
+    "ThreadedLslServer": "server",
+    "SessionResult": "server",
+    "ExpositionServer": "obs",
+    "JsonEventLog": "obs",
+    "StripedResult": "striped",
+    "StripedSendReport": "striped",
+    "StripedThreadedServer": "striped",
+    "send_striped": "striped",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -1,17 +1,22 @@
-"""Blocking LSL client over real sockets.
+"""The LSL client session, and its blocking driver over real sockets.
 
-Thin driver over the sans-I/O core: :class:`~repro.lsl.core.ClientHandshake`
-sequences establishment (including negotiated resume) and
-:class:`~repro.lsl.core.PayloadSender` owns payload accounting and the
-MD5 trailer — the same machines the simulator client drives, so the
-two stacks emit byte-identical wire streams.
+:class:`ClientSession` is the protocol half of one client session,
+whatever carries its bytes: the planned header, the establishment
+machine (:class:`~repro.lsl.core.ClientHandshake`), payload accounting
+and the MD5 trailer (:class:`~repro.lsl.core.PayloadSender`), the
+frame encoding, and the ``client.session`` / ``client.dial`` /
+``client.handshake`` spans. The three client drivers are subclasses
+that only move bytes: :class:`LslSocketClient` here (blocking),
+:class:`repro.asockets.AsyncLslClient` (asyncio) and the simulator's
+:class:`repro.lsl.client.LslClientConnection` — so the same options put
+the same bytes on the wire and the same spans in the trace on all three.
 """
 
 from __future__ import annotations
 
 import random
 import socket
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.lsl.core import (
     ClientHandshake,
@@ -45,10 +50,11 @@ def plan_client_session(
 ) -> Tuple[LslHeader, ClientHandshake, PayloadSender]:
     """Validate client options and build the session's core machines.
 
-    Shared by every real-socket client driver (blocking and asyncio) so
-    the argument validation and the encoded header cannot drift between
-    them — the same combination of options always produces the same
-    header bytes and the same handshake/sender state.
+    The one place every client option is checked, for all three
+    drivers, so the same combination of options always produces the
+    same header bytes and the same handshake/sender state — or the same
+    :class:`LslError`, before anything is dialed. A session id is drawn
+    from ``rng`` when none is given.
     """
     if digest and payload_length is None:
         raise LslError("digest=True requires payload_length")
@@ -60,12 +66,14 @@ def plan_client_session(
         raise LslError("resume_query requires sync establishment")
     if resume_query and digest and digest_factory is None:
         raise LslError("resume_query with digest needs digest_factory")
-    hops = tuple(RouteHop(h, p) for h, p in route)
+    if rebind and digest and resume_offset > 0 and not resume_query:
+        if digest_state is None:
+            raise LslError("rebind with digest needs the prior digest_state")
     if session_id is None:
         session_id = new_session_id(rng or random.Random())
     header = LslHeader(
         session_id=session_id,
-        route=hops,
+        route=tuple(RouteHop(h, p) for h, p in route),
         hop_index=0,
         payload_length=(
             STREAM_UNTIL_FIN if payload_length is None else payload_length
@@ -83,7 +91,164 @@ def plan_client_session(
     return header, handshake, sender
 
 
-class LslSocketClient:
+class ClientSession:
+    """One client session's protocol state, for any driver.
+
+    Built from what :func:`plan_client_session` returns; with a
+    ``tracer`` it opens ``client.session`` (trace id drawn from
+    ``trace_rng`` unless given) and carries its context in
+    :attr:`header` (the handshake and sender never read it).
+    A driver runs :meth:`dial`, sends :meth:`initial_bytes` once
+    connected, then passes :meth:`feed` reads of at most
+    :attr:`bytes_needed` until that is 0; payload goes out as
+    :meth:`payload_writes`, the end as :meth:`trailer`. Spans end by
+    one rule, :meth:`_end_trace`.
+    """
+
+    def __init__(
+        self,
+        planned: Tuple[LslHeader, ClientHandshake, PayloadSender],
+        tracer: Optional[TraceSpool] = None,
+        trace_id: Optional[bytes] = None,
+        trace_parent: int = 0,
+        trace_rng: Optional[random.Random] = None,
+    ) -> None:
+        header, self._handshake, self._sender = planned
+        self._tracer = tracer
+        self._session_span = 0
+        self._span = 0  # the open client.dial or client.handshake span
+        self.trace_id: Optional[bytes] = trace_id
+        if tracer is not None:
+            if trace_id is None:
+                self.trace_id = new_trace_id(trace_rng)
+            self._session_span = tracer.begin(
+                "client.session", self.trace_id, parent=trace_parent,
+                session=header.short_id, rebind=header.rebind,
+                route=[str(hop) for hop in header.route],
+            )
+            header = header.with_trace(
+                TraceContext(self.trace_id, self._session_span, 0)
+            )
+        self.header = header
+
+    # -- establishment ----------------------------------------------------
+
+    def _begin(self, name: str, **attrs) -> None:
+        if self._tracer is not None:
+            self._span = self._tracer.begin(
+                name, self.trace_id, self._session_span, **attrs
+            )
+
+    def _end_span(self, **attrs) -> None:
+        if self._span:
+            self._tracer.end(self._span, **attrs)
+            self._span = 0
+
+    def dial(self) -> RouteHop:
+        """Open ``client.dial``; the first hop, which the driver dials."""
+        first = self.header.route[0]
+        self._begin("client.dial", hop=str(first))
+        return first
+
+    def initial_bytes(self) -> bytes:
+        """The dial is up: end ``client.dial``, open ``client.handshake``
+        (ended at once without ``sync``), return the encoded header."""
+        self._end_span()
+        self._begin("client.handshake")
+        if not self._handshake.bytes_needed:
+            self._end_span(granted=-1)
+        return self.header.encode()
+
+    @property
+    def bytes_needed(self) -> int:
+        """Most bytes the next establishment read may take (0: done)."""
+        return self._handshake.bytes_needed
+
+    def feed(self, data: bytes) -> bool:
+        """Consume establishment bytes (``b""`` is EOF, an error); True
+        once established, which ends ``client.handshake`` and rebases
+        the payload and its digest on a granted resume offset."""
+        if not data:
+            raise ProtocolError("EOF during session establishment")
+        if not self._handshake.feed(data):
+            return False
+        granted = self._handshake.granted_offset
+        self._end_span(granted=-1 if granted is None else granted)
+        if granted is not None:
+            self._sender.rebase(granted)
+        return True
+
+    def _end_trace(
+        self, status: str, error: Optional[BaseException] = None
+    ) -> None:
+        """End the open dial/handshake span and the session span with
+        ``status`` (and ``error=str(error)``); idempotent."""
+        if self._tracer is None:
+            return
+        attrs = {"status": status}
+        if error is not None:
+            attrs["error"] = str(error)
+        self._end_span(**attrs)
+        if self._session_span:
+            self._tracer.end(
+                self._session_span, bytes=self._sender.bytes_sent, **attrs
+            )
+            self._session_span = 0
+
+    # -- payload ----------------------------------------------------------
+
+    @property
+    def digest(self) -> StreamDigest:
+        """The running end-to-end MD5 (carried across rebinds)."""
+        return self._sender.digest
+
+    @property
+    def bytes_sent(self) -> int:
+        return self._sender.bytes_sent
+
+    @property
+    def granted_offset(self) -> Optional[int]:
+        """Server-granted resume offset (``resume_query`` rebinds only)."""
+        return self._handshake.granted_offset
+
+    @property
+    def declared_length(self) -> Optional[int]:
+        return self._sender.declared_length
+
+    @property
+    def remaining(self) -> Optional[int]:
+        return self._sender.remaining
+
+    def _check_room(self, nbytes: int) -> None:
+        if self._handshake.awaiting_offset:
+            raise LslError("send before the resume offset was granted")
+        self._sender.check_room(nbytes)
+
+    def payload_writes(self, data: bytes) -> Iterator[bytes]:
+        """The wire writes carrying ``data`` (framed: in frames of at
+        most ``MAX_FRAME_PAYLOAD``), each accounted once the driver asks
+        for the next, so a write that raises is not counted."""
+        self._check_room(len(data))
+        sender = self._sender
+        if not self.header.framed:
+            yield data
+            sender.record(data)
+            return
+        for pos in range(0, len(data), MAX_FRAME_PAYLOAD):
+            piece = data[pos : pos + MAX_FRAME_PAYLOAD]
+            yield encode_frame_header(sender.bytes_sent, len(piece)) + piece
+            sender.record(piece)
+
+    def trailer(self) -> bytes:
+        """Declare the payload complete: the trailer to send before FIN,
+        the MD5 (framed: at offset = declared length) or ``b""``."""
+        trailer = self._sender.finish()
+        if trailer and self.header.framed:
+            return encode_frame_header(self.declared_length, len(trailer)) + trailer
+        return trailer
+
+
+class LslSocketClient(ClientSession):
     """Open an LSL session along ``route`` over real TCP sockets.
 
     Usage::
@@ -103,6 +268,10 @@ class LslSocketClient:
     ``digest_factory(offset)`` rebuilds the MD5 state for the prefix —
     use :func:`repro.lsl.core.real_digest_factory` when the payload is
     in hand.
+
+    ``timeout`` bounds the dial and every establishment read; when one
+    runs out (or establishment fails otherwise) the socket is closed,
+    the spans end in error and the constructor raises.
 
     Tracing: pass a :class:`~repro.telemetry.TraceSpool` as ``tracer``
     to emit ``client.session`` / ``client.dial`` / ``client.handshake``
@@ -130,135 +299,33 @@ class LslSocketClient:
         trace_id: Optional[bytes] = None,
         trace_parent: int = 0,
     ) -> None:
-        self._tracer = tracer
-        self._session_span = 0
-        self.trace_id: Optional[bytes] = trace_id
-        trace: Optional[TraceContext] = None
-        if tracer is not None:
-            if session_id is None:
-                session_id = new_session_id(rng or random.Random())
-            if self.trace_id is None:
-                self.trace_id = new_trace_id(rng)
-            self._session_span = tracer.begin(
-                "client.session",
-                self.trace_id,
-                parent=trace_parent,
-                session=session_id.hex()[:8],
-                route=[f"{h}:{p}" for h, p in route],
-                rebind=rebind,
-            )
-            trace = TraceContext(self.trace_id, self._session_span, 0)
-        self.header, self._handshake, self._sender = plan_client_session(
-            route,
-            payload_length=payload_length,
-            digest=digest,
-            sync=sync,
-            rng=rng,
-            framed=framed,
-            session_id=session_id,
-            rebind=rebind,
-            resume_offset=resume_offset,
-            resume_query=resume_query,
-            digest_state=digest_state,
-            digest_factory=digest_factory,
-            trace=trace,
+        super().__init__(
+            plan_client_session(
+                route, payload_length, digest, sync, rng, framed, session_id,
+                rebind, resume_offset, resume_query, digest_state,
+                digest_factory,
+            ),
+            tracer, trace_id, trace_parent, rng,
         )
-        first = self.header.route[0]
-        span = 0
-        if tracer is not None:
-            assert self.trace_id is not None
-            span = tracer.begin(
-                "client.dial", self.trace_id, self._session_span,
-                hop=str(first),
-            )
+        first = self.dial()
+        sock = None
         try:
-            self.sock = socket.create_connection(
+            sock = socket.create_connection(
                 (first.host, first.port), timeout=timeout
             )
-        except OSError as exc:
-            self._end_trace("error", span=span, error=str(exc))
+            sock.sendall(self.initial_bytes())
+            while self.bytes_needed:
+                self.feed(sock.recv(self.bytes_needed))
+        except BaseException as exc:
+            self._end_trace("error", exc)
+            if sock is not None:
+                sock.close()
             raise
-        if tracer is not None:
-            tracer.end(span)
-            assert self.trace_id is not None
-            span = tracer.begin(
-                "client.handshake", self.trace_id, self._session_span
-            )
-        try:
-            self.sock.sendall(self._handshake.initial_bytes())
-            while not self._handshake.established:
-                need = self._handshake.bytes_needed
-                data = self.sock.recv(need)
-                if not data:
-                    self.sock.close()
-                    raise ProtocolError("EOF during session establishment")
-                try:
-                    self._handshake.feed(data)
-                except ProtocolError:
-                    self.sock.close()
-                    raise
-        except (OSError, ProtocolError) as exc:
-            self._end_trace("error", span=span, error=str(exc))
-            raise
-        granted = self._handshake.granted_offset
-        if tracer is not None:
-            tracer.end(span, granted=granted if granted is not None else -1)
-        if granted is not None:
-            self._sender.rebase(granted)
-
-    def _end_trace(self, status: str, span: int = 0, **attrs) -> None:
-        """Close the open dial/handshake span (if any) and the session
-        span; idempotent so error paths and close() can both call it."""
-        if self._tracer is None:
-            return
-        if span:
-            self._tracer.end(span, **attrs)
-        if self._session_span:
-            self._tracer.end(
-                self._session_span,
-                status=status,
-                bytes=self._sender.bytes_sent,
-            )
-            self._session_span = 0
-
-    # -- payload --------------------------------------------------------
-
-    @property
-    def digest(self) -> StreamDigest:
-        return self._sender.digest
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._sender.bytes_sent
-
-    @property
-    def granted_offset(self) -> Optional[int]:
-        """Server-granted resume offset (``resume_query`` rebinds only)."""
-        return self._handshake.granted_offset
-
-    @property
-    def declared_length(self) -> Optional[int]:
-        return self._sender.declared_length
-
-    @property
-    def remaining(self) -> Optional[int]:
-        return self._sender.remaining
+        self.sock = sock
 
     def sendall(self, data: bytes) -> None:
-        self._sender.check_room(len(data))
-        if self.header.framed:
-            pos = 0
-            while pos < len(data):
-                piece = data[pos : pos + MAX_FRAME_PAYLOAD]
-                self.sock.sendall(
-                    encode_frame_header(self._sender.bytes_sent, len(piece))
-                    + piece
-                )
-                self._sender.record(piece)
-                pos += len(piece)
-        else:
-            self.sock.sendall(data)
-            self._sender.record(data)
+        for wire in self.payload_writes(data):
+            self.sock.sendall(wire)
 
     def recv(self, n: int = 65536) -> bytes:
         """Reverse-direction (server to client) bytes; b'' on EOF."""
@@ -268,17 +335,9 @@ class LslSocketClient:
         """Send the MD5 trailer (when enabled) and half-close."""
         if self._sender.finished:
             return
-        trailer = self._sender.finish()
+        trailer = self.trailer()
         if trailer:
-            if self.header.framed:
-                # trailer frame: offset == declared payload length
-                declared = self.declared_length
-                assert declared is not None
-                self.sock.sendall(
-                    encode_frame_header(declared, len(trailer)) + trailer
-                )
-            else:
-                self.sock.sendall(trailer)
+            self.sock.sendall(trailer)
         self.sock.shutdown(socket.SHUT_WR)
         self._end_trace("ok")
 

@@ -637,6 +637,44 @@ def test_client_connect_deadline_leaves_no_future_writer_or_fd_behind():
             sock.close()
 
 
+def test_client_establishment_deadline_raises_timeout_without_a_task():
+    """A first hop that accepts (its backlog does) and never answers:
+    the dial is over at once, the ack read waits under ``timeout`` on a
+    reader and a timer, no task, and the socket goes with the error."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    spawned = []
+
+    def counting_factory(loop, coro, **kwargs):
+        spawned.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def dial():
+        loop = asyncio.get_running_loop()
+        loop.set_task_factory(counting_factory)
+        # a read with no deadline would wait forever: cut it at 3 s
+        guard = loop.call_later(3.0, asyncio.current_task().cancel)
+        start = loop.time()
+        try:
+            with pytest.raises(asyncio.TimeoutError):
+                await AsyncLslClient.open(
+                    [listener.getsockname()], payload_length=0, timeout=0.3
+                )
+        finally:
+            guard.cancel()
+        return loop.time() - start, len(spawned)
+
+    try:
+        fds = _open_fds()
+        elapsed, tasks = asyncio.run(dial())
+        assert elapsed < 1.0
+        assert tasks == 0
+        assert _open_fds() == fds
+    finally:
+        listener.close()
+
+
 # -- rebind -------------------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 """Real-socket prototype tests (localhost, threaded)."""
 
+import gc
 import os
 import random
 import socket
 import time
+import warnings
 
 import pytest
 
@@ -13,16 +15,17 @@ from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
 from repro.sockets.wire import BlockingLink, run_blocking
 
 
-def _wait_completed(depot, count=1, timeout=5.0):
+def _wait_completed(depot, count=1, timeout=5.0, field="sessions_completed"):
     """Delivery at the server precedes the depot's own teardown (its
-    pumps still have the EOFs to see), so the counter is awaited."""
+    pumps still have the EOFs to see), so the counter is awaited; so is
+    a failure, which the relay posts after closing the client's link."""
     deadline = time.monotonic() + timeout
     while (
-        depot.counters.sessions_completed < count
+        getattr(depot.counters, field) < count
         and time.monotonic() < deadline
     ):
         time.sleep(0.005)
-    return depot.counters.sessions_completed
+    return getattr(depot.counters, field)
 
 
 def test_direct_session_roundtrip():
@@ -139,7 +142,7 @@ def test_depot_rejects_being_final_hop():
         sock.settimeout(5)
         assert sock.recv(1) == b""
         sock.close()
-    assert depot.counters.sessions_failed == 1
+    assert _wait_completed(depot, field="sessions_failed") == 1
 
 
 def test_server_rejects_intermediate_hop_role():
@@ -222,3 +225,26 @@ def test_concurrent_sessions_through_one_depot():
     assert not server.errors
     got = sorted(r.payload for r in server.results)
     assert got == sorted(payloads)
+
+
+def test_client_closes_its_socket_when_establishment_times_out():
+    """A first hop that accepts (its backlog does) and never answers:
+    the ack read times out after ``timeout`` and the socket is closed
+    with the error, not left to the garbage collector."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                LslSocketClient(
+                    [listener.getsockname()], payload_length=0, timeout=0.3
+                )
+            elapsed = time.monotonic() - start
+            gc.collect()
+    finally:
+        listener.close()
+    assert elapsed < 1.0
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
