@@ -37,6 +37,11 @@ class AsyncLslClient(ClientSession):
     header construction happen synchronously so a bad combination
     raises before any connection exists. ``timeout`` bounds the dial
     and every establishment read, as on the blocking client.
+
+    Rebinds as on the blocking client: a ``resume_query`` grant at
+    exactly the offset where this process closed the session unfinished
+    carries on with the MD5 parked then, and ``digest_factory`` is
+    called only when nothing parked matches the grant.
     """
 
     def __init__(
@@ -120,7 +125,9 @@ class AsyncLslClient(ClientSession):
         self._end_trace("ok")
 
     def close(self) -> None:
-        self._end_trace("aborted")
+        """Close the socket; without :meth:`finish` the server suspends
+        the session and its MD5 is parked for a rebind."""
+        self.release()
         if self.sock is not None:
             try:
                 self.sock.close()

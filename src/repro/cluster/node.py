@@ -109,13 +109,17 @@ class _TerminalSession:
         else:
             receiver = PayloadReceiver(header, observer)
         self.receiver = receiver
+        #: Delivered payload, in order; those from ``_spooled`` on are
+        #: not in the spool yet (``_pending`` bytes of them).
         self.chunks: List[bytes] = []
-        self.pending = bytearray()
+        self._spooled = 0
+        self._pending = 0
         self.digest_ok: Optional[bool] = None
         self.completed = False
         self.ownership_lost = False
         if isinstance(decision, StoreAcceptResume) and decision.prefix_length:
             self._prime(store.payload(self.session_id))
+            self._spooled = len(self.chunks)
 
     def _attach(
         self,
@@ -212,7 +216,7 @@ class _TerminalSession:
                 if event.chunk.data is None:
                     raise ProtocolError("virtual bytes over a real socket")
                 self.chunks.append(event.chunk.data)
-                self.pending.extend(event.chunk.data)
+                self._pending += len(event.chunk.data)
             elif isinstance(event, Completed):
                 self._complete(event.digest_ok)
             elif isinstance(event, Failed):
@@ -222,7 +226,7 @@ class _TerminalSession:
                 raise event.error
         if (
             not self.receiver.finished
-            and len(self.pending) >= self.checkpoint_bytes
+            and self._pending >= self.checkpoint_bytes
         ):
             self.flush()
 
@@ -230,17 +234,15 @@ class _TerminalSession:
         """Checkpoint pending payload; False when ownership was lost."""
         if self.ownership_lost:
             return False
-        if not self.pending:
+        if not self._pending:
             return True
-        cas_span = self._begin_cas("append", bytes=len(self.pending))
+        cas_span = self._begin_cas("append", bytes=self._pending)
+        unspooled = b"".join(self.chunks[self._spooled :])
+        self._spooled = len(self.chunks)
+        self._pending = 0
         total = self.store.append_payload(
-            self.session_id,
-            self.worker,
-            self.epoch,
-            bytes(self.pending),
-            time.time(),
+            self.session_id, self.worker, self.epoch, unspooled, time.time(),
         )
-        self.pending.clear()
         if total is None:
             # a takeover claimed the session away from us: abandon the
             # sublink; the new owner serves the session from the spool

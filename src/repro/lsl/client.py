@@ -61,6 +61,8 @@ def _normalize_route(route: Sequence[HopLike]) -> Tuple[RouteHop, ...]:
 class LslClientConnection(ClientSession):
     """Client endpoint of an LSL session (simulator driver)."""
 
+    parks_digest = False
+
     def __init__(
         self,
         stack: TcpStack,

@@ -62,6 +62,14 @@ class StreamDigest:
         for chunk in chunks:
             self.update_chunk(chunk)
 
+    def copy(self) -> "StreamDigest":
+        """An independent digest in this one's state."""
+        clone = StreamDigest.__new__(StreamDigest)
+        clone._md5 = self._md5.copy()
+        clone._virtual_run = self._virtual_run
+        clone.total_bytes = self.total_bytes
+        return clone
+
     def _flush_virtual(self) -> None:
         if self._virtual_run:
             self._md5.update(_VIRT_MARK)
@@ -101,6 +109,8 @@ def real_digest_factory(payload: bytes) -> "_RealPrefixFactory":
     Returns a callable ``f(offset) -> StreamDigest`` that rebuilds the
     running MD5 for the prefix ``payload[:offset]`` — the real-socket
     counterpart of :func:`virtual_digest_factory` for negotiated resume.
+    ``payload`` is anything with the buffer protocol; the prefix is
+    hashed through a ``memoryview``, never copied.
     """
     return _RealPrefixFactory(payload)
 
@@ -113,5 +123,5 @@ class _RealPrefixFactory:
 
     def __call__(self, offset: int) -> StreamDigest:
         d = StreamDigest()
-        d.update(self._payload[:offset])
+        d.update(memoryview(self._payload)[:offset])
         return d

@@ -7,7 +7,8 @@ The wire exchange (§1, §5 of ``docs/PROTOCOL.md``):
    the cascade;
 3. with ``resume_query`` (negotiated resume), the ack is followed by
    8 big-endian bytes of the server's contiguously-received count —
-   the authoritative offset the client must resume from.
+   the authoritative offset the client must resume from (an offset
+   past a declared payload length fails establishment).
 
 :class:`ClientHandshake` owns steps 2–3 as a feed-based machine: the
 driver reads at most :attr:`bytes_needed` bytes from its transport and
@@ -22,7 +23,7 @@ from typing import Optional
 
 from repro.lsl.core.errors import ProtocolError
 from repro.lsl.core.events import ProtocolObserver, emit
-from repro.lsl.core.wire import SESSION_ACK, LslHeader
+from repro.lsl.core.wire import SESSION_ACK, STREAM_UNTIL_FIN, LslHeader
 
 _OFFSET_LEN = 8
 
@@ -93,7 +94,8 @@ class ClientHandshake:
         """Consume establishment bytes; True once established.
 
         Raises :class:`ProtocolError` (after recording it in
-        :attr:`failed`) on a bad ack or over-feed — the driver should
+        :attr:`failed`) on a bad ack, a granted offset past the declared
+        payload length or an over-feed — the driver should
         abort the sublink.
         """
         if self.failed is not None:
@@ -109,7 +111,14 @@ class ClientHandshake:
             self._offset_buf.extend(data[pos : pos + take])
             pos += take
             if len(self._offset_buf) == _OFFSET_LEN:
-                self.granted_offset = int.from_bytes(bytes(self._offset_buf), "big")
+                granted = int.from_bytes(bytes(self._offset_buf), "big")
+                declared = self.header.payload_length
+                if declared != STREAM_UNTIL_FIN and granted > declared:
+                    return self._fail(
+                        f"granted offset {granted} past the declared "
+                        f"payload length {declared}"
+                    )
+                self.granted_offset = granted
                 self._awaiting_offset = False
         if pos < len(data):
             # feeding past establishment would swallow application bytes

@@ -71,17 +71,22 @@ class PayloadSender:
 
     # -- negotiated resume -------------------------------------------------
 
-    def rebase(self, offset: int) -> None:
+    def rebase(self, offset: int, digest: Optional[StreamDigest] = None) -> None:
         """Adopt the server's authoritative resume offset.
 
-        Rebuilds the digest state for the logical prefix ``[0, offset)``
-        via the ``digest_factory`` supplied at construction (required
-        when the header carries a digest).
+        The digest state for the logical prefix ``[0, offset)`` is
+        ``digest`` when the caller already holds it, else rebuilt via
+        the ``digest_factory`` supplied at construction (required when
+        the header carries a digest).
         """
         if self.header.digest:
-            if self._digest_factory is None:
-                raise LslError("resume rebase with digest needs digest_factory")
-            self.digest = self._digest_factory(offset)
+            if digest is None:
+                if self._digest_factory is None:
+                    raise LslError(
+                        "resume rebase with digest needs digest_factory"
+                    )
+                digest = self._digest_factory(offset)
+            self.digest = digest
         self.bytes_sent = offset
 
     # -- completion --------------------------------------------------------

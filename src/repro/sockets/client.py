@@ -10,13 +10,23 @@ that only move bytes: :class:`LslSocketClient` here (blocking),
 :class:`repro.asockets.AsyncLslClient` (asyncio) and the simulator's
 :class:`repro.lsl.client.LslClientConnection` — so the same options put
 the same bytes on the wire and the same spans in the trace on all three.
+
+A real-socket client that closes a digested session unfinished parks
+its running MD5 here, keyed by session id, in a table of at most
+:data:`PARKED_DIGESTS` (oldest dropped first). A ``resume_query``
+rebind from the same process whose granted offset is exactly the
+parked byte count adopts that MD5 instead of calling its
+``digest_factory``, so resuming does not re-hash the prefix it already
+sent; any other grant (a smaller one, no entry) calls the factory.
+Every grant on an id takes its entry, used or not.
 """
 
 from __future__ import annotations
 
 import random
 import socket
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+import threading
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.lsl.core import (
     ClientHandshake,
@@ -31,6 +41,32 @@ from repro.lsl.core.errors import LslError
 from repro.lsl.core.session import new_session_id
 from repro.lsl.core.wire import LslHeader, RouteHop, STREAM_UNTIL_FIN
 from repro.telemetry.tracing import TraceSpool, new_trace_id
+
+#: How many unfinished sessions' running MD5s this process keeps for a
+#: rebind. Each entry is one MD5 state, never bytes or a socket, and a
+#: miss only costs the factory's re-hash, so the oldest is dropped
+#: without asking anyone.
+PARKED_DIGESTS = 16
+
+_parked: Dict[bytes, Tuple[int, StreamDigest]] = {}
+_parked_lock = threading.Lock()
+
+
+def _park(session_id: bytes, bytes_sent: int, digest: StreamDigest) -> None:
+    """Keep a copy of ``digest`` (the MD5 of ``bytes_sent`` bytes) for a
+    rebind of ``session_id``."""
+    entry = (bytes_sent, digest.copy())
+    with _parked_lock:
+        _parked.pop(session_id, None)
+        _parked[session_id] = entry
+        if len(_parked) > PARKED_DIGESTS:
+            del _parked[next(iter(_parked))]
+
+
+def _unpark(session_id: bytes) -> Optional[Tuple[int, StreamDigest]]:
+    """Take the entry parked for ``session_id``, if any."""
+    with _parked_lock:
+        return _parked.pop(session_id, None)
 
 
 def plan_client_session(
@@ -102,8 +138,15 @@ class ClientSession:
     connected, then passes :meth:`feed` reads of at most
     :attr:`bytes_needed` until that is 0; payload goes out as
     :meth:`payload_writes`, the end as :meth:`trailer`. Spans end by
-    one rule, :meth:`_end_trace`.
+    one rule, :meth:`_end_trace`. A driver closing the session calls
+    :meth:`release`, which parks an unfinished MD5 (module docstring).
     """
+
+    #: Whether this driver parks an unfinished session's MD5 on
+    #: :meth:`release` and adopts a parked one on a matching grant. The
+    #: simulator's client does neither: its ``close()`` is ``finish()``,
+    #: and its payload may be virtual.
+    parks_digest = True
 
     def __init__(
         self,
@@ -175,8 +218,18 @@ class ClientSession:
         granted = self._handshake.granted_offset
         self._end_span(granted=-1 if granted is None else granted)
         if granted is not None:
-            self._sender.rebase(granted)
+            self._sender.rebase(granted, self._parked_digest(granted))
         return True
+
+    def _parked_digest(self, granted: int) -> Optional[StreamDigest]:
+        """The MD5 this process parked for exactly ``granted`` bytes of
+        this session, or None (the sender then calls its factory)."""
+        if not self.parks_digest:
+            return None
+        parked = _unpark(self.header.session_id)
+        if parked is None or parked[0] != granted:
+            return None
+        return parked[1]
 
     def _end_trace(
         self, status: str, error: Optional[BaseException] = None
@@ -194,6 +247,21 @@ class ClientSession:
                 self._session_span, bytes=self._sender.bytes_sent, **attrs
             )
             self._session_span = 0
+
+    def release(self) -> None:
+        """The driver is closing the session: end its spans as aborted
+        (unless they ended already) and, when it is digested,
+        established, unfinished and has sent payload, park its MD5."""
+        self._end_trace("aborted")
+        sender = self._sender
+        if (
+            self.parks_digest
+            and self.header.digest
+            and self._handshake.established
+            and sender.bytes_sent > 0
+            and not sender.finished
+        ):
+            _park(self.header.session_id, sender.bytes_sent, sender.digest)
 
     # -- payload ----------------------------------------------------------
 
@@ -264,8 +332,10 @@ class LslSocketClient(ClientSession):
     Rebinds: pass ``session_id`` + ``rebind=True`` to re-attach to a
     live session. With ``resume_query=True`` the server answers with
     its contiguously-received count; the granted offset is applied
-    before the constructor returns (see :attr:`granted_offset`) and
-    ``digest_factory(offset)`` rebuilds the MD5 state for the prefix —
+    before the constructor returns (see :attr:`granted_offset`). When
+    this process closed the session unfinished at exactly that offset,
+    the MD5 it parked then carries on; only otherwise does
+    ``digest_factory(offset)`` rebuild the MD5 state for the prefix —
     use :func:`repro.lsl.core.real_digest_factory` when the payload is
     in hand.
 
@@ -342,7 +412,9 @@ class LslSocketClient(ClientSession):
         self._end_trace("ok")
 
     def close(self) -> None:
-        self._end_trace("aborted")
+        """Close the socket; without :meth:`finish` the server suspends
+        the session and its MD5 is parked for a rebind."""
+        self.release()
         try:
             self.sock.close()
         except OSError:

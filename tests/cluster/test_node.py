@@ -6,6 +6,7 @@ byte-identical delivery with the MD5 trailer verified over re-fed
 spool + live bytes.
 """
 
+import asyncio
 import random
 import time
 
@@ -187,6 +188,67 @@ def test_a_worker_resumes_the_sessions_it_parked_from_memory(driver):
         bytes([i]) * 16 for i in range(20)
     ]
     for result in node.results:
+        assert result.payload == PAYLOAD and result.digest_ok is True
+        assert result.rebinds == 1
+
+
+class CountingFactory:
+    """A ``real_digest_factory`` over PAYLOAD that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, offset):
+        self.calls += 1
+        return real_digest_factory(PAYLOAD)(offset)
+
+
+def _suspend_and_resume(driver, cluster, sid, cut, factory):
+    """One cycle with the ``driver`` client: ``cut`` bytes, close
+    unfinished, wait for the spool, rebind with ``resume_query``, send
+    the rest, finish."""
+    route = [cluster.address]
+    options = dict(payload_length=len(PAYLOAD), session_id=sid)
+    rebind = dict(
+        options, rebind=True, resume_query=True, digest_factory=factory
+    )
+    if driver == "threads":
+        with LslSocketClient(route, **options) as client:
+            client.sendall(PAYLOAD[:cut])
+        assert _wait_spooled(cluster.store, sid, cut)
+        with LslSocketClient(route, **rebind) as client:
+            assert client.granted_offset == cut
+            client.sendall(PAYLOAD[cut:])
+            client.finish()
+        return
+
+    from repro.asockets import AsyncLslClient
+
+    async def cycle():
+        async with await AsyncLslClient.open(route, **options) as client:
+            await client.sendall(PAYLOAD[:cut])
+        # the nodes run on their own threads: blocking here is fine
+        assert _wait_spooled(cluster.store, sid, cut)
+        async with await AsyncLslClient.open(route, **rebind) as client:
+            assert client.granted_offset == cut
+            await client.sendall(PAYLOAD[cut:])
+            await client.finish()
+
+    asyncio.run(cycle())
+
+
+def test_a_client_resumes_the_digests_it_parked_from_memory(driver):
+    cut = 120_000
+    factory = CountingFactory()
+    sids = [bytes([0xC0 + i]) * 16 for i in range(20)]
+    with LocalCluster(2, driver=driver) as cluster:
+        for sid in sids:
+            _suspend_and_resume(driver, cluster, sid, cut, factory)
+        assert cluster.wait_for_sessions(20)
+        results = [r for node in cluster.nodes for r in node.results]
+    assert factory.calls == 0
+    assert sorted(r.session_id for r in results) == sorted(sids)
+    for result in results:
         assert result.payload == PAYLOAD and result.digest_ok is True
         assert result.rebinds == 1
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lsl.core import ClientHandshake, ProtocolError, SESSION_ACK
-from repro.lsl.core.wire import LslHeader, RouteHop
+from repro.lsl.core.wire import STREAM_UNTIL_FIN, LslHeader, RouteHop
 
 
 def make_header(**kw):
@@ -55,7 +55,7 @@ def test_bytes_past_establishment_are_an_error():
 
 
 def test_resume_query_waits_for_offset():
-    h = make_header(rebind=True, resume_query=True)
+    h = make_header(rebind=True, resume_query=True, payload_length=200_000)
     hs = ClientHandshake(h)
     assert hs.feed(SESSION_ACK) is False
     assert hs.awaiting_offset
@@ -68,6 +68,27 @@ def test_resume_query_waits_for_offset():
     assert hs.feed(offset[-1:]) is True
     assert hs.granted_offset == 123456
     assert hs.established
+
+
+@pytest.mark.parametrize("length, granted, accepted", [
+    (100, 100, True),
+    (100, 101, False),
+    (100, 200, False),
+    (STREAM_UNTIL_FIN, 1 << 40, True),
+])
+def test_a_grant_past_the_declared_length_is_refused(length, granted, accepted):
+    hs = ClientHandshake(
+        make_header(rebind=True, resume_query=True, payload_length=length)
+    )
+    answer = SESSION_ACK + granted.to_bytes(8, "big")
+    if accepted:
+        assert hs.feed(answer) is True
+        assert hs.granted_offset == granted
+        return
+    with pytest.raises(ProtocolError, match="past the declared payload length"):
+        hs.feed(answer)
+    assert hs.failed is not None and hs.granted_offset is None
+    assert not hs.established and hs.bytes_needed == 0
 
 
 def test_resume_query_ack_and_offset_in_one_read():

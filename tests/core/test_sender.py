@@ -89,6 +89,43 @@ def test_rebase_rebuilds_digest_via_factory():
     assert s.finish() == hashlib.md5(payload).digest()
 
 
+def test_rebase_adopts_a_digest_it_is_given_without_the_factory():
+    payload = b"0123456789"
+
+    def factory(offset):
+        raise AssertionError("the factory must not run")
+
+    h = make_header(rebind=True, resume_query=True, sync=True, payload_length=10)
+    s = PayloadSender(h, digest_factory=factory)
+    held = real_digest_factory(payload)(4)
+    s.rebase(4, held)
+    assert s.digest is held and s.bytes_sent == 4
+    s.record(payload[4:])
+    assert s.finish() == hashlib.md5(payload).digest()
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+@pytest.mark.parametrize("offset", [0, 1, 4096, 10_000])
+def test_real_digest_factory_hashes_the_prefix_of_any_buffer(kind, offset):
+    payload = bytes(range(256)) * 40
+    digest = real_digest_factory(kind(payload))(offset)
+    assert digest.digest() == hashlib.md5(payload[:offset]).digest()
+    assert digest.total_bytes == offset
+
+
+def test_a_digest_copy_is_independent_of_its_original():
+    original = StreamDigest()
+    original.update(b"abc")
+    original.update_virtual(5)
+    clone = original.copy()
+    assert clone.digest() == original.digest()
+    assert clone.total_bytes == original.total_bytes == 8
+    clone.update(b"d")
+    assert clone.digest() != original.digest()
+    original.update(b"d")
+    assert clone.digest() == original.digest()
+
+
 def test_stream_until_fin_has_no_room_limit():
     s = PayloadSender(
         make_header(digest=False, payload_length=STREAM_UNTIL_FIN)

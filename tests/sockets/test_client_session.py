@@ -8,6 +8,8 @@ recording tracer counting every span begun and ended.
 """
 
 import hashlib
+import sys
+import threading
 
 import pytest
 
@@ -46,10 +48,18 @@ class RecordingTracer:
         ]
 
 
-def _session(tracer=None, **options):
+@pytest.fixture(autouse=True)
+def no_parked_digests():
+    """The parked-digest table is per process: start and end empty."""
+    client_module._parked.clear()
+    yield
+    client_module._parked.clear()
+
+
+def _session(tracer=None, sid=SID, **options):
     options.setdefault("payload_length", len(PAYLOAD))
     return ClientSession(
-        plan_client_session(ROUTE, session_id=SID, **options),
+        plan_client_session(ROUTE, session_id=sid, **options),
         tracer, trace_id=b"\x07" * 16 if tracer else None,
     )
 
@@ -139,6 +149,20 @@ def test_rebase_with_a_digest_rebuilds_the_prefix_state():
     _establish(session, SESSION_ACK + (512).to_bytes(8, "big"))
     assert built == [512]
     assert session.digest.digest() == hashlib.md5(PAYLOAD[:512]).digest()
+
+
+def test_a_grant_past_the_declared_length_fails_establishment():
+    session = _session(
+        rebind=True, resume_query=True,
+        digest_factory=real_digest_factory(PAYLOAD),
+    )
+    session.dial()
+    session.initial_bytes()
+    session.feed(SESSION_ACK)
+    grant = (len(PAYLOAD) + 1).to_bytes(8, "big")
+    with pytest.raises(ProtocolError, match="past the declared payload length"):
+        session.feed(grant)
+    assert session.granted_offset is None and session.bytes_sent == 0
 
 
 @pytest.mark.parametrize(
@@ -233,6 +257,152 @@ def test_no_payload_before_the_offset_is_granted():
     session.feed(SESSION_ACK)
     with pytest.raises(LslError, match="resume offset was granted"):
         _send(session, b"x")
+
+
+# -- parked digests -----------------------------------------------------------------
+
+
+class CountingFactory:
+    """A ``real_digest_factory`` over PAYLOAD that records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, offset):
+        self.calls.append(offset)
+        return real_digest_factory(PAYLOAD)(offset)
+
+
+def _suspend(cut, sid=SID, **options):
+    """Send ``cut`` bytes, then close without finishing."""
+    session = _session(sid=sid, **options)
+    _establish(session, SESSION_ACK)
+    _send(session, PAYLOAD[:cut])
+    session.release()
+    return session
+
+
+def _rebind(granted, factory, **options):
+    session = _session(
+        rebind=True, resume_query=True, digest_factory=factory, **options
+    )
+    _establish(session, SESSION_ACK + granted.to_bytes(8, "big"))
+    return session
+
+
+def _rest(session):
+    """The wire bytes that complete ``session``: payload and trailer."""
+    return _send(session, PAYLOAD[session.bytes_sent :]) + session.trailer()
+
+
+def test_an_unfinished_close_parks_and_a_finished_one_does_not():
+    _suspend(300)
+    ((sid, (sent, digest)),) = client_module._parked.items()
+    assert (sid, sent) == (SID, 300)
+    assert digest.digest() == hashlib.md5(PAYLOAD[:300]).digest()
+    client_module._parked.clear()
+    finished = _session()
+    _establish(finished, SESSION_ACK)
+    _rest(finished)
+    finished.release()
+    _suspend(0)  # nothing sent: nothing to park
+    _suspend(300, digest=False)  # no MD5 to park
+    assert not client_module._parked
+
+
+@pytest.mark.parametrize("framed", [False, True])
+def test_a_matching_grant_adopts_the_parked_digest(framed):
+    cut = 400
+    factory = CountingFactory()
+    _suspend(cut, framed=framed)
+    warm = _rebind(cut, factory, framed=framed)
+    assert factory.calls == []
+    cold = _rebind(cut, factory, framed=framed)
+    assert factory.calls == [cut]
+    on_the_wire = _rest(warm)
+    assert on_the_wire == _rest(cold)
+    assert on_the_wire.endswith(hashlib.md5(PAYLOAD).digest())
+
+
+def test_a_smaller_grant_calls_the_factory_once_at_the_grant():
+    factory = CountingFactory()
+    _suspend(400)
+    session = _rebind(250, factory)
+    assert factory.calls == [250]
+    assert _rest(session).endswith(hashlib.md5(PAYLOAD).digest())
+
+
+@pytest.mark.parametrize("first_grant", [400, 250])
+def test_a_grant_takes_the_entry_used_or_not(first_grant):
+    factory = CountingFactory()
+    _suspend(400)
+    _rebind(first_grant, factory)
+    assert SID not in client_module._parked
+    _rebind(400, factory)
+    assert factory.calls[-1] == 400
+    assert len(factory.calls) == (1 if first_grant == 400 else 2)
+
+
+def test_the_table_keeps_the_last_sixteen_suspends():
+    sids = [i.to_bytes(16, "big") for i in range(200)]
+    for sid in sids:
+        _suspend(100, sid=sid)
+    assert client_module.PARKED_DIGESTS == 16
+    assert list(client_module._parked) == sids[-16:]
+
+
+def test_parking_from_many_threads_keeps_the_bound_and_the_latest_entry():
+    digest = real_digest_factory(PAYLOAD)(100)
+    errors = []
+
+    def churn(worker):
+        try:
+            for i in range(2_000):
+                sid = bytes([worker]) + i.to_bytes(15, "big")
+                client_module._park(sid, i, digest)
+                if i % 3 == 0:
+                    client_module._unpark(sid)
+        except Exception as exc:  # a lost update shows as a KeyError
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn, args=(w,)) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(client_module._parked) == client_module.PARKED_DIGESTS
+    for sid, (sent, _) in client_module._parked.items():
+        assert sent == int.from_bytes(sid[1:], "big")
+
+
+def test_a_rebind_does_not_change_the_digest_the_first_session_holds():
+    first = _suspend(400)
+    held = first.digest
+    second = _rebind(400, CountingFactory())
+    _rest(second)
+    assert first.digest is held
+    assert held.digest() == hashlib.md5(PAYLOAD[:400]).digest()
+    assert held.total_bytes == 400
+
+
+def test_a_driver_that_does_not_park_neither_parks_nor_adopts(monkeypatch):
+    monkeypatch.setattr(ClientSession, "parks_digest", False)
+    _suspend(400)
+    assert not client_module._parked
+    monkeypatch.setattr(ClientSession, "parks_digest", True)
+    _suspend(400)
+    monkeypatch.setattr(ClientSession, "parks_digest", False)
+    factory = CountingFactory()
+    _rebind(400, factory)
+    assert factory.calls == [400]
+    assert SID in client_module._parked  # not consulted, not taken
 
 
 # -- spans ------------------------------------------------------------------------

@@ -9,12 +9,18 @@ displaced sublink, both directions ending — and the outcome is asserted
 by counts.
 """
 
+import random
 import struct
 
 import pytest
 
 from repro.cluster import InMemoryStore
-from repro.cluster.node import PARKED_SESSIONS, NodeSublink, StoreNode
+from repro.cluster.node import (
+    DEFAULT_CHECKPOINT_BYTES,
+    PARKED_SESSIONS,
+    NodeSublink,
+    StoreNode,
+)
 from repro.lsl.core import (
     SESSION_ACK,
     Chunk,
@@ -408,16 +414,22 @@ def test_node_sublink_resume_primes_the_digest_from_the_spool():
 
 
 class CountingStore(InMemoryStore):
-    """An in-memory store that counts spool read-backs: what a resume
-    costs when it rebuilds the receiver from the spool."""
+    """An in-memory store that counts spool read-backs (what a resume
+    costs when it rebuilds the receiver from the spool) and records the
+    size of every checkpoint append."""
 
     def __init__(self):
         super().__init__()
         self.reads = 0
+        self.appends = []
 
     def payload(self, session_id):
         self.reads += 1
         return super().payload(session_id)
+
+    def append_payload(self, session_id, owner, epoch, data, now):
+        self.appends.append(len(data))
+        return super().append_payload(session_id, owner, epoch, data, now)
 
 
 def _on_wire(data, offset, framed):
@@ -468,6 +480,45 @@ def _resumed(node, sid=SID, framed=False, trace=None, upto=None,
         + _on_wire(sender.finish(), len(PAYLOAD), framed),
     )
     return link, sublink, granted
+
+
+@pytest.mark.parametrize(
+    "framed, completed, appends",
+    [
+        (False, True, [279_951, 280_000, 280_000]),
+        (True, True, [279_939, 280_000, 280_000]),
+        (False, False, [279_951, 280_000, 280_000, 160_049]),
+        (True, False, [279_939, 280_000, 280_000, 160_061]),
+    ],
+)
+def test_checkpoints_append_the_same_sizes_in_the_same_order(
+    framed, completed, appends
+):
+    """1 MiB in 40,000-byte reads: a checkpoint once 256 KiB is pending,
+    none in the read that completes the session, the rest on suspend."""
+    big = random.Random(30).randbytes(1 << 20)
+    header, _, sender = plan_client_session(
+        ME, payload_length=len(big), session_id=SID, framed=framed,
+    )
+    sender.record(big)
+    wire = header.encode() + _on_wire(big, 0, framed)
+    if completed:
+        wire += _on_wire(sender.finish(), len(big), framed)
+    else:
+        wire = wire[:-(len(big) - 1_000_000)]
+    store = CountingStore()
+    node = FakeNode(store, checkpoint_bytes=DEFAULT_CHECKPOINT_BYTES)
+    link, sublink = FakeLink(), NodeSublink(node)
+    for pos in range(0, len(wire), 40_000):
+        sublink.received(link, wire[pos : pos + 40_000])
+    sublink.ended(link)
+    assert store.appends == appends
+    if completed:
+        (result,) = node.results
+        assert result.payload == big and result.digest_ok is True
+    else:
+        assert node.counters.sessions_suspended == 1
+        assert store.payload(SID) == big[:1_000_000]
 
 
 @pytest.mark.parametrize("framed", [False, True])
