@@ -18,7 +18,8 @@ Differences forced by distribution:
   durably spooled prefix — not whatever a live receiver had in memory.
   The decision carries ``prefix_length`` so the worker can rebuild
   receiver state (including the running MD5) by re-feeding the spool,
-  or check that the session it parked holds exactly that prefix.
+  or check that a session its process parked holds exactly that
+  prefix.
 * A restart (fresh connect reusing a live id after a lost
   SESSION_ACK) resets the stored record **and truncates the spool**:
   the old accumulated digest prefix must not survive into the
@@ -57,10 +58,12 @@ class StoreAcceptResume:
     """Rebind accepted; ownership now belongs to the deciding worker.
 
     ``prefix_length`` bytes of already-spooled payload must be re-fed
-    into a fresh receiver before the sublink's live bytes, unless the
-    deciding worker parked the session at exactly that offset (see
-    :mod:`repro.cluster.node`); ``reply`` already grants that offset. ``takeover`` marks a
-    cross-worker claim (the counter the cluster dashboards watch).
+    into a fresh receiver before the sublink's live bytes, unless a
+    worker of the deciding process parked the session at exactly that
+    offset and the previous epoch (see :mod:`repro.cluster.node`);
+    ``reply`` already grants that offset. ``takeover`` marks a
+    cross-worker claim (the counter the cluster dashboards watch),
+    whether the bytes then come from the spool or from memory.
     """
 
     record: StoredSession

@@ -21,7 +21,9 @@ The spool is opened in append mode under the same lock, so spool
 length and the record's ``bytes_received`` can never disagree by more
 than an in-flight crash — and on crash the *record* wins low (the
 append lands before the JSON update), which only makes the granted
-resume offset conservative, never wrong.
+resume offset conservative, never wrong: the next :meth:`claim`
+truncates the spool back to ``bytes_received``, so after a claim the
+two agree exactly.
 """
 
 from __future__ import annotations
@@ -106,6 +108,14 @@ class SharedFileStore(SessionStore):
             snap = self._read(session_id)
             if snap is None or snap.closed:
                 return None
+            # an append torn by a crash left spool bytes past the
+            # record: drop them, the grant is the record's
+            path = self._spool_path(session_id)
+            try:
+                if os.path.getsize(path) > snap.bytes_received:
+                    os.truncate(path, snap.bytes_received)
+            except FileNotFoundError:
+                pass
             snap = replace(
                 snap,
                 owner=owner,

@@ -15,13 +15,21 @@ length and rebuild the receiver — running MD5 included — by re-feeding
 the spool. The digest is never serialized; the spooled bytes are its
 only portable representation.
 
-The worker that suspended a session needs no portable form: it parks
-the suspended :class:`_TerminalSession` — receiver and running MD5 as
-they stand — in a table of at most :data:`PARKED_SESSIONS`, oldest
-dropped first. A rebind the store grants back to it at the very next
-epoch and at the parked offset re-attaches that session and reads
-nothing back; any other rebind (a takeover, a claim in between, an
-entry already dropped) re-feeds the spool, so a miss costs only time.
+A process whose worker suspended a session needs no portable form: the
+worker parks the suspended :class:`_TerminalSession` — receiver and
+running MD5 as they stand — in one process-wide table of at most
+:data:`PARKED_SESSIONS`, oldest dropped first. Any worker of the
+process that the store then grants the rebind to adopts that session
+and reads nothing back, when the grant is exactly what was parked: the
+same store handle, the very next epoch, the parked offset, the same
+framing. The adopter stamps the session with its own worker id (the
+owner its store writes quote), checkpoint size and tracer. Any other
+rebind (a claim in between, another store, an entry already dropped, a
+rebind in another process) re-feeds the spool, so a miss costs only
+time. A worker that shuts down, or is killed, takes its entries out of
+the table and parks nothing after, so a crashed worker's memory never
+serves a resume: the survivor takes the spool path a real SIGKILL
+leaves it.
 
 Everything here but :class:`ClusterNode` itself is shared with the
 asyncio worker (:mod:`repro.cluster.anode`): :class:`_TerminalSession`
@@ -29,8 +37,9 @@ asyncio worker (:mod:`repro.cluster.anode`): :class:`_TerminalSession`
 sublink, run from a ``recv`` loop here and from a read callback there,
 which hands an intermediate-hop link to the depot's
 :class:`~repro.sockets.lsd.RelaySession` by making it the link's owner)
-and :class:`StoreNode` (the worker's state, parked sessions, ``_open``,
-sweep and counters). :class:`ClusterNode` is that over
+and :class:`StoreNode` (the worker's state, ``_open``, sweep, counters,
+and a shutdown that retires it from the parked-session table).
+:class:`ClusterNode` is that over
 :class:`~repro.sockets.lsd.ThreadedDepot` — a constructor. Store
 calls are short blocking operations (bounded by checkpoint batching);
 the asyncio driver accepts them in-loop for the same reason it accepts
@@ -43,7 +52,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.lsl.core import (
     Chunk,
@@ -77,11 +86,11 @@ from repro.telemetry.tracing import TraceSpool
 #: per-read hot path while bounding client re-send after failover.
 DEFAULT_CHECKPOINT_BYTES = 256 * 1024
 
-#: How many suspended sessions a worker keeps in memory for a rebind
-#: that lands back on it. Each holds its delivered prefix, so this is
+#: How many suspended sessions a process keeps in memory for a rebind
+#: on any of its workers. Each holds its delivered prefix, so this is
 #: the bound on what parking costs: this many times the largest
-#: suspended prefix. A miss only costs the spool read, so the oldest
-#: entry is dropped without asking anyone.
+#: suspended prefix, per process. A miss only costs the spool read, so
+#: the oldest entry is dropped without asking anyone.
 PARKED_SESSIONS = 16
 
 
@@ -118,7 +127,7 @@ class _TerminalSession:
         self.completed = False
         self.ownership_lost = False
         if isinstance(decision, StoreAcceptResume) and decision.prefix_length:
-            self._prime(store.payload(self.session_id))
+            self._prime(store.payload(self.session_id), decision.prefix_length)
             self._spooled = len(self.chunks)
 
     def _attach(
@@ -158,37 +167,51 @@ class _TerminalSession:
                     takeover=decision.takeover,
                 )
 
-    def resumes(self, header: LslHeader, decision: StoreDecision) -> bool:
-        """Whether this parked session is exactly what ``decision``
-        grants: this worker's own rebind at the very next epoch, at the
-        offset the receiver holds, with the same framing. Anything else
-        (a takeover, or a claim in between) goes back to the spool."""
+    def resumes(
+        self, node: "StoreNode", header: LslHeader, decision: StoreDecision
+    ) -> bool:
+        """Whether this parked session is exactly what ``decision`` on
+        ``node`` grants: a rebind on the same store at the very next
+        epoch, at the offset the receiver holds, with the same framing
+        — on the parking worker or a sibling (a takeover). Anything
+        else (a claim in between, another store) goes back to the
+        spool."""
         return (
             isinstance(decision, StoreAcceptResume)
-            and not decision.takeover
+            and self.store is node._store
             and decision.record.epoch == self.epoch + 1
             and decision.prefix_length == self.receiver.payload_received
             and header.framed == self.header.framed
         )
 
     def resume(
-        self,
-        header: LslHeader,
-        decision: StoreDecision,
-        tracer: Optional[TraceSpool],
+        self, node: "StoreNode", header: LslHeader, decision: StoreDecision
     ) -> None:
-        """Re-attach a parked session to a rebind that :meth:`resumes`:
-        its receiver, MD5 included, carries over as it stands."""
+        """Re-attach a parked session to a rebind that :meth:`resumes`
+        on ``node``: its receiver, MD5 included, carries over as it
+        stands; what belongs to the deciding worker (the owner its store
+        writes quote, its checkpoint size, its tracer) comes from
+        ``node``."""
+        self.worker = node.worker
+        self.checkpoint_bytes = node._checkpoint_bytes
         self.receiver.rebind(header)
-        self._attach(header, decision, tracer)
+        self._attach(header, decision, node._tracer)
 
-    def _prime(self, prefix: bytes) -> None:
-        """Rebuild receiver state (offset + MD5) from the spool.
+    def _prime(self, prefix: bytes, length: int) -> None:
+        """Rebuild receiver state (offset + MD5) from the first
+        ``length`` bytes of the spool ``prefix``.
 
-        Framed sessions prime the *inner* payload receiver directly:
-        the spool holds decoded payload, not frames, and the new
-        sublink starts a fresh frame stream at the granted offset.
+        A spool shorter than the grant fails the rebind before any
+        reply. Framed sessions prime the *inner* payload receiver
+        directly: the spool holds decoded payload, not frames, and the
+        new sublink starts a fresh frame stream at the granted offset.
         """
+        if len(prefix) < length:
+            raise ProtocolError(
+                f"spool holds {len(prefix)} bytes, {length} granted"
+            )
+        if len(prefix) > length:
+            prefix = prefix[:length]
         inner = (
             self.receiver.inner
             if isinstance(self.receiver, FramedReceiver)
@@ -333,6 +356,41 @@ class _TerminalSession:
         )
 
 
+#: The process's parked sessions: id -> (parking worker, session).
+_parked: Dict[bytes, Tuple["StoreNode", _TerminalSession]] = {}
+_parked_lock = threading.Lock()
+
+
+def _park(node: "StoreNode", term: _TerminalSession) -> None:
+    """Keep a suspended session for a rebind on any worker of this
+    process, unless ``node`` is shutting down."""
+    with _parked_lock:
+        if node._retired:
+            return
+        _parked.pop(term.session_id, None)
+        _parked[term.session_id] = (node, term)
+        if len(_parked) > PARKED_SESSIONS:
+            del _parked[next(iter(_parked))]
+
+
+def _unpark(session_id: bytes) -> Optional[_TerminalSession]:
+    """Take the parked session ``session_id``, if any: every decision
+    on an id ends its parking, used or not."""
+    with _parked_lock:
+        entry = _parked.pop(session_id, None)
+    return None if entry is None else entry[1]
+
+
+def _retire(node: "StoreNode") -> None:
+    """Drop what ``node`` parked and let it park nothing more."""
+    with _parked_lock:
+        node._retired = True
+        for session_id in [
+            sid for sid, (owner, _) in _parked.items() if owner is node
+        ]:
+            del _parked[session_id]
+
+
 class NodeSublink:
     """One accepted sublink: header phase, then a relay hand-over or a
     store-backed terminal session.
@@ -358,14 +416,14 @@ class NodeSublink:
     def _terminal(self, header: LslHeader) -> _TerminalSession:
         node = self.node
         decision = node._acceptor.decide(header, time.time())
-        parked = node._unpark(header.session_id)
+        parked = _unpark(header.session_id)
         if isinstance(decision, RejectSession):
             raise decision.error
         if isinstance(decision, StoreAcceptResume) and decision.takeover:
             node.counters.add(takeovers=1)
         self.rebinds = decision.record.rebinds
-        if parked is not None and parked.resumes(header, decision):
-            parked.resume(header, decision, node._tracer)
+        if parked is not None and parked.resumes(node, header, decision):
+            parked.resume(node, header, decision)
             return parked
         return _TerminalSession(
             node._store,
@@ -453,7 +511,7 @@ class NodeSublink:
             if not term.ownership_lost:
                 # last: this sublink is done with the session, so a
                 # rebind may take it from here
-                node._park(term)
+                _park(node, term)
 
     def _deliver(self, link: Any, term: _TerminalSession) -> None:
         node = self.node
@@ -512,22 +570,16 @@ class StoreNode:
         self.results: List[SessionResult] = []
         self._results_lock = threading.Lock()
         self._done = threading.Condition(self._results_lock)
-        self._parked: Dict[bytes, _TerminalSession] = {}
-        self._parked_lock = threading.Lock()
+        #: Set (under the table's lock) once shutdown begins: from then
+        #: on this worker parks nothing.
+        self._retired = False
 
-    def _park(self, term: _TerminalSession) -> None:
-        """Keep a suspended session for a rebind on this worker."""
-        with self._parked_lock:
-            self._parked.pop(term.session_id, None)
-            self._parked[term.session_id] = term
-            if len(self._parked) > PARKED_SESSIONS:
-                del self._parked[next(iter(self._parked))]
-
-    def _unpark(self, session_id: bytes) -> Optional[_TerminalSession]:
-        """Take the parked session ``session_id``, if any: every
-        decision on an id ends its parking, used or not."""
-        with self._parked_lock:
-            return self._parked.pop(session_id, None)
+    def shutdown(self, *args: Any, **kwargs: Any) -> None:
+        """Take this worker's parked sessions out of the process table
+        first, then shut the depot down (``drain=False`` is a crash: a
+        dead worker's memory must not serve a resume)."""
+        _retire(self)
+        super().shutdown(*args, **kwargs)
 
     def _open(self, sock: socket.socket) -> Any:
         self.counters.session_started()

@@ -16,6 +16,11 @@ SessionStore` contract onto keys::
                          a SIGKILLed holder frees it after lock_ttl)
     lsl:counters:<id>    one worker's published counter snapshot
 
+The spool is appended before the record is written, so a crash between
+the two leaves the spool longer than ``bytes_received``; the next
+``claim`` cuts it back (``STRLEN``, then ``GET``/``SET`` only when it is
+longer), so after a claim the two agree exactly.
+
 Per-session atomicity uses the classic ``SET NX PX`` spinlock. The
 release is a plain ``DEL`` without a fencing token — safe here because
 every lock hold is a handful of local commands, orders of magnitude
@@ -201,6 +206,16 @@ class RedisProtocolStore(SessionStore):
             snap = self._read(session_id)
             if snap is None or snap.closed:
                 return None
+            # an append torn by a crash (APPEND done, record not
+            # written) left spool bytes past the record: drop them
+            key = self._spool_key(session_id)
+            length = self._client.command("STRLEN", key)
+            if isinstance(length, int) and length > snap.bytes_received:
+                spool = self._client.command("GET", key)
+                assert isinstance(spool, bytes)
+                self._client.command(
+                    "SET", key, spool[: snap.bytes_received]
+                )
             snap = replace(
                 snap,
                 owner=owner,

@@ -117,6 +117,9 @@ class SessionStore:
 
         Returns the post-claim record (its ``epoch`` is the claimer's
         write token) or None when the session is unknown or closed.
+        After a claim the spool holds exactly ``bytes_received`` bytes:
+        a backend whose append can tear (spool written, record not)
+        trims the excess here.
         """
         raise NotImplementedError
 

@@ -14,7 +14,15 @@ import pytest
 
 from repro.lsl.core import real_digest_factory
 from repro.sockets import LslSocketClient, ThreadedLslServer
-from repro.cluster import ClusterNode, InMemoryStore, LocalCluster
+from repro.cluster import (
+    ClusterNode,
+    InMemoryStore,
+    LocalCluster,
+    MiniRedis,
+    RedisProtocolStore,
+    SharedFileStore,
+)
+from repro.cluster import node as cluster_node
 
 SID = bytes(range(16))
 PAYLOAD = random.Random(2026).randbytes(300_000)
@@ -170,7 +178,7 @@ def test_a_worker_resumes_the_sessions_it_parked_from_memory(driver):
                 client.sendall(PAYLOAD[:cut])
             # parked only once the sublink is done with it, after the
             # spool has the prefix
-            assert _wait(lambda: sid in node._parked)
+            assert _wait(lambda: sid in cluster_node._parked)
             with LslSocketClient(
                 [cluster.address],
                 payload_length=len(PAYLOAD),
@@ -190,6 +198,119 @@ def test_a_worker_resumes_the_sessions_it_parked_from_memory(driver):
     for result in node.results:
         assert result.payload == PAYLOAD and result.digest_ok is True
         assert result.rebinds == 1
+
+
+def _suspend(route, sid, cut):
+    """A first sublink that delivers ``cut`` bytes and closes unfinished."""
+    with LslSocketClient(
+        route, payload_length=len(PAYLOAD), session_id=sid
+    ) as client:
+        client.sendall(PAYLOAD[:cut])
+
+
+def _rebind_and_finish(route, sid, cut):
+    with LslSocketClient(
+        route,
+        payload_length=len(PAYLOAD),
+        session_id=sid,
+        rebind=True,
+        resume_query=True,
+        digest_factory=real_digest_factory(PAYLOAD),
+    ) as client:
+        assert client.granted_offset == cut
+        client.sendall(PAYLOAD[cut:])
+        client.finish()
+
+
+def test_a_sibling_resumes_the_sessions_another_worker_parked(driver):
+    """Rebinds land on either worker; a takeover adopts the session its
+    sibling parked, across threads or loops, and reads no spool."""
+    cut = 120_000
+    store = CountingStore()
+    sids = [bytes([0x50 + i]) * 16 for i in range(20)]
+    with LocalCluster(2, store=store, driver=driver) as cluster:
+        for sid in sids:
+            _suspend([cluster.address], sid, cut)
+            assert _wait(lambda: sid in cluster_node._parked)
+            _rebind_and_finish([cluster.address], sid, cut)
+        assert cluster.wait_for_sessions(20)
+        assert store.reads == 0
+        assert _wait(
+            lambda: sum(n.counters.sessions_completed for n in cluster.nodes)
+            == 20
+        )
+        takeovers = sum(n.counters.takeovers for n in cluster.nodes)
+        results = cluster.results()
+    assert not cluster_node._parked
+    # 20 rebinds, each on either worker: none a takeover has odds 2**-20
+    assert 0 < takeovers <= 20
+    assert sorted(r.session_id for r in results) == sorted(sids)
+    for result in results:
+        assert result.payload == PAYLOAD and result.digest_ok is True
+        assert result.rebinds == 1
+
+
+def test_a_killed_owner_leaves_the_takeover_to_the_spool(driver):
+    """A crashed worker's memory serves no resume: the survivor reads
+    the spool once, as after a real SIGKILL."""
+    cut = 150_000
+    store = CountingStore()
+    with LocalCluster(2, store=store, driver=driver) as cluster:
+        _suspend([cluster.address], SID, cut)
+        assert _wait(lambda: SID in cluster_node._parked)
+        owner_idx = int(store.load(SID).owner[1:])
+        cluster.kill(owner_idx)
+        assert not cluster_node._parked
+        _rebind_and_finish([cluster.address], SID, cut)
+        survivor = cluster.nodes[1 - owner_idx]
+        assert survivor.wait_for_sessions(1)
+        assert store.reads == 1
+        assert survivor.counters.takeovers == 1
+    (result,) = survivor.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+
+
+@pytest.fixture(params=["file", "redis"])
+def torn_store(request, tmp_path):
+    """A store whose spool append can tear, and a way to tear it: bytes
+    appended to the spool behind the record's back, as a crash between
+    the spool write and the record write leaves them."""
+    if request.param == "file":
+        store = SharedFileStore(str(tmp_path / "store"))
+
+        def tear(sid, data):
+            with open(store._spool_path(sid), "ab") as fp:
+                fp.write(data)
+
+        yield store, tear
+        return
+    with MiniRedis() as server:
+        store = RedisProtocolStore(server.address[0], server.address[1])
+
+        def tear(sid, data):
+            store._client.command("APPEND", store._spool_key(sid), data)
+
+        yield store, tear
+
+
+def test_a_torn_spool_append_is_cut_back_by_the_takeover(torn_store):
+    store, tear = torn_store
+    cut = 200_000
+    with LocalCluster(2, store=store) as cluster:
+        _suspend([cluster.address], SID, cut)
+        assert _wait_spooled(store, SID, cut)
+        owner_idx = int(store.load(SID).owner[1:])
+        assert _wait(
+            lambda: cluster.nodes[owner_idx].counters.sessions_suspended == 1
+        )
+        tear(SID, bytes(1_000))
+        cluster.kill(owner_idx)
+        _rebind_and_finish([cluster.address], SID, cut)
+        survivor = cluster.nodes[1 - owner_idx]
+        assert survivor.wait_for_sessions(1)
+        assert survivor.counters.sessions_failed == 0
+    (result,) = survivor.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
 
 
 class CountingFactory:

@@ -84,6 +84,31 @@ def test_guarded_append_and_stale_refusal(store):
     assert store.payload(SID) == b"abcdefg"
 
 
+def _tear(store, data):
+    """What a crash between the spool append and the record write
+    leaves: spool bytes the record does not count."""
+    if isinstance(store, SharedFileStore):
+        with open(store._spool_path(SID), "ab") as fp:
+            fp.write(data)
+    else:
+        store._client.command("APPEND", store._spool_key(SID), data)
+
+
+@pytest.mark.parametrize("spooled", [b"", b"abcde"])
+def test_claim_cuts_the_spool_back_to_the_record(store, spooled):
+    first = store.create(SID, now=0.0, owner="w0")
+    if spooled:
+        store.append_payload(SID, "w0", first.epoch, spooled, 0.1)
+    if not isinstance(store, InMemoryStore):  # its appends cannot tear
+        _tear(store, b"torn")
+    claimed = store.claim(SID, "w1", now=1.0)
+    assert claimed.bytes_received == len(spooled)
+    assert store.payload(SID) == spooled
+    assert store.append_payload(SID, "w1", claimed.epoch, b"fg", 1.2) == (
+        len(spooled) + 2
+    )
+
+
 def test_reset_truncates_spool(store):
     # the RestartSession stale-state fix: a restart must not leak the
     # previous incarnation's digest prefix into the new session

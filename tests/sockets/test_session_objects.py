@@ -11,10 +11,13 @@ by counts.
 
 import random
 import struct
+import sys
+import threading
 
 import pytest
 
 from repro.cluster import InMemoryStore
+from repro.cluster import node as cluster_node
 from repro.cluster.node import (
     DEFAULT_CHECKPOINT_BYTES,
     PARKED_SESSIONS,
@@ -337,7 +340,22 @@ def test_striped_sublink_drains_after_completion():
 # -- NodeSublink --------------------------------------------------------------
 
 
-class FakeNode(StoreNode):
+@pytest.fixture(autouse=True)
+def no_parked_sessions():
+    """The parked-session table is per process: start and end empty."""
+    cluster_node._parked.clear()
+    yield
+    cluster_node._parked.clear()
+
+
+class FakeService:
+    """The depot half of a :class:`FakeNode`: nothing to stop."""
+
+    def shutdown(self, drain=True):
+        self.drained = drain
+
+
+class FakeNode(StoreNode, FakeService):
     def __init__(self, store, worker="w0", checkpoint_bytes=64, tracer=None):
         super().__init__(store, worker, None, None, checkpoint_bytes, None, None)
         self.counters = DepotCounters()
@@ -393,6 +411,7 @@ def test_node_sublink_resume_primes_the_digest_from_the_spool():
     sublink.ended(link)  # suspends: everything received is spooled
     assert first.counters.sessions_suspended == 1
     assert store.payload(SID) == PAYLOAD[:200]
+    first.shutdown()  # and its worker goes: only the spool is left
 
     second = FakeNode(store, "w1")  # the rebind lands on another worker
     header, _, sender = plan_client_session(
@@ -416,12 +435,13 @@ def test_node_sublink_resume_primes_the_digest_from_the_spool():
 class CountingStore(InMemoryStore):
     """An in-memory store that counts spool read-backs (what a resume
     costs when it rebuilds the receiver from the spool) and records the
-    size of every checkpoint append."""
+    size and the quoted owner of every checkpoint append."""
 
     def __init__(self):
         super().__init__()
         self.reads = 0
         self.appends = []
+        self.owners = []
 
     def payload(self, session_id):
         self.reads += 1
@@ -429,6 +449,7 @@ class CountingStore(InMemoryStore):
 
     def append_payload(self, session_id, owner, epoch, data, now):
         self.appends.append(len(data))
+        self.owners.append(owner)
         return super().append_payload(session_id, owner, epoch, data, now)
 
 
@@ -526,7 +547,8 @@ def test_a_rebind_on_the_parking_worker_reads_no_spool(framed):
     store = CountingStore()
     node = FakeNode(store)
     first = _suspended(node, 200, framed=framed)
-    assert node.counters.sessions_suspended == 1 and node._parked
+    assert node.counters.sessions_suspended == 1
+    assert SID in cluster_node._parked
     link, sublink, granted = _resumed(node, framed=framed)
     assert granted == 200 and sublink.term is first.term
     assert store.reads == 0
@@ -536,7 +558,7 @@ def test_a_rebind_on_the_parking_worker_reads_no_spool(framed):
     assert result.payload == PAYLOAD and result.digest_ok is True
     assert result.rebinds == 1 and link.closed
     assert node.counters.sessions_completed == 1
-    assert node.counters.takeovers == 0 and not node._parked
+    assert node.counters.takeovers == 0 and not cluster_node._parked
 
 
 def test_a_wrong_trailer_after_a_warm_resume_fails_the_session():
@@ -551,14 +573,99 @@ def test_a_wrong_trailer_after_a_warm_resume_fails_the_session():
 
 
 def test_a_takeover_reads_the_spool_once():
+    """Once the parking worker has shut down, a takeover has only the
+    spool to resume from."""
     store = CountingStore()
     w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
     _suspended(w0, 200)
+    w0.shutdown()
+    assert not cluster_node._parked
     _, _, granted = _resumed(w1)
     assert granted == 200 and store.reads == 1
     (result,) = w1.results
     assert result.payload == PAYLOAD and result.digest_ok is True
     assert w1.counters.takeovers == 1
+
+
+@pytest.mark.parametrize("framed", [False, True])
+def test_a_sibling_takeover_reads_no_spool(framed):
+    store = CountingStore()
+    w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
+    first = _suspended(w0, 200, framed=framed)
+    link, sublink, granted = _resumed(w1, framed=framed)
+    assert granted == 200 and sublink.term is first.term
+    assert store.reads == 0
+    (result,) = w1.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert result.rebinds == 1 and link.closed
+    # the store decided a takeover; where the bytes came from is ours
+    assert w1.counters.takeovers == 1 and w0.counters.takeovers == 0
+    assert w1.counters.sessions_completed == 1 and not w0.results
+    assert not cluster_node._parked
+
+
+def test_a_session_moves_between_siblings_from_memory():
+    store = CountingStore()
+    w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
+    _suspended(w0, 200)
+    _resumed(w1, upto=300)  # taken over, 100 more bytes, suspended
+    assert cluster_node._parked[SID][0] is w1
+    _, _, granted = _resumed(w0)  # and taken back
+    assert granted == 300 and store.reads == 0
+    (result,) = w0.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert result.rebinds == 2
+    assert w0.counters.takeovers == w1.counters.takeovers == 1
+
+
+def test_an_adopted_session_is_the_deciding_workers():
+    """What belongs to a worker comes from the one that adopts: the
+    owner its checkpoints quote, its checkpoint size, its tracer."""
+    store = CountingStore()
+    w0_spans, w1_spans = TraceSpool("w0"), TraceSpool("w1")
+    w0 = FakeNode(store, "w0", checkpoint_bytes=64, tracer=w0_spans)
+    w1 = FakeNode(store, "w1", checkpoint_bytes=1_000, tracer=w1_spans)
+    _suspended(w0, 200, trace=TraceContext(bytes(16), 5, 0))
+    assert store.owners == ["w0"] and store.appends == [200]
+    since = w0_spans.total_records
+    header, _, _ = plan_client_session(
+        ME, payload_length=len(PAYLOAD), session_id=SID, rebind=True,
+        resume_query=True, digest_factory=real_digest_factory(PAYLOAD),
+        trace=TraceContext(bytes(16), 7, 0),
+    )
+    link, sublink = FakeLink(), NodeSublink(w1)
+    sublink.received(link, header.encode())
+    assert link.written == SESSION_ACK + struct.pack(">Q", 200)
+    for pos in range(200, 450, 50):
+        sublink.received(link, PAYLOAD[pos : pos + 50])
+    sublink.ended(link)
+    assert sublink.term.worker == "w1" and store.reads == 0
+    # 250 bytes under w1's 1,000-byte checkpoint (w0's is 64): one
+    # append, on FIN, that quotes w1 (the store's owner now) and is
+    # accepted
+    assert store.owners == ["w0", "w1"] and store.appends == [200, 250]
+    assert w1.counters.sessions_suspended == 1 and link.closed
+    assert store.load(SID).bytes_received == 450
+    assert w0_spans.total_records == since
+    assert [r["name"] for r in w1_spans.tail(since=0)] == [
+        "server.session", "server.resume-grant", "store.cas", "store.cas",
+        "server.suspend", "server.session",
+    ]
+    assert w1_spans.open_span_count() == 0
+
+
+def test_an_entry_parked_against_another_store_is_not_adopted():
+    first, other = CountingStore(), CountingStore()
+    _suspended(FakeNode(first, "w0"), 200)
+    # the same id, suspended at the same offset, in another store
+    other.create(SID, 0.0, "w0")
+    assert other.append_payload(SID, "w0", 1, PAYLOAD[:200], 0.0) == 200
+    node = FakeNode(other, "w1")
+    _, _, granted = _resumed(node)
+    assert granted == 200 and other.reads == 1 and first.reads == 0
+    (result,) = node.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert not cluster_node._parked  # the decision ended its parking
 
 
 @pytest.mark.parametrize("claimed_by", ["w1", "w0"])
@@ -567,19 +674,86 @@ def test_a_parked_session_claimed_since_is_resumed_from_the_spool(claimed_by):
     w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
     _suspended(w0, 200)  # parked on w0 at epoch 1
     if claimed_by == "w1":
-        # taken over, 100 more bytes, suspended again over there
+        # taken over (from memory), 100 more bytes, suspended again
+        # over there; then w1 shuts down and takes its entry along
         _resumed(w1, upto=300)
-        expected, reads = 300, 1
+        w1.shutdown()
+        expected = 300
     else:
         # a rebind here that overtook the park: same owner, same offset,
         # but a later epoch than the parked one
         assert store.claim(SID, "w0", 0.0).epoch == 2
-        expected, reads = 200, 0
+        expected = 200
     _, sublink, granted = _resumed(w0)
-    assert granted == expected and store.reads == reads + 1
+    assert granted == expected and store.reads == 1
     (result,) = w0.results
     assert result.payload == PAYLOAD and result.digest_ok is True
     assert result.rebinds == 2
+
+
+def test_a_sibling_claim_in_between_sends_the_rebind_to_the_spool():
+    store = CountingStore()
+    w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
+    _suspended(w0, 200)  # parked on w0 at epoch 1
+    assert store.claim(SID, "w1", 0.0).epoch == 2  # never reached w1's receiver
+    _, _, granted = _resumed(w1)  # epoch 3
+    assert granted == 200 and store.reads == 1
+    (result,) = w1.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+
+
+def test_a_worker_that_shuts_down_parks_nothing():
+    """Neither what it parked before nor a sublink that ends during the
+    shutdown: a dead worker's memory never serves a resume."""
+    store = CountingStore()
+    w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
+    other = bytes(reversed(range(16)))
+    _suspended(w0, 200, sid=other)
+    _suspended(w1, 200)
+    header, _, _ = plan_client_session(
+        ME, payload_length=len(PAYLOAD), session_id=bytes(16),
+    )
+    link, sublink = FakeLink(), NodeSublink(w0)
+    sublink.received(link, header.encode() + PAYLOAD[:100])
+    assert set(cluster_node._parked) == {other, SID}
+    w0.shutdown(drain=False)
+    assert w0.drained is False and set(cluster_node._parked) == {SID}
+    sublink.ended(link)  # its sublink suspends after the shutdown began
+    assert w0.counters.sessions_suspended == 2
+    assert set(cluster_node._parked) == {SID}
+    _, _, granted = _resumed(w1, sid=other)
+    assert granted == 200 and store.reads == 1
+    assert w1.results[0].digest_ok is True
+
+
+def test_a_spool_shorter_than_the_grant_fails_the_rebind_before_a_reply():
+    store = InMemoryStore()
+    w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
+    _suspended(w0, 200)
+    w0.shutdown()
+    del store._records[SID].spool[150:]  # the store lost spooled bytes
+    header, _, _ = plan_client_session(
+        ME, payload_length=len(PAYLOAD), session_id=SID, rebind=True,
+        resume_query=True, digest_factory=real_digest_factory(PAYLOAD),
+    )
+    link, sublink = FakeLink(), NodeSublink(w1)
+    sublink.received(link, header.encode())
+    assert link.written == b"" and link.closed
+    assert w1.counters.sessions_failed == 1 and not w1.results
+
+
+def test_a_spool_longer_than_the_grant_primes_only_the_grant():
+    store = InMemoryStore()
+    w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
+    _suspended(w0, 200)
+    w0.shutdown()
+    # a torn append on a backend that does not trim: bytes past the
+    # record's count, which the grant does not cover
+    store._records[SID].spool.extend(bytes(1_000))
+    _, _, granted = _resumed(w1)
+    assert granted == 200
+    (result,) = w1.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
 
 
 @pytest.mark.parametrize("first_traced", [False, True])
@@ -593,7 +767,7 @@ def test_a_warm_resume_traces_like_a_cold_one(first_traced):
         first = TraceContext(bytes(16), 5, 0) if first_traced else None
         _suspended(node, 200, trace=first)
         if not warm:
-            node._parked.clear()
+            cluster_node._parked.clear()
         since = tracer.total_records
         _resumed(node, trace=TraceContext(bytes(16), 7, 0))
         (result,) = node.results
@@ -615,16 +789,70 @@ def test_a_warm_resume_traces_like_a_cold_one(first_traced):
 
 @pytest.mark.parametrize("ending", ["abandoned", "taken-over"])
 def test_parked_sessions_stay_bounded(ending):
+    """The bound is the process's, whichever workers park: abandoned
+    sessions from both, or sessions taken over and either completed
+    (nothing parked) or suspended again by the sibling."""
     store = InMemoryStore()
     w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")  # no TTL sweep
     sids = [i.to_bytes(16, "big") for i in range(200)]
-    for sid in sids:
-        _suspended(w0, 100, sid=sid)
-        if ending == "taken-over":
-            _resumed(w1, sid=sid)
-        assert len(w0._parked) <= PARKED_SESSIONS
-    assert list(w0._parked) == sids[-PARKED_SESSIONS:]
-    assert not w1._parked
+    for i, sid in enumerate(sids):
+        if ending == "abandoned":
+            _suspended((w0, w1)[i % 2], 100, sid=sid)
+        else:
+            _suspended(w0, 100, sid=sid)
+            _resumed(w1, sid=sid, upto=300 if i % 2 else None)
+        assert len(cluster_node._parked) <= PARKED_SESSIONS
+    owners = [node.worker for node, _ in cluster_node._parked.values()]
+    if ending == "abandoned":
+        assert list(cluster_node._parked) == sids[-PARKED_SESSIONS:]
+        assert owners == ["w0", "w1"] * (PARKED_SESSIONS // 2)
+    else:
+        assert list(cluster_node._parked) == sids[1::2][-PARKED_SESSIONS:]
+        assert owners == ["w1"] * PARKED_SESSIONS
+        assert len(w1.results) == 100
+
+
+def test_parking_from_many_threads_keeps_the_bound_and_the_purge():
+    """Eight workers park, take and (half of them) shut down at once: the
+    table stays bounded and holds nothing of a worker that shut down."""
+    store = InMemoryStore()
+    nodes = [FakeNode(store, f"w{i}") for i in range(8)]
+    errors = []
+
+    class Parked:
+        def __init__(self, session_id):
+            self.session_id = session_id
+
+    def churn(index):
+        node = nodes[index]
+        try:
+            for i in range(2_000):
+                sid = bytes([index]) + i.to_bytes(15, "big")
+                cluster_node._park(node, Parked(sid))
+                if i % 3 == 0:
+                    taken = cluster_node._unpark(sid)
+                    assert taken is None or taken.session_id == sid
+                if index % 2 and i == 1_000:
+                    node.shutdown()
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(cluster_node._parked) == PARKED_SESSIONS
+    for sid, (node, parked) in cluster_node._parked.items():
+        assert parked.session_id == sid and node is nodes[sid[0]]
+        assert sid[0] % 2 == 0 and not node._retired
 
 
 @pytest.mark.parametrize("suspend_first", [True, False])
@@ -646,7 +874,7 @@ def test_a_crash_racing_a_suspend_accounts_the_sublink_once(suspend_first):
         counters.sessions_completed,
     )
     assert outcomes == ((1, 0, 0) if suspend_first else (0, 1, 0))
-    assert len(node._parked) == (1 if suspend_first else 0)
+    assert len(cluster_node._parked) == (1 if suspend_first else 0)
     assert link.closed
 
 
