@@ -49,8 +49,7 @@ from repro.lsl.core import (
 from repro.lsl.core.striping import DEFAULT_STRIPE, KIND_DATA, Assignment
 from repro.lsl.core.errors import LslError, ProtocolError, RouteError
 from repro.lsl.core.session import SessionId, SessionRegistry, new_session_id
-from repro.lsl.core.wire import STREAM_UNTIL_FIN
-from repro.lsl.server import _PendingAccept
+from repro.lsl.core.wire import STREAM_UNTIL_FIN, HeaderAccumulator
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.options import TcpOptions
 from repro.tcp.sockets import SimSocket, TcpStack
@@ -375,6 +374,55 @@ class _FramedServerSession:
         if self.on_error:
             self.on_error(error)
         self.server.errors.append(error)
+
+
+class _PendingAccept:
+    """Reads the header off a freshly accepted sublink."""
+
+    def __init__(self, server: "StripedLslServer", sock: SimSocket) -> None:
+        self.server = server
+        self.sock = sock
+        self._accumulator = HeaderAccumulator()
+        sock.on_readable = self._on_bytes
+        sock.on_peer_fin = self._on_fin
+        if sock.readable_bytes > 0:
+            self._on_bytes()
+
+    def _on_bytes(self) -> None:
+        chunks = self.sock.recv()
+        header = None
+        tail_index = len(chunks)
+        for i, chunk in enumerate(chunks):
+            if chunk.data is None:
+                self.sock.abort()
+                self.server._pending_failed(
+                    self, ProtocolError("virtual bytes before LSL header")
+                )
+                return
+            try:
+                header = self._accumulator.feed(chunk.data)
+            except ProtocolError as exc:
+                self.sock.abort()
+                self.server._pending_failed(self, exc)
+                return
+            if header is not None:
+                tail_index = i + 1
+                break
+        if header is None:
+            return
+        surplus: List[StreamChunk] = []
+        if self._accumulator.surplus:
+            surplus.append(
+                StreamChunk(len(self._accumulator.surplus), self._accumulator.surplus)
+            )
+        surplus.extend(chunks[tail_index:])
+        self.server._header_ready(self, header, surplus)
+
+    def _on_fin(self) -> None:
+        self.sock.close()
+        self.server._pending_failed(
+            self, ProtocolError("sublink closed before header complete")
+        )
 
 
 class StripedLslServer:

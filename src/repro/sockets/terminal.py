@@ -1,4 +1,4 @@
-"""The terminal session, once, for both real-socket drivers.
+"""The terminal session, once, for all three drivers.
 
 What a server does with a sublink is protocol, not driver:
 :class:`~repro.lsl.core.SessionAcceptor` arbitrates fresh / rebind /
@@ -6,17 +6,19 @@ restart, :class:`~repro.lsl.core.PayloadReceiver` (or
 :class:`~repro.lsl.core.FramedReceiver` for FLAG_FRAMED streams) owns
 payload accounting and the end-to-end MD5, and
 :func:`~repro.lsl.core.negotiate_resume` answers resume queries with the
-authoritative received count. A suspended session (EOF mid-payload)
-keeps its receiver until a REBIND sublink re-attaches and resumes from
-the granted offset.
+authoritative received count. A suspended session (EOF or a reset
+mid-payload) keeps its receiver until a REBIND sublink re-attaches and
+resumes from the granted offset.
 
 :class:`TerminalSublink` is one accepted sublink and
 :class:`TerminalEngine` the server state behind it. They reach the
 transport only through the sublink's *link* — ``write``, ``close``,
 ``closed`` — so ``ThreadedLslServer`` runs them from a ``recv`` loop
-(:func:`repro.sockets.wire.run_blocking`) and ``AsyncLslServer`` from a
-readiness callback (:class:`repro.asockets.runtime.Endpoint`); each
-driver adds only its chassis and a constructor.
+(:func:`repro.sockets.wire.run_blocking`), ``AsyncLslServer`` from a
+readiness callback (:class:`repro.asockets.runtime.Endpoint`) and the
+simulator's :class:`repro.lsl.server.LslServer` from ``SimSocket``
+events (its ``SimLink``, which alone delivers chunk batches and virtual
+bytes); each driver adds only its chassis, its clock and a constructor.
 
 **The contract a driver must keep.** Two locks, each held for one call
 and never across a read: the engine lock around the accept decision,
@@ -25,19 +27,21 @@ around one ``feed`` / ``feed_eof`` / rebind. And one rule: a sublink
 whose link is no longer ``live.link`` is *stale* — whatever it still
 delivers, bytes or EOF, is dropped under the session lock and its link
 closed — so a rebind never waits for the reader it displaces. On the
-event loop both locks are simply never contended.
+event loop and in the simulator both locks are simply never contended.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, List, Optional, Tuple, Union
 
 from repro.lsl.core import (
     AcceptRebind,
     Chunk,
+    ChunkLike,
     Completed,
     Deliver,
     EOF_COMPLETE,
@@ -71,21 +75,37 @@ class SessionResult:
 
 
 class _LiveSession:
-    """Receiver state that outlives individual sublinks (rebinds)."""
+    """Receiver state that outlives individual sublinks (rebinds).
+
+    It is also the session's consumer: ``Deliver`` chunks queue in
+    ``chunks``, and :meth:`delivered` runs once per batch that queued
+    some. Here they wait for :meth:`TerminalEngine._completed` to join
+    them into the result's payload; a driver that hands them to its
+    application as they arrive subclasses this.
+    """
 
     __slots__ = ("receiver", "chunks", "link", "lock", "span", "trace")
 
-    def __init__(
-        self, receiver: Union[PayloadReceiver, FramedReceiver], link: Any
-    ) -> None:
-        self.receiver = receiver
-        self.chunks: List[bytes] = []
+    def __init__(self, engine: "TerminalEngine", header: LslHeader, link: Any) -> None:
+        observer = self._observer(engine)
+        self.receiver: Union[PayloadReceiver, FramedReceiver] = (
+            FramedReceiver(header, observer) if header.framed
+            else PayloadReceiver(header, observer)
+        )
+        self.chunks: Deque[Chunk] = deque()
         self.link: Any = link  # the sublink now attached; None once restarted
         self.lock = threading.Lock()
         # distributed tracing: the active server.session span (one per
         # sublink attachment — a rebind closes it and opens a new one)
         self.span = 0
         self.trace: Optional[bytes] = None
+
+    def _observer(self, engine: "TerminalEngine") -> Optional[ProtocolObserver]:
+        """Where the receiver reports (a driver may scope it per session)."""
+        return engine._observer
+
+    def delivered(self) -> None:
+        """A batch of payload was queued in ``chunks``."""
 
 
 class TerminalSublink:
@@ -99,24 +119,42 @@ class TerminalSublink:
         self.live: Optional[_LiveSession] = None
 
     def received(self, link: Any, data: bytes) -> None:
+        """One read off a socket."""
+        self.received_batch(link, [Chunk.real(data)])
+
+    def received_batch(self, link: Any, chunks: List[ChunkLike]) -> None:
+        """One read's worth of stream chunks, fed to the receiver at once."""
         engine, live = self.engine, self.live
         try:
             if live is None:
-                header = self.acc.feed(data)
-                if header is None:
-                    return
-                self.live = live = engine._attach(link, header)
-                data = self.acc.surplus
-                if not data:
+                chunks = self._header(link, chunks)
+                live = self.live
+                if live is None or not chunks:
                     return
             with live.lock:
                 # a displaced sublink's bytes are dropped, never fed
                 if live.link is not link or engine._apply(
-                    live, live.receiver.feed([Chunk.real(data)])
+                    live, live.receiver.feed(chunks)
                 ):
                     link.close()  # stale, or the session is finished
         except Exception as exc:
             engine._fail(link, exc)
+
+    def _header(self, link: Any, chunks: List[ChunkLike]) -> List[ChunkLike]:
+        """Header phase: attach once the header is complete, and return
+        the chunks that followed it."""
+        acc = self.acc
+        for i, chunk in enumerate(chunks):
+            if chunk.data is None:
+                raise ProtocolError("virtual bytes before LSL header")
+            header = acc.feed(chunk.data)
+            if header is not None:
+                self.live = self.engine._attach(link, header)
+                rest = chunks[i + 1:]
+                if acc.surplus:
+                    rest.insert(0, Chunk.real(acc.surplus))
+                return rest
+        return []
 
     def ended(self, link: Any) -> None:
         engine, live = self.engine, self.live
@@ -137,12 +175,17 @@ class TerminalSublink:
             engine._fail(link, exc)
 
     def broken(self, link: Any, exc: BaseException) -> None:
-        if self.live is None and isinstance(exc, OSError):
-            self.engine._fail(link, exc)  # reset before any header
-        else:
-            # sublink died, or shutdown: only this sublink is finished
-            # — the receiver state lives on for a rebind
-            link.close()
+        live = self.live
+        if isinstance(exc, OSError):  # not a shutdown: the sublink died
+            if live is None:
+                self.engine._fail(link, exc)  # reset before any header
+                return
+            # a reset mid-payload suspends the session as a FIN does:
+            # the receiver waits for a rebind at the mirrored offset
+            with live.lock:
+                if live.link is link and not live.receiver.finished:
+                    self.engine._note_suspended(live)
+        link.close()
 
 
 class TerminalEngine:
@@ -152,12 +195,18 @@ class TerminalEngine:
     The chassis owns the listener, accept, the sweeper's timer and
     shutdown; it hands every accepted socket to :meth:`_open`, which
     puts a :class:`TerminalSublink` behind the chassis's kind of link,
-    and calls :meth:`_sweep` on its timer.
+    and calls :meth:`_sweep` on its timer. A driver whose application
+    takes the payload as it arrives sets ``_session_cls`` and overrides
+    the hooks :meth:`_attached`, :meth:`_completed` and
+    :meth:`_failed`.
     """
 
     address: Tuple[str, int]
     _driver: str  # ``/healthz`` names the driver behind the socket
     _link: Callable[..., Any]
+    _session_cls = _LiveSession
+    #: The driver's clock: acceptor decisions, ``last_active``, the sweep.
+    _now: Callable[[], float] = staticmethod(time.monotonic)
 
     def __init__(
         self,
@@ -206,7 +255,7 @@ class TerminalEngine:
     def _attach(self, link: Any, header: LslHeader) -> _LiveSession:
         """Run the accept decision, wire up the sublink and answer it."""
         with self._lock:
-            decision = self._acceptor.decide(header, time.monotonic())
+            decision = self._acceptor.decide(header, self._now())
         if isinstance(decision, RejectSession):
             raise decision.error
         if isinstance(decision, AcceptRebind):
@@ -227,12 +276,7 @@ class TerminalEngine:
                 stale = decision.stale
                 with stale.lock:
                     displaced, stale.link = stale.link, None
-            receiver: Union[PayloadReceiver, FramedReceiver]
-            if header.framed:
-                receiver = FramedReceiver(header, self._observer)
-            else:
-                receiver = PayloadReceiver(header, self._observer)
-            live = _LiveSession(receiver, link)
+            live = self._session_cls(self, header, link)
             decision.record.attachment = live
             reply = decision.reply
             self._begin_span(live, header)
@@ -242,22 +286,35 @@ class TerminalEngine:
             displaced.close()
         if reply:
             link.write(reply)
+        self._attached(live, header, decision)
         return live
 
-    def _apply(self, live: _LiveSession, events: Any) -> bool:
-        """Apply receiver events; True once the session is finished."""
+    def _attached(
+        self, live: _LiveSession, header: LslHeader, decision: Any
+    ) -> None:
+        """A sublink joined ``live`` (new, restarted or rebound)."""
+
+    def _apply(self, live: _LiveSession, events: List[Any]) -> bool:
+        """Apply one batch's receiver events; True once the session is
+        finished. ``Completed``/``Failed`` is always the last event."""
+        if not events:
+            return live.receiver.finished
+        append = live.chunks.append
         for event in events:
-            if isinstance(event, Deliver):
-                if event.chunk.data is None:
-                    raise ProtocolError("virtual bytes over a real socket")
-                live.chunks.append(event.chunk.data)
-            elif isinstance(event, Completed):
-                self._finalize(live, event.digest_ok)
-                return True
-            elif isinstance(event, Failed):
-                self.registry.close(live.receiver.session_id)
-                raise event.error
-        return live.receiver.finished
+            if type(event) is Deliver:  # events are exact, leaf types
+                append(event.chunk)
+        last = events[-1]
+        if type(last) is Completed:
+            live.delivered()
+            self._finalize(live, last.digest_ok)
+            return True
+        if type(last) is Failed:
+            self._failed(live, last.error)
+            raise last.error
+        # once per batch: the resumable offset, and the sweep's idle clock
+        self._mirror(live)
+        live.delivered()
+        return False
 
     # -- tracing -----------------------------------------------------------
 
@@ -312,29 +369,41 @@ class TerminalEngine:
         live.span = 0
 
     def _mirror(self, live: _LiveSession) -> Optional[SessionRecord]:
-        """Copy the received count into the registry record (the sim
-        server keeps it continuously; here it matters at a suspend —
-        it is the resumable offset — and at completion)."""
+        """Copy the received count into the registry record — the
+        resumable offset — and stamp it active on the driver's clock."""
         record = self.registry.get(live.receiver.session_id)
         if record is not None:
             record.bytes_received = live.receiver.payload_received
-            record.last_active = time.monotonic()
+            record.last_active = self._now()
         return record
 
     def _note_suspended(self, live: _LiveSession) -> None:
         self._mirror(live)
         self._end_span(live, "suspended")
 
+    def _failed(self, live: _LiveSession, error: Exception) -> None:
+        """The receiver failed the session (the sublink closes next)."""
+        self.registry.close(live.receiver.session_id)
+        self._end_span(live, "error")
+
     def _finalize(self, live: _LiveSession, digest_ok: Optional[bool]) -> None:
-        session_id = live.receiver.session_id
         self._end_span(live, "ok" if digest_ok in (None, True) else "digest-failed")
-        self.registry.close(session_id)
+        self.registry.close(live.receiver.session_id)
         record = self._mirror(live)
         if self.reply is not None:
             live.link.write(self.reply)
+        self._completed(live, digest_ok, record)
+
+    def _completed(
+        self,
+        live: _LiveSession,
+        digest_ok: Optional[bool],
+        record: Optional[SessionRecord],
+    ) -> None:
+        """Hand the finished session to the application: its result."""
         result = SessionResult(
-            session_id=session_id,
-            payload=b"".join(live.chunks),
+            session_id=live.receiver.session_id,
+            payload=b"".join([chunk.data for chunk in live.chunks]),
             digest_ok=digest_ok,
             route_len=len(live.receiver.header.route),
             rebinds=record.rebinds if record is not None else 0,
@@ -353,7 +422,7 @@ class TerminalEngine:
         ``_sweep_every`` seconds."""
         assert self._session_ttl is not None
         with self._lock:
-            expired = self.registry.expire(time.monotonic(), self._session_ttl)
+            expired = self.registry.expire(self._now(), self._session_ttl)
             self.sessions_expired += len(expired)
         for record in expired:
             emit(self._observer, "session-expired",

@@ -4,11 +4,13 @@
 objects (``repro.sockets.terminal``); these are the cases where the two
 used to differ, or could again: a link that is closed by somebody other
 than its own reader — a rebind, a restart, the TTL sweep — while the
-peer holds the old sublink open.
+peer holds the old sublink open; a session that streams for longer than
+the TTL; and a sublink reset mid-payload.
 """
 
 import os
 import socket
+import struct
 import time
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from repro.asockets import AsyncLslServer
 from repro.lsl.core import real_digest_factory
 from repro.sockets import LslSocketClient, ThreadedLslServer
+from repro.telemetry.tracing import TraceSpool
 
 SESSION_ID = bytes(range(16))
 PAYLOAD = os.urandom(120_000)
@@ -36,10 +39,11 @@ def _wait(predicate, timeout=5.0):
     return False
 
 
-def _half_sent(server):
+def _half_sent(server, **options):
     """A session whose sublink sent ``CUT`` bytes and stays open."""
     client = LslSocketClient(
-        [server.address], payload_length=len(PAYLOAD), session_id=SESSION_ID
+        [server.address], payload_length=len(PAYLOAD), session_id=SESSION_ID,
+        **options,
     )
     client.sendall(PAYLOAD[:CUT])
 
@@ -127,3 +131,55 @@ def test_ttl_sweep_closes_the_link_of_a_session_gone_silent(server_cls):
         assert server.registry.get(SESSION_ID) is None
         client.close()
     assert not server.errors and not server.results
+
+
+def test_ttl_sweep_spares_a_session_that_is_still_streaming(server_cls):
+    # every batch the session delivers stamps it active: a transfer
+    # that outlasts the TTL is not idle
+    payload = os.urandom(200_000)
+    with server_cls(session_ttl=0.2) as server:
+        with LslSocketClient(
+            [server.address], payload_length=len(payload), timeout=5.0
+        ) as client:
+            for at in range(0, len(payload), 10_000):  # ~1 s in all
+                client.sendall(payload[at : at + 10_000])
+                time.sleep(0.05)
+            client.finish()
+            assert server.wait_for_sessions(1, timeout=10)
+    assert server.sessions_expired == 0 and not server.errors
+    (result,) = server.results
+    assert result.payload == payload and result.digest_ok is True
+
+
+def test_a_reset_mid_payload_suspends_the_session_at_the_cut(server_cls):
+    spool, client_spool = TraceSpool("server"), TraceSpool("client")
+    with server_cls(tracer=spool) as server:
+        old, _ = _half_sent(server, tracer=client_spool)
+        # SO_LINGER 0: close() sends an RST, not a FIN
+        old.sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        old.close()
+        assert _wait(lambda: spool.open_span_count() == 0)
+        assert server.registry.get(SESSION_ID).bytes_received == CUT
+        new = LslSocketClient(
+            [server.address], payload_length=len(PAYLOAD),
+            session_id=SESSION_ID, rebind=True, resume_query=True,
+            digest_factory=real_digest_factory(PAYLOAD), timeout=5.0,
+            tracer=client_spool,
+        )
+        assert new.granted_offset == CUT
+        new.sendall(PAYLOAD[CUT:])
+        new.finish()
+        assert server.wait_for_sessions(1, timeout=10)
+        new.close()
+    assert not server.errors
+    (result,) = server.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+    assert result.rebinds == 1
+    statuses = [
+        r["attrs"].get("status") for r in spool.tail()
+        if r["rt"] == "e" and r["name"] == "server.session"
+    ]
+    assert statuses == ["suspended", "ok"]
+    assert "server.suspend" in [r["name"] for r in spool.tail()]
