@@ -98,7 +98,13 @@ class SimLink:
 
 class LslServerConnection(_LiveSession):
     """Server endpoint of one LSL session (survives rebinds): the
-    engine's session, with the application API on it."""
+    engine's session, with the application API on it.
+
+    Reverse-direction ``send`` / ``send_virtual`` go over the sublink now
+    attached, and only until ``on_complete`` returns: the engine closes
+    that sublink (a FIN) as soon as the session completes. A session a
+    restart displaced has no sublink left; ``close`` on it does nothing.
+    """
 
     __slots__ = (
         "server", "tel_span", "on_readable", "on_complete", "on_error",
@@ -182,7 +188,8 @@ class LslServerConnection(_LiveSession):
         return self.link.sock.send_virtual(nbytes)
 
     def close(self) -> None:
-        self.link.sock.close()
+        if self.link is not None:
+            self.link.sock.close()
 
 
 class LslServer(TerminalEngine):
@@ -261,7 +268,7 @@ class LslServer(TerminalEngine):
         # could be a mobility event: the session waits for a rebind
         self.net_logger_log("session-suspended", conn.session_id.hex()[:8])
 
-    def _completed(self, conn: LslServerConnection, digest_ok, record) -> None:
+    def _completed(self, conn: LslServerConnection, digest_ok) -> None:
         conn._tel_end("complete")
         if conn.on_complete is not None:
             conn.on_complete(conn)

@@ -21,9 +21,10 @@ events (its ``SimLink``, which alone delivers chunk batches and virtual
 bytes); each driver adds only its chassis, its clock and a constructor.
 
 **The contract a driver must keep.** Two locks, each held for one call
-and never across a read: the engine lock around the accept decision,
-the registry sweep and the result lists; each live session's lock
-around one ``feed`` / ``feed_eof`` / rebind. And one rule: a sublink
+and never across a read or a write: the engine lock around the accept
+decision, the registry sweep and the result lists; each live session's
+lock around one ``feed`` / ``feed_eof`` / rebind (a link's ``write``
+may call ``broken`` back, which takes it). And one rule: a sublink
 whose link is no longer ``live.link`` is *stale* — whatever it still
 delivers, bytes or EOF, is dropped under the session lock and its link
 closed — so a rebind never waits for the reader it displaces. On the
@@ -53,7 +54,6 @@ from repro.lsl.core import (
     RejectSession,
     RestartSession,
     SessionAcceptor,
-    SessionRecord,
     SessionRegistry,
     negotiate_resume,
 )
@@ -132,11 +132,12 @@ class TerminalSublink:
                 if live is None or not chunks:
                     return
             with live.lock:
-                # a displaced sublink's bytes are dropped, never fed
-                if live.link is not link or engine._apply(
-                    live, live.receiver.feed(chunks)
-                ):
-                    link.close()  # stale, or the session is finished
+                if live.link is not link:
+                    link.close()  # stale: its bytes are dropped, never fed
+                    return
+                completed = engine._apply(live, live.receiver.feed(chunks))
+            if completed is not None:
+                engine._complete(live, link, completed.digest_ok)
         except Exception as exc:
             engine._fail(link, exc)
 
@@ -162,15 +163,17 @@ class TerminalSublink:
             if live is None:
                 raise ProtocolError("EOF before LSL header complete")
             with live.lock:
-                if live.link is link:
-                    disposition = live.receiver.feed_eof()
-                    if disposition == EOF_SUSPEND:
-                        # keep receiver state; a rebind may resume us
-                        engine._note_suspended(live)
-                    elif disposition == EOF_COMPLETE:
-                        # stream-until-FIN: EOF is the completion signal
-                        engine._finalize(live, live.receiver.digest_ok)
-            link.close()
+                disposition = live.receiver.feed_eof() if live.link is link else None
+                if disposition == EOF_SUSPEND:
+                    # keep receiver state; a rebind may resume us
+                    engine._note_suspended(live)
+                elif disposition == EOF_COMPLETE:
+                    # stream-until-FIN: EOF is the completion signal
+                    engine._finalize(live, live.receiver.digest_ok)
+            if disposition == EOF_COMPLETE:
+                engine._complete(live, link, live.receiver.digest_ok)
+            else:
+                link.close()
         except Exception as exc:
             engine._fail(link, exc)
 
@@ -294,11 +297,15 @@ class TerminalEngine:
     ) -> None:
         """A sublink joined ``live`` (new, restarted or rebound)."""
 
-    def _apply(self, live: _LiveSession, events: List[Any]) -> bool:
-        """Apply one batch's receiver events; True once the session is
-        finished. ``Completed``/``Failed`` is always the last event."""
+    def _apply(
+        self, live: _LiveSession, events: List[Any]
+    ) -> Optional[Completed]:
+        """Apply one batch's receiver events under the session lock; the
+        ``Completed`` event once the session completed (the caller ends
+        it with :meth:`_complete` after the lock), else None.
+        ``Completed``/``Failed`` is always the last event."""
         if not events:
-            return live.receiver.finished
+            return None
         append = live.chunks.append
         for event in events:
             if type(event) is Deliver:  # events are exact, leaf types
@@ -307,14 +314,14 @@ class TerminalEngine:
         if type(last) is Completed:
             live.delivered()
             self._finalize(live, last.digest_ok)
-            return True
+            return last
         if type(last) is Failed:
             self._failed(live, last.error)
             raise last.error
         # once per batch: the resumable offset, and the sweep's idle clock
         self._mirror(live)
         live.delivered()
-        return False
+        return None
 
     # -- tracing -----------------------------------------------------------
 
@@ -368,14 +375,13 @@ class TerminalEngine:
         )
         live.span = 0
 
-    def _mirror(self, live: _LiveSession) -> Optional[SessionRecord]:
+    def _mirror(self, live: _LiveSession) -> None:
         """Copy the received count into the registry record — the
         resumable offset — and stamp it active on the driver's clock."""
         record = self.registry.get(live.receiver.session_id)
         if record is not None:
             record.bytes_received = live.receiver.payload_received
             record.last_active = self._now()
-        return record
 
     def _note_suspended(self, live: _LiveSession) -> None:
         self._mirror(live)
@@ -387,20 +393,26 @@ class TerminalEngine:
         self._end_span(live, "error")
 
     def _finalize(self, live: _LiveSession, digest_ok: Optional[bool]) -> None:
+        """The session completed (under its lock): close its record."""
         self._end_span(live, "ok" if digest_ok in (None, True) else "digest-failed")
         self.registry.close(live.receiver.session_id)
-        record = self._mirror(live)
-        if self.reply is not None:
-            live.link.write(self.reply)
-        self._completed(live, digest_ok, record)
+        self._mirror(live)
 
-    def _completed(
-        self,
-        live: _LiveSession,
-        digest_ok: Optional[bool],
-        record: Optional[SessionRecord],
+    def _complete(
+        self, live: _LiveSession, link: Any, digest_ok: Optional[bool]
     ) -> None:
+        """Answer, hand the session over and close its sublink: after
+        :meth:`_finalize`, outside the session lock (on the event loop a
+        reply the peer no longer takes calls ``broken`` back, which
+        takes that lock)."""
+        if self.reply is not None:
+            link.write(self.reply)
+        self._completed(live, digest_ok)
+        link.close()
+
+    def _completed(self, live: _LiveSession, digest_ok: Optional[bool]) -> None:
         """Hand the finished session to the application: its result."""
+        record = self.registry.get(live.receiver.session_id)
         result = SessionResult(
             session_id=live.receiver.session_id,
             payload=b"".join([chunk.data for chunk in live.chunks]),

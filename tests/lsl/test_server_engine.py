@@ -55,6 +55,7 @@ def test_restart_of_a_live_session_displaces_the_stale_sublink(world):
     world.run(until=10.0)
     assert world.server.errors == [] and world.errors == []
     assert stale.link is None and old_closed and old_closed[0] is not None
+    stale.close()  # no sublink left to close: nothing happens
     fresh = world.server.sessions[1]
     assert world.completed == [fresh] and fresh.digest_ok is True
     assert fresh.payload_received == N

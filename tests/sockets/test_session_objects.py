@@ -117,6 +117,27 @@ def test_a_stream_cut_at_every_byte_gives_the_same_session():
         assert _deliver(stream, cut) == whole, cut
 
 
+def test_the_completion_reply_is_written_outside_the_session_lock():
+    # on the event loop a write into a reset calls the sublink's broken()
+    # back, which takes the session lock: writing under it would hang
+    class ResetLink(FakeLink):
+        def write(self, data):
+            live = sublink.live
+            assert live is None or not live.lock.locked(), "write under lock"
+            if data == b"THANKS":
+                self.owner_broken(self, ConnectionResetError())
+            else:
+                FakeLink.write(self, data)
+
+    engine, _ = _engine(reply=b"THANKS")
+    link, sublink = ResetLink(), TerminalSublink(engine)
+    link.owner_broken = sublink.broken
+    sublink.received(link, _stream())
+    assert not engine.errors and link.closed
+    (result,) = engine.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+
+
 def test_header_surplus_reaches_the_receiver():
     # a read may run past the header; nothing is lost — the overshoot
     # is fed to the receiver ahead of the remaining stream

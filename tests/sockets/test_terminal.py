@@ -5,7 +5,8 @@ objects (``repro.sockets.terminal``); these are the cases where the two
 used to differ, or could again: a link that is closed by somebody other
 than its own reader — a rebind, a restart, the TTL sweep — while the
 peer holds the old sublink open; a session that streams for longer than
-the TTL; and a sublink reset mid-payload.
+the TTL; a sublink reset mid-payload; and a completion reply that meets
+a reset.
 """
 
 import os
@@ -136,14 +137,14 @@ def test_ttl_sweep_closes_the_link_of_a_session_gone_silent(server_cls):
 def test_ttl_sweep_spares_a_session_that_is_still_streaming(server_cls):
     # every batch the session delivers stamps it active: a transfer
     # that outlasts the TTL is not idle
-    payload = os.urandom(200_000)
-    with server_cls(session_ttl=0.2) as server:
+    payload = os.urandom(300_000)
+    with server_cls(session_ttl=1.0) as server:
         with LslSocketClient(
             [server.address], payload_length=len(payload), timeout=5.0
         ) as client:
-            for at in range(0, len(payload), 10_000):  # ~1 s in all
+            for at in range(0, len(payload), 10_000):  # ~3 s in all
                 client.sendall(payload[at : at + 10_000])
-                time.sleep(0.05)
+                time.sleep(0.1)
             client.finish()
             assert server.wait_for_sessions(1, timeout=10)
     assert server.sessions_expired == 0 and not server.errors
@@ -183,3 +184,48 @@ def test_a_reset_mid_payload_suspends_the_session_at_the_cut(server_cls):
     ]
     assert statuses == ["suspended", "ok"]
     assert "server.suspend" in [r["name"] for r in spool.tail()]
+
+
+def _reset(client):
+    """SO_LINGER 0: ``close()`` sends an RST, not a FIN."""
+    client.sock.setsockopt(
+        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+    )
+    client.close()
+
+
+def test_a_reset_after_the_trailer_leaves_the_server_serving(server_cls):
+    # the server writes its completion reply into a reset: the write
+    # fails (on the event loop, by calling the sublink's broken() back)
+    # and the server must go on serving the next session
+    ids = [bytes([n]) * 16 for n in range(1, 6)]
+    with server_cls(reply=b"THANKS") as server:
+        for session_id in ids:
+            client = LslSocketClient(
+                [server.address], payload_length=len(PAYLOAD),
+                session_id=session_id, timeout=5.0,
+            )
+            client.sendall(PAYLOAD)
+            client.sock.sendall(client.trailer())
+            _reset(client)
+        with LslSocketClient(
+            [server.address], payload_length=len(PAYLOAD),
+            session_id=SESSION_ID, timeout=5.0,
+        ) as client:
+            client.sendall(PAYLOAD)
+            client.finish()
+            assert client.recv() == b"THANKS"
+
+        def settled(session_id):
+            # completed, failed on its reply, or suspended by the reset
+            record = server.registry.get(session_id)
+            return record is not None and (
+                record.closed or record.attachment.link.closed
+            )
+
+        assert _wait(lambda: all(map(settled, ids + [SESSION_ID])))
+    assert all(isinstance(e, OSError) for e in server.errors)
+    assert all(
+        r.payload == PAYLOAD and r.digest_ok is True for r in server.results
+    )
+    assert SESSION_ID in [r.session_id for r in server.results]
