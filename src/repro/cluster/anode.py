@@ -1,11 +1,12 @@
 """Asyncio depot worker with store-backed terminal sessions.
 
 The event-loop driver of :mod:`repro.cluster.node`: each accepted
-sublink is that module's :class:`~repro.cluster.node.NodeSublink` fed
-from an :class:`~repro.asockets.runtime.Endpoint`'s read callback (no
-task), over the same :class:`~repro.cluster.node.StoreNode` state the
-threaded worker has, so the two drivers cannot drift on resume or
-checkpoint semantics; an intermediate-hop sublink goes to the same
+sublink is the engine's :class:`~repro.sockets.terminal.TerminalSublink`
+fed from an :class:`~repro.asockets.runtime.Endpoint`'s read callback (no
+task), over the same :class:`~repro.cluster.node.StoreNode` (the
+terminal engine every server runs, its hooks backed by the store) as
+the threaded worker, so the drivers cannot drift on resume, checkpoint
+or failure semantics; an intermediate-hop sublink goes to the same
 :class:`~repro.sockets.lsd.RelaySession` on both. What is left here is
 the constructor: the sweeper's timer is the chassis's, and the dial the
 :class:`~repro.asockets.depot.AsyncDepot`'s.

@@ -3,10 +3,13 @@
 ``lsd`` proper is a stateless relay: header in, next hop dialed, pumps
 until EOF. A :class:`ClusterNode` does exactly that for intermediate-
 hop sublinks — but when the header addresses *it* as the final hop, it
-terminates the session the way an LSL server would (receiver state,
-negotiated resume, end-to-end MD5), with one difference that makes the
-cluster work: the durable half of the session lives in the shared
-:class:`~repro.cluster.store.SessionStore`, not in this process.
+terminates the session the way an LSL server would, because it *is*
+one: :class:`StoreNode` is the
+:class:`~repro.sockets.terminal.TerminalEngine` every server runs, with
+one difference that makes the cluster work: the durable half of the
+session lives in the shared :class:`~repro.cluster.store.SessionStore`,
+not in this process. What this module adds is what the store needs, as
+overrides of the engine's hooks.
 
 Received payload is checkpointed to the store's spool every
 ``checkpoint_bytes`` (and fully on suspend), so after this worker is
@@ -16,35 +19,27 @@ the spool. The digest is never serialized; the spooled bytes are its
 only portable representation.
 
 A process whose worker suspended a session needs no portable form: the
-worker parks the suspended :class:`_TerminalSession` — receiver and
+worker parks the suspended :class:`_StoreSession` — receiver and
 running MD5 as they stand — in one process-wide table of at most
 :data:`PARKED_SESSIONS`, oldest dropped first. Any worker of the
 process that the store then grants the rebind to adopts that session
 and reads nothing back, when the grant is exactly what was parked: the
 same store handle, the very next epoch, the parked offset, the same
-framing. The adopter stamps the session with its own worker id (the
-owner its store writes quote), checkpoint size and tracer. Any other
-rebind (a claim in between, another store, an entry already dropped, a
-rebind in another process) re-feeds the spool, so a miss costs only
-time. A worker that shuts down, or is killed, takes its entries out of
-the table and parks nothing after, so a crashed worker's memory never
-serves a resume: the survivor takes the spool path a real SIGKILL
-leaves it.
+framing. The adopter's own worker id, checkpoint size and tracer serve
+the session from then on. Any other rebind (a claim in between, another
+store, an entry already dropped, a rebind in another process) re-feeds
+the spool, so a miss costs only time. A worker that shuts down, or is
+killed, takes its entries out of the table and parks nothing after, so
+a crashed worker's memory never serves a resume: the survivor takes the
+spool path a real SIGKILL leaves it.
 
 Everything here but :class:`ClusterNode` itself is shared with the
-asyncio worker (:mod:`repro.cluster.anode`): :class:`_TerminalSession`
-(the store-backed bookkeeping), :class:`NodeSublink` (one accepted
-sublink, run from a ``recv`` loop here and from a read callback there,
-which hands an intermediate-hop link to the depot's
-:class:`~repro.sockets.lsd.RelaySession` by making it the link's owner)
-and :class:`StoreNode` (the worker's state, ``_open``, sweep, counters,
-and a shutdown that retires it from the parked-session table).
-:class:`ClusterNode` is that over
-:class:`~repro.sockets.lsd.ThreadedDepot` — a constructor. Store
-calls are short blocking operations (bounded by checkpoint batching);
-the asyncio driver accepts them in-loop for the same reason it accepts
-blocking DNS in tests — micro-milliseconds against a 64 KiB read
-cadence.
+asyncio worker (:mod:`repro.cluster.anode`). :class:`ClusterNode` is
+:class:`StoreNode` over :class:`~repro.sockets.lsd.ThreadedDepot` — a
+constructor. Store calls are short blocking operations (bounded by
+checkpoint batching); the asyncio driver accepts them in-loop for the
+same reason it accepts blocking DNS in tests — micro-milliseconds
+against a 64 KiB read cadence.
 """
 
 from __future__ import annotations
@@ -52,18 +47,14 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from itertools import islice
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.lsl.core import (
     Chunk,
-    Completed,
+    ChunkLike,
     Deliver,
-    EOF_COMPLETE,
-    EOF_SUSPEND,
-    Failed,
     FramedReceiver,
-    HeaderAccumulator,
-    PayloadReceiver,
     ProtocolObserver,
     RejectSession,
 )
@@ -76,8 +67,15 @@ from repro.cluster.acceptor import (
     StoreSessionAcceptor,
 )
 from repro.cluster.store import SessionStore
-from repro.sockets.lsd import DepotCounters, RelaySession, ThreadedDepot
-from repro.sockets.terminal import SessionResult
+from repro.sockets.lsd import DepotCounters, DepotEngine, RelaySession, ThreadedDepot
+from repro.sockets.terminal import (
+    COMPLETED,
+    SUSPENDED,
+    SessionResult,
+    TerminalEngine,
+    TerminalSublink,
+    _LiveSession,
+)
 from repro.telemetry.tracing import TraceSpool
 
 #: Spool checkpoint granularity: how much received payload a worker
@@ -94,78 +92,30 @@ DEFAULT_CHECKPOINT_BYTES = 256 * 1024
 PARKED_SESSIONS = 16
 
 
-class _TerminalSession:
-    """Driver-agnostic state for one store-backed terminal session."""
+class _StoreSession(_LiveSession):
+    """A terminal session whose durable half is in the store: the
+    engine's session, plus the worker serving it, the owner epoch its
+    store writes quote, and how much of ``chunks`` the spool holds (the
+    rest is the unspooled tail the next checkpoint appends). ``link`` is
+    None once a takeover claimed the session away."""
 
-    def __init__(
-        self,
-        store: SessionStore,
-        worker: str,
-        header: LslHeader,
-        decision: StoreDecision,
-        observer: Optional[ProtocolObserver],
-        checkpoint_bytes: int,
-        tracer: Optional[TraceSpool] = None,
-    ) -> None:
-        self.store = store
-        self.worker = worker
-        self.session_id = header.session_id
-        self.checkpoint_bytes = checkpoint_bytes
-        self._attach(header, decision, tracer)
-        receiver: Union[PayloadReceiver, FramedReceiver]
-        if header.framed:
-            receiver = FramedReceiver(header, observer)
-        else:
-            receiver = PayloadReceiver(header, observer)
-        self.receiver = receiver
-        #: Delivered payload, in order; those from ``_spooled`` on are
-        #: not in the spool yet (``_pending`` bytes of them).
-        self.chunks: List[bytes] = []
-        self._spooled = 0
-        self._pending = 0
-        self.digest_ok: Optional[bool] = None
-        self.completed = False
-        self.ownership_lost = False
-        if isinstance(decision, StoreAcceptResume) and decision.prefix_length:
-            self._prime(store.payload(self.session_id), decision.prefix_length)
-            self._spooled = len(self.chunks)
+    __slots__ = ("node", "epoch", "spooled", "spooled_bytes", "stamped")
 
-    def _attach(
-        self,
-        header: LslHeader,
-        decision: StoreDecision,
-        tracer: Optional[TraceSpool],
-    ) -> None:
-        """Take what a sublink's header and the store's decision set:
-        epoch, reply, takeover, tracing and the ``server.session`` span.
-        A fresh session and a parked one resumed here both come
-        through this, so the two paths trace and report alike."""
-        self.header = header
-        self.epoch = decision.record.epoch
-        self.reply = decision.reply
-        self.takeover = (
-            isinstance(decision, StoreAcceptResume) and decision.takeover
-        )
-        self.tracer = tracer if header.trace is not None else None
-        self.span = 0
-        if self.tracer is not None:
-            tctx = header.trace
-            assert tctx is not None
-            self.span = self.tracer.begin(
-                "server.session",
-                tctx.trace_id,
-                tctx.parent_span,
-                session=header.short_id,
-                worker=self.worker,
-                rebind=header.rebind,
-                hop=tctx.hop,
-            )
-            if isinstance(decision, StoreAcceptResume):
-                self.tracer.instant(
-                    "server.resume-grant", tctx.trace_id, self.span,
-                    granted=decision.prefix_length,
-                    takeover=decision.takeover,
-                )
+    def __init__(self, node: "StoreNode", header: LslHeader, link: Any) -> None:
+        _LiveSession.__init__(self, node, header, link)
+        self.node = node
+        self.epoch = 0
+        self.spooled = 0  # leading ``chunks`` already in the spool
+        self.spooled_bytes = 0  # their length: the store's offset
+        self.stamped = 0.0  # when the store last heard from this session
+
+    @property
+    def session_id(self) -> bytes:
+        return self.receiver.session_id
+
+    @property
+    def worker(self) -> str:
+        return self.node.worker
 
     def resumes(
         self, node: "StoreNode", header: LslHeader, decision: StoreDecision
@@ -178,202 +128,31 @@ class _TerminalSession:
         spool."""
         return (
             isinstance(decision, StoreAcceptResume)
-            and self.store is node._store
+            and self.node._store is node._store
             and decision.record.epoch == self.epoch + 1
             and decision.prefix_length == self.receiver.payload_received
-            and header.framed == self.header.framed
-        )
-
-    def resume(
-        self, node: "StoreNode", header: LslHeader, decision: StoreDecision
-    ) -> None:
-        """Re-attach a parked session to a rebind that :meth:`resumes`
-        on ``node``: its receiver, MD5 included, carries over as it
-        stands; what belongs to the deciding worker (the owner its store
-        writes quote, its checkpoint size, its tracer) comes from
-        ``node``."""
-        self.worker = node.worker
-        self.checkpoint_bytes = node._checkpoint_bytes
-        self.receiver.rebind(header)
-        self._attach(header, decision, node._tracer)
-
-    def _prime(self, prefix: bytes, length: int) -> None:
-        """Rebuild receiver state (offset + MD5) from the first
-        ``length`` bytes of the spool ``prefix``.
-
-        A spool shorter than the grant fails the rebind before any
-        reply. Framed sessions prime the *inner* payload receiver
-        directly: the spool holds decoded payload, not frames, and the
-        new sublink starts a fresh frame stream at the granted offset.
-        """
-        if len(prefix) < length:
-            raise ProtocolError(
-                f"spool holds {len(prefix)} bytes, {length} granted"
-            )
-        if len(prefix) > length:
-            prefix = prefix[:length]
-        inner = (
-            self.receiver.inner
-            if isinstance(self.receiver, FramedReceiver)
-            else self.receiver
-        )
-        for event in inner.feed([Chunk.real(prefix)]):
-            if isinstance(event, Deliver):
-                assert event.chunk.data is not None
-                self.chunks.append(event.chunk.data)
-
-    @property
-    def finished(self) -> bool:
-        return self.receiver.finished or self.ownership_lost
-
-    # -- live bytes --------------------------------------------------------
-
-    def ingest(self, data: bytes) -> None:
-        """Feed sublink bytes; checkpoints and completes as it goes.
-
-        Raises the receiver's error on protocol/digest failure (the
-        store record is closed first so the id cannot be resumed).
-        """
-        for event in self.receiver.feed([Chunk.real(data)]):
-            if isinstance(event, Deliver):
-                if event.chunk.data is None:
-                    raise ProtocolError("virtual bytes over a real socket")
-                self.chunks.append(event.chunk.data)
-                self._pending += len(event.chunk.data)
-            elif isinstance(event, Completed):
-                self._complete(event.digest_ok)
-            elif isinstance(event, Failed):
-                self.store.finish(
-                    self.session_id, self.worker, self.epoch, time.time()
-                )
-                raise event.error
-        if (
-            not self.receiver.finished
-            and self._pending >= self.checkpoint_bytes
-        ):
-            self.flush()
-
-    def flush(self) -> bool:
-        """Checkpoint pending payload; False when ownership was lost."""
-        if self.ownership_lost:
-            return False
-        if not self._pending:
-            return True
-        cas_span = self._begin_cas("append", bytes=self._pending)
-        unspooled = b"".join(self.chunks[self._spooled :])
-        self._spooled = len(self.chunks)
-        self._pending = 0
-        total = self.store.append_payload(
-            self.session_id, self.worker, self.epoch, unspooled, time.time(),
-        )
-        if total is None:
-            # a takeover claimed the session away from us: abandon the
-            # sublink; the new owner serves the session from the spool
-            self._end_cas(cas_span, "lost")
-            self.ownership_lost = True
-            return False
-        self._end_cas(cas_span, "ok")
-        return True
-
-    def on_eof(self) -> str:
-        """Classify a clean FIN; returns the session status."""
-        disposition = self.receiver.feed_eof()
-        if disposition == EOF_SUSPEND:
-            # park the session in the store for a rebind — on this
-            # worker or any other
-            if not self.flush():
-                return "suspended"
-            self.store.touch(
-                self.session_id, self.worker, self.epoch, time.time()
-            )
-            return "suspended"
-        if disposition == EOF_COMPLETE:
-            # stream-until-FIN: EOF is the completion signal
-            self._complete(self.receiver.digest_ok)
-        return "completed" if self.completed else "failed"
-
-    def _complete(self, digest_ok: Optional[bool]) -> None:
-        cas_span = self._begin_cas("finish")
-        if not self.store.finish(
-            self.session_id, self.worker, self.epoch, time.time()
-        ):
-            self._end_cas(cas_span, "lost")
-            self.ownership_lost = True
-            return
-        self._end_cas(cas_span, "ok")
-        self.digest_ok = digest_ok
-        self.completed = True
-
-    # -- tracing -----------------------------------------------------------
-
-    def _begin_cas(self, op: str, **attrs: object) -> int:
-        """Open a ``store.cas`` span around an owner-epoch store call."""
-        if self.tracer is None:
-            return 0
-        assert self.header.trace is not None
-        return self.tracer.begin(
-            "store.cas", self.header.trace.trace_id, self.span,
-            op=op, **attrs,
-        )
-
-    def _end_cas(self, cas_span: int, status: str) -> None:
-        if cas_span and self.tracer is not None:
-            self.tracer.end(cas_span, status=status)
-
-    def finish_trace(self, status: str) -> None:
-        """Close the ``server.session`` span with the driver's final
-        session status (``completed`` / ``suspended`` / anything else =
-        error); safe to call untraced or twice."""
-        if self.tracer is None or not self.span:
-            return
-        assert self.header.trace is not None
-        trace_id = self.header.trace.trace_id
-        received = self.receiver.payload_received
-        if status == "completed":
-            trace_status = (
-                "ok" if self.digest_ok in (None, True) else "digest-failed"
-            )
-        elif status == "suspended":
-            self.tracer.instant(
-                "server.suspend", trace_id, self.span,
-                bytes_received=received,
-            )
-            trace_status = "suspended"
-        else:
-            trace_status = "error"
-        self.tracer.end(
-            self.span, status=trace_status, bytes_received=received,
-        )
-        self.span = 0
-
-    def result(self, rebinds: int) -> SessionResult:
-        return SessionResult(
-            session_id=self.session_id,
-            payload=b"".join(self.chunks),
-            digest_ok=self.digest_ok,
-            route_len=len(self.header.route),
-            rebinds=rebinds,
+            and header.framed == self.receiver.header.framed
         )
 
 
 #: The process's parked sessions: id -> (parking worker, session).
-_parked: Dict[bytes, Tuple["StoreNode", _TerminalSession]] = {}
+_parked: Dict[bytes, Tuple["StoreNode", _StoreSession]] = {}
 _parked_lock = threading.Lock()
 
 
-def _park(node: "StoreNode", term: _TerminalSession) -> None:
+def _park(node: "StoreNode", live: _StoreSession) -> None:
     """Keep a suspended session for a rebind on any worker of this
     process, unless ``node`` is shutting down."""
     with _parked_lock:
         if node._retired:
             return
-        _parked.pop(term.session_id, None)
-        _parked[term.session_id] = (node, term)
+        _parked.pop(live.session_id, None)
+        _parked[live.session_id] = (node, live)
         if len(_parked) > PARKED_SESSIONS:
             del _parked[next(iter(_parked))]
 
 
-def _unpark(session_id: bytes) -> Optional[_TerminalSession]:
+def _unpark(session_id: bytes) -> Optional[_StoreSession]:
     """Take the parked session ``session_id``, if any: every decision
     on an id ends its parking, used or not."""
     with _parked_lock:
@@ -391,159 +170,24 @@ def _retire(node: "StoreNode") -> None:
             del _parked[session_id]
 
 
-class NodeSublink:
-    """One accepted sublink: header phase, then a relay hand-over or a
-    store-backed terminal session.
-
-    Shared by both cluster nodes: it touches the transport only through
-    its link (``write`` / ``close`` / ``owner``). An intermediate-hop
-    sublink is handed over by making a depot
-    :class:`~repro.sockets.lsd.RelaySession` the link's owner, which
-    accounts for the session from then on.
-    """
-
-    __slots__ = ("node", "acc", "term", "short_id", "rebinds", "lock", "done")
-
-    def __init__(self, node: "StoreNode") -> None:
-        self.node = node
-        self.acc = HeaderAccumulator()
-        self.term: Optional[_TerminalSession] = None
-        self.short_id = ""
-        self.rebinds = 0
-        self.lock = threading.Lock()
-        self.done = False
-
-    def _terminal(self, header: LslHeader) -> _TerminalSession:
-        node = self.node
-        decision = node._acceptor.decide(header, time.time())
-        parked = _unpark(header.session_id)
-        if isinstance(decision, RejectSession):
-            raise decision.error
-        if isinstance(decision, StoreAcceptResume) and decision.takeover:
-            node.counters.add(takeovers=1)
-        self.rebinds = decision.record.rebinds
-        if parked is not None and parked.resumes(node, header, decision):
-            parked.resume(node, header, decision)
-            return parked
-        return _TerminalSession(
-            node._store,
-            node.worker,
-            header,
-            decision,
-            node._observer,
-            node._checkpoint_bytes,
-            tracer=node._tracer,
-        )
-
-    def received(self, link: Any, data: bytes) -> None:
-        try:
-            term = self.term
-            if term is None:
-                header = self.acc.feed(data)
-                if header is None:
-                    return
-                self.short_id = header.short_id
-                data = self.acc.surplus
-                if not header.is_last_hop:
-                    # the link changes owner: re-feed the canonical
-                    # header bytes into the depot's relay (the codec is
-                    # byte-exact, so it cannot tell the difference)
-                    link.owner = RelaySession(self.node)
-                    link.owner.received(link, header.encode() + data)
-                    return
-                self.term = term = self._terminal(header)
-                if term.reply:
-                    link.write(term.reply)
-            if data:
-                term.ingest(data)
-            if term.finished:  # not completed: ownership was lost
-                self._finish(
-                    link, "completed" if term.completed else "suspended"
-                )
-        except Exception as exc:
-            self._finish(link, "failed", exc)
-
-    def ended(self, link: Any) -> None:
-        try:
-            if self.term is None:
-                raise ProtocolError("upstream closed during header phase")
-            self._finish(link, self.term.on_eof())
-        except Exception as exc:
-            self._finish(link, "failed", exc)
-
-    def broken(self, link: Any, exc: BaseException) -> None:
-        if self.term is None or not isinstance(exc, OSError):
-            self._finish(link, "failed", exc)  # or: worker shutdown
-            return
-        try:
-            self.term.flush()  # sublink reset mid-payload: park it
-            self._finish(link, "suspended")
-        except Exception as failure:
-            self._finish(link, "failed", failure)
-
-    def _finish(
-        self, link: Any, status: str,
-        failure: Optional[BaseException] = None,
-    ) -> None:
-        with self.lock:
-            if self.done:
-                return  # a crash's ``broken`` raced the reader's own end
-            self.done = True
-        node, term = self.node, self.term
-        if status == "completed" and term is not None:
-            try:
-                self._deliver(link, term)
-            except Exception as exc:
-                status, failure = "failed", exc
-        if term is not None:
-            term.finish_trace(status)
-        if failure is not None:
-            emit(node._observer, "relay-failed", self.short_id,
-                 reason=f"{type(failure).__name__}: {failure}")
-        if status == "completed":
-            node.counters.session_ended(True)
-        elif status == "suspended":
-            node.counters.session_suspended()
-        else:
-            node.counters.session_ended(False)
-        link.close()
-        if status == "suspended" and term is not None:
-            if not term.ownership_lost:
-                # last: this sublink is done with the session, so a
-                # rebind may take it from here
-                _park(node, term)
-
-    def _deliver(self, link: Any, term: _TerminalSession) -> None:
-        node = self.node
-        if node.reply is not None:
-            link.write(node.reply)
-        result = term.result(rebinds=self.rebinds)
-        with node._results_lock:
-            node.results.append(result)
-            node._done.notify_all()
-        if node.on_session is not None:
-            node.on_session(result)
-
-
-class StoreNode:
-    """What makes a depot a cluster worker (mix into a depot driver).
+class StoreNode(TerminalEngine):
+    """What makes a depot a cluster worker (mix into a depot driver):
+    the :class:`~repro.sockets.terminal.TerminalEngine`, its hooks
+    backed by the store.
 
     ``worker`` is the node's identity in the store (ownership stamps,
     counter publication). With ``session_ttl`` set, the driver calls
     :meth:`_sweep` every ``_sweep_every`` seconds to expire idle
     stored sessions — the sweep is store-global and safe to run on every
-    worker; each expired session is reported by exactly one.
-
-    The depot it is mixed into supplies ``counters``, ``_observer``,
-    ``_tracer``, ``_link`` and the relay's dial; this class supplies the
-    depot's ``_open``, which puts a :class:`NodeSublink` behind each
-    accepted socket.
+    worker; each expired session is reported by exactly one. The depot
+    supplies ``counters``, ``/metrics``, the accept-error count and the
+    relay's dial.
     """
 
     counters: DepotCounters
-    _observer: Optional[ProtocolObserver]
-    _tracer: Optional[TraceSpool]
-    _link: Callable[..., Any]
+    _now = staticmethod(time.time)  # the store's clock: wall time
+    expose = DepotEngine.expose
+    _on_accept_error = DepotEngine._on_accept_error
 
     def __init__(
         self,
@@ -555,24 +199,24 @@ class StoreNode:
         reply: Optional[bytes],
         on_session: Optional[Callable[[SessionResult], None]],
     ) -> None:
-        if session_ttl is not None and session_ttl <= 0:
-            raise ValueError("session_ttl must be positive")
         if checkpoint_bytes <= 0:
             raise ValueError("checkpoint_bytes must be positive")
         self._store = store
         self.worker = worker
-        self._acceptor = StoreSessionAcceptor(store, worker, observer)
-        self._session_ttl = session_ttl
-        self._sweep_every = min((session_ttl or 0.0) / 4.0, 1.0)
         self._checkpoint_bytes = checkpoint_bytes
-        self.reply = reply
-        self.on_session = on_session
-        self.results: List[SessionResult] = []
-        self._results_lock = threading.Lock()
-        self._done = threading.Condition(self._results_lock)
+        self._span_attrs = {"worker": worker}
         #: Set (under the table's lock) once shutdown begins: from then
         #: on this worker parks nothing.
         self._retired = False
+        # the depot's constructor, which runs next, sets the tracer
+        TerminalEngine.__init__(
+            self, on_session, reply, observer, session_ttl, None
+        )
+
+    def _accepting(self) -> None:
+        self._acceptor = StoreSessionAcceptor(
+            self._store, self.worker, self._observer
+        )
 
     def shutdown(self, *args: Any, **kwargs: Any) -> None:
         """Take this worker's parked sessions out of the process table
@@ -583,12 +227,193 @@ class StoreNode:
 
     def _open(self, sock: socket.socket) -> Any:
         self.counters.session_started()
-        return self._link(sock, NodeSublink(self))
+        return self._link(sock, TerminalSublink(self))
+
+    # -- the accept decision -----------------------------------------------
+
+    def _forward(self, link: Any, header: LslHeader, rest: List[ChunkLike]) -> bool:
+        if header.is_last_hop:
+            return False
+        # the link changes owner: re-feed the canonical header bytes into
+        # the depot's relay (the codec is byte-exact, so it cannot tell
+        # the difference)
+        link.owner = relay = RelaySession(self)
+        relay.received(
+            link, header.encode() + b"".join([chunk.data for chunk in rest])
+        )
+        return True
+
+    def _attach(self, sublink: TerminalSublink, link: Any, header: LslHeader) -> None:
+        """The store decides; a resume adopts the session this process
+        parked when it is exactly what the store granted, and re-feeds
+        the spool otherwise."""
+        now = self._now()
+        decision = self._acceptor.decide(header, now)
+        parked = _unpark(header.session_id)
+        if isinstance(decision, RejectSession):
+            raise decision.error
+        grant: Dict[str, Any] = {}
+        if isinstance(decision, StoreAcceptResume):
+            grant = dict(
+                granted=decision.prefix_length, takeover=decision.takeover
+            )
+            if decision.takeover:
+                self.counters.add(takeovers=1)
+        if parked is not None and parked.resumes(self, header, decision):
+            live = parked
+            with live.lock:
+                self._reattach(live, link, header, **grant)
+        else:
+            live = _StoreSession(self, header, link)
+            if grant.get("granted"):
+                self._prime(live, grant["granted"])
+            self._begin_span(live, header, **grant)
+        # the deciding worker serves the session from here on, parked
+        # here or on a sibling: its id, store, checkpoint size and tracer
+        live.node, live.epoch = self, decision.record.epoch
+        live.rebinds, live.stamped = decision.record.rebinds, now
+        sublink.live = live
+        if decision.reply:
+            link.write(decision.reply)
+
+    def _prime(self, live: _StoreSession, length: int) -> None:
+        """Rebuild receiver state (offset + MD5) from the first
+        ``length`` bytes of the spool.
+
+        A spool shorter than the grant fails the rebind before any
+        reply. Framed sessions prime the *inner* payload receiver
+        directly: the spool holds decoded payload, not frames, and the
+        new sublink starts a fresh frame stream at the granted offset.
+        """
+        prefix = self._store.payload(live.session_id)
+        if len(prefix) < length:
+            raise ProtocolError(
+                f"spool holds {len(prefix)} bytes, {length} granted"
+            )
+        receiver = live.receiver
+        if isinstance(receiver, FramedReceiver):
+            receiver = receiver.inner
+        for event in receiver.feed([Chunk.real(prefix[:length])]):
+            if type(event) is Deliver:
+                live.chunks.append(event.chunk)
+        live.spooled, live.spooled_bytes = len(live.chunks), length
+
+    # -- store writes (under the session lock) ------------------------------
+
+    def _mirror(self, live: _StoreSession) -> Optional[str]:
+        """Per batch: checkpoint once ``checkpoint_bytes`` are pending,
+        and with a TTL keep the record active while the session
+        streams — one touch per sweep period at most."""
+        pending = live.receiver.payload_received - live.spooled_bytes
+        if pending >= self._checkpoint_bytes:
+            written = self._checkpoint(live)
+        elif (
+            self._session_ttl is not None
+            and self._now() - live.stamped >= self._sweep_every
+        ):
+            written = self._touch(live)
+        else:
+            return None
+        return None if written else self._lost(live)
+
+    def _checkpoint(self, live: _StoreSession) -> bool:
+        """Append the unspooled tail; False when ownership was lost."""
+        pending = live.receiver.payload_received - live.spooled_bytes
+        if not pending:
+            return True
+        cas_span = self._begin_cas(live, "append", bytes=pending)
+        chunks = live.chunks
+        unspooled = b"".join(
+            [chunk.data for chunk in islice(chunks, live.spooled, None)]
+        )
+        live.spooled, live.spooled_bytes = len(chunks), live.receiver.payload_received
+        live.stamped = now = self._now()
+        total = self._store.append_payload(
+            live.session_id, self.worker, live.epoch, unspooled, now,
+        )
+        self._end_cas(cas_span, "lost" if total is None else "ok")
+        return total is not None
+
+    def _touch(self, live: _StoreSession) -> bool:
+        """Stamp the record active; False when ownership was lost."""
+        live.stamped = now = self._now()
+        return self._store.touch(live.session_id, self.worker, live.epoch, now)
+
+    def _lost(self, live: _StoreSession) -> str:
+        """A takeover claimed the session away from us: abandon the
+        sublink, as a displaced one (the new owner serves the session
+        from the spool), and end it suspended."""
+        live.link = None
+        self._end_span(live, SUSPENDED)
+        return SUSPENDED
+
+    def _note_suspended(self, live: _StoreSession) -> None:
+        """Spool everything received and stamp the record active, for a
+        rebind on this worker or any other (parked by :meth:`_ended`)."""
+        if not self._checkpoint(live):
+            self._lost(live)
+            return
+        self._touch(live)
+        self._end_span(live, SUSPENDED)
+
+    def _finalize(self, live: _StoreSession, digest_ok: Optional[bool]) -> str:
+        if not self._close_record(live):
+            return self._lost(live)
+        self._end_span(live, "ok" if digest_ok in (None, True) else "digest-failed")
+        return COMPLETED
+
+    def _failed(self, live: _StoreSession, error: Exception) -> None:
+        # closed first, so the id cannot be resumed
+        self._close_record(live)
+        self._end_span(live, "error")
+
+    def _close_record(self, live: _StoreSession) -> bool:
+        """``store.finish`` under the owner-epoch CAS."""
+        cas_span = self._begin_cas(live, "finish")
+        closed = self._store.finish(
+            live.session_id, self.worker, live.epoch, self._now()
+        )
+        self._end_cas(cas_span, "ok" if closed else "lost")
+        return closed
+
+    def _begin_cas(self, live: _StoreSession, op: str, **attrs: object) -> int:
+        """Open a ``store.cas`` span around an owner-epoch store call."""
+        if self._tracer is None or not live.span:
+            return 0
+        return self._tracer.begin(
+            "store.cas", live.trace, live.span, op=op, **attrs,
+        )
+
+    def _end_cas(self, cas_span: int, status: str) -> None:
+        if cas_span:
+            self._tracer.end(cas_span, status=status)
+
+    # -- sublink ends ------------------------------------------------------
+
+    def _ended(
+        self, sublink: TerminalSublink, status: str,
+        failure: Optional[BaseException],
+    ) -> None:
+        live = sublink.live
+        if status == COMPLETED:
+            self.counters.session_ended(True)
+        elif status == SUSPENDED:
+            self.counters.session_suspended()
+            if live.link is not None:
+                # last: this sublink is done with the session, so a
+                # rebind may take it from here
+                _park(self, live)
+        else:
+            header = sublink.acc.header
+            emit(self._observer, "relay-failed",
+                 header.short_id if header is not None else "",
+                 reason=f"{type(failure).__name__}: {failure}")
+            self.counters.session_ended(False)
 
     def _sweep(self) -> None:
         assert self._session_ttl is not None
         try:
-            expired = self._store.sweep(time.time(), self._session_ttl)
+            expired = self._store.sweep(self._now(), self._session_ttl)
         except (OSError, ValueError, TimeoutError):
             return  # store hiccup; retry next tick
         if expired:
@@ -602,22 +427,15 @@ class StoreNode:
         """Push this worker's counter snapshot into the shared store."""
         self._store.publish_counters(self.worker, self.counters.snapshot())
 
-    def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
-        """Block the caller until ``count`` terminal sessions completed
-        here."""
-        with self._done:
-            return self._done.wait_for(
-                lambda: len(self.results) >= count, timeout=timeout
-            )
-
 
 class ClusterNode(StoreNode, ThreadedDepot):
     """Threaded depot worker with terminal sessions.
 
     Intermediate-hop sublinks are relayed exactly like the base depot;
     last-hop sublinks are terminated against ``store`` (see
-    :class:`StoreNode`). Each sublink is a :class:`NodeSublink` run from
-    a pooled worker's ``recv`` loop.
+    :class:`StoreNode`). Each sublink is a
+    :class:`~repro.sockets.terminal.TerminalSublink` run from a pooled
+    worker's ``recv`` loop.
     """
 
     def __init__(

@@ -287,9 +287,12 @@ class LslServer(TerminalEngine):
         if conn.on_error is not None:
             conn.on_error(error)
 
-    def _fail(self, link: SimLink, exc: BaseException) -> None:
-        TerminalEngine._fail(self, link, exc)
-        if link.owner.live is None:
+    def _fail(
+        self, conn: Optional[LslServerConnection], link: SimLink,
+        exc: BaseException,
+    ) -> None:
+        TerminalEngine._fail(self, conn, link, exc)
+        if conn is None:
             self.net_logger_log("accept-failed", str(exc))
 
     def shutdown(self) -> None:

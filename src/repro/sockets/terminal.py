@@ -1,4 +1,4 @@
-"""The terminal session, once, for all three drivers.
+"""The terminal session, once, for all three drivers and the cluster.
 
 What a server does with a sublink is protocol, not driver:
 :class:`~repro.lsl.core.SessionAcceptor` arbitrates fresh / rebind /
@@ -19,6 +19,10 @@ readiness callback (:class:`repro.asockets.runtime.Endpoint`) and the
 simulator's :class:`repro.lsl.server.LslServer` from ``SimSocket``
 events (its ``SimLink``, which alone delivers chunk batches and virtual
 bytes); each driver adds only its chassis, its clock and a constructor.
+A cluster worker (:class:`repro.cluster.node.StoreNode`) is this engine
+with its hooks backed by a shared store. Every sublink but a stale one
+ends once (:meth:`TerminalSublink._finish`): ``completed``,
+``suspended`` or ``failed``.
 
 **The contract a driver must keep.** Two locks, each held for one call
 and never across a read or a write: the engine lock around the accept
@@ -37,7 +41,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.lsl.core import (
     AcceptRebind,
@@ -74,6 +78,10 @@ class SessionResult:
     rebinds: int = 0
 
 
+#: How a sublink ends (:meth:`TerminalSublink._finish`).
+COMPLETED, SUSPENDED, FAILED = "completed", "suspended", "failed"
+
+
 class _LiveSession:
     """Receiver state that outlives individual sublinks (rebinds).
 
@@ -84,7 +92,7 @@ class _LiveSession:
     application as they arrive subclasses this.
     """
 
-    __slots__ = ("receiver", "chunks", "link", "lock", "span", "trace")
+    __slots__ = ("receiver", "chunks", "link", "lock", "span", "trace", "rebinds")
 
     def __init__(self, engine: "TerminalEngine", header: LslHeader, link: Any) -> None:
         observer = self._observer(engine)
@@ -93,12 +101,13 @@ class _LiveSession:
             else PayloadReceiver(header, observer)
         )
         self.chunks: Deque[Chunk] = deque()
-        self.link: Any = link  # the sublink now attached; None once restarted
+        self.link: Any = link  # the sublink now attached; None once displaced
         self.lock = threading.Lock()
         # distributed tracing: the active server.session span (one per
         # sublink attachment — a rebind closes it and opens a new one)
         self.span = 0
         self.trace: Optional[bytes] = None
+        self.rebinds = 0  # as of the accept decision that attached ``link``
 
     def _observer(self, engine: "TerminalEngine") -> Optional[ProtocolObserver]:
         """Where the receiver reports (a driver may scope it per session)."""
@@ -111,12 +120,13 @@ class _LiveSession:
 class TerminalSublink:
     """One accepted sublink: header phase, then its session's receiver."""
 
-    __slots__ = ("engine", "acc", "live")
+    __slots__ = ("engine", "acc", "live", "done")
 
     def __init__(self, engine: "TerminalEngine") -> None:
         self.engine = engine
         self.acc = HeaderAccumulator()
         self.live: Optional[_LiveSession] = None
+        self.done = False
 
     def received(self, link: Any, data: bytes) -> None:
         """One read off a socket."""
@@ -135,25 +145,28 @@ class TerminalSublink:
                 if live.link is not link:
                     link.close()  # stale: its bytes are dropped, never fed
                     return
-                completed = engine._apply(live, live.receiver.feed(chunks))
-            if completed is not None:
-                engine._complete(live, link, completed.digest_ok)
+                status = engine._apply(live, live.receiver.feed(chunks))
+            if status is not None:
+                self._finish(link, status)
         except Exception as exc:
-            engine._fail(link, exc)
+            self._finish(link, FAILED, exc)
 
     def _header(self, link: Any, chunks: List[ChunkLike]) -> List[ChunkLike]:
         """Header phase: attach once the header is complete, and return
-        the chunks that followed it."""
+        the chunks that followed it (none when the link went on to
+        another owner)."""
         acc = self.acc
         for i, chunk in enumerate(chunks):
             if chunk.data is None:
                 raise ProtocolError("virtual bytes before LSL header")
             header = acc.feed(chunk.data)
             if header is not None:
-                self.live = self.engine._attach(link, header)
                 rest = chunks[i + 1:]
                 if acc.surplus:
                     rest.insert(0, Chunk.real(acc.surplus))
+                if self.engine._forward(link, header, rest):
+                    return []
+                self.engine._attach(self, link, header)
                 return rest
         return []
 
@@ -163,32 +176,66 @@ class TerminalSublink:
             if live is None:
                 raise ProtocolError("EOF before LSL header complete")
             with live.lock:
-                disposition = live.receiver.feed_eof() if live.link is link else None
-                if disposition == EOF_SUSPEND:
-                    # keep receiver state; a rebind may resume us
-                    engine._note_suspended(live)
-                elif disposition == EOF_COMPLETE:
-                    # stream-until-FIN: EOF is the completion signal
-                    engine._finalize(live, live.receiver.digest_ok)
-            if disposition == EOF_COMPLETE:
-                engine._complete(live, link, live.receiver.digest_ok)
-            else:
-                link.close()
+                status = None  # stale
+                if live.link is link:
+                    disposition = live.receiver.feed_eof()
+                    if disposition == EOF_SUSPEND:
+                        # keep receiver state; a rebind may resume us
+                        engine._note_suspended(live)
+                        status = SUSPENDED
+                    elif disposition == EOF_COMPLETE:
+                        # stream-until-FIN: EOF is the completion signal
+                        status = engine._finalize(live, live.receiver.digest_ok)
+                    else:
+                        raise ProtocolError("EOF inside the trailer")
+            self._finish(link, status)
         except Exception as exc:
-            engine._fail(link, exc)
+            self._finish(link, FAILED, exc)
 
     def broken(self, link: Any, exc: BaseException) -> None:
-        live = self.live
-        if isinstance(exc, OSError):  # not a shutdown: the sublink died
-            if live is None:
-                self.engine._fail(link, exc)  # reset before any header
-                return
+        # a reset before any header, or the service shut down under us
+        live, status = self.live, FAILED
+        if live is not None and isinstance(exc, OSError):
             # a reset mid-payload suspends the session as a FIN does:
             # the receiver waits for a rebind at the mirrored offset
             with live.lock:
+                status = None  # stale, or already ending
                 if live.link is link and not live.receiver.finished:
                     self.engine._note_suspended(live)
-        link.close()
+                    status = SUSPENDED
+        self._finish(link, status, exc)
+
+    def _finish(
+        self, link: Any, status: Optional[str],
+        failure: Optional[BaseException] = None,
+    ) -> None:
+        """End this sublink with ``status``, once (a crash's ``broken``
+        may race its reader's own end), outside the session lock: answer
+        and hand over a completed session, record a failed one, close
+        the link, then the engine's :meth:`~TerminalEngine._ended`. A
+        stale sublink (``status`` None) is only closed."""
+        engine, live = self.engine, self.live
+        if status is None:
+            link.close()
+            return
+        with engine._lock:
+            if self.done:
+                return
+            self.done = True
+        if status == COMPLETED:
+            try:
+                # on the event loop a reply the peer no longer takes
+                # calls ``broken`` back, which takes the session lock
+                if engine.reply is not None:
+                    link.write(engine.reply)
+                engine._completed(live, live.receiver.digest_ok)
+            except Exception as exc:
+                status, failure = FAILED, exc
+        if status == FAILED:
+            engine._fail(live, link, failure)
+        else:
+            link.close()
+        engine._ended(self, status, failure)
 
 
 class TerminalEngine:
@@ -201,7 +248,8 @@ class TerminalEngine:
     and calls :meth:`_sweep` on its timer. A driver whose application
     takes the payload as it arrives sets ``_session_cls`` and overrides
     the hooks :meth:`_attached`, :meth:`_completed` and
-    :meth:`_failed`.
+    :meth:`_failed`; one that keeps its sessions in a store, the session
+    hooks and :meth:`_ended`.
     """
 
     address: Tuple[str, int]
@@ -210,6 +258,8 @@ class TerminalEngine:
     _session_cls = _LiveSession
     #: The driver's clock: acceptor decisions, ``last_active``, the sweep.
     _now: Callable[[], float] = staticmethod(time.monotonic)
+    #: Attributes every ``server.session`` span carries.
+    _span_attrs: Dict[str, object] = {}
 
     def __init__(
         self,
@@ -228,14 +278,19 @@ class TerminalEngine:
         self._session_ttl = session_ttl
         # the sweeper's period: an idle session lives at most ~1.25 × ttl
         self._sweep_every = min((session_ttl or 0.0) / 4.0, 1.0)
-        self.registry = SessionRegistry()
-        self._acceptor = SessionAcceptor(self.registry, observer)
         self.results: List[SessionResult] = []
-        self.errors: List[Exception] = []
+        self.errors: List[BaseException] = []
         self.accept_errors = 0
         self.sessions_expired = 0
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
+        self._accepting()
+
+    def _accepting(self) -> None:
+        """Set up what the accept decision runs on: a process-local
+        registry."""
+        self.registry = SessionRegistry()
+        self._acceptor = SessionAcceptor(self.registry, self._observer)
 
     # -- accept hooks ------------------------------------------------------
 
@@ -249,14 +304,16 @@ class TerminalEngine:
 
     # -- sublinks ----------------------------------------------------------
 
-    def _fail(self, link: Any, exc: BaseException) -> None:
-        with self._lock:
-            self.errors.append(exc)
-            self._done.notify_all()
-        link.close()
+    def _forward(self, link: Any, header: LslHeader, rest: List[ChunkLike]) -> bool:
+        """Whether ``link`` went on to another hop with ``header`` and
+        ``rest``; a server keeps it (its acceptor refuses a header that
+        is not for it)."""
+        return False
 
-    def _attach(self, link: Any, header: LslHeader) -> _LiveSession:
-        """Run the accept decision, wire up the sublink and answer it."""
+    def _attach(self, sublink: TerminalSublink, link: Any, header: LslHeader) -> None:
+        """Run the accept decision, wire up the sublink and answer it
+        (its session is ``sublink.live`` before the answer is written,
+        so a write that fails ends the session's sublink)."""
         with self._lock:
             decision = self._acceptor.decide(header, self._now())
         if isinstance(decision, RejectSession):
@@ -264,13 +321,9 @@ class TerminalEngine:
         if isinstance(decision, AcceptRebind):
             live: _LiveSession = decision.record.attachment
             with live.lock:
-                reply = negotiate_resume(
-                    header, live.receiver.payload_received, self._observer
-                )
                 granted = live.receiver.payload_received
-                live.receiver.rebind(header)
-                displaced, live.link = live.link, link
-                self._begin_span(live, header, granted=granted)
+                reply = negotiate_resume(header, granted, self._observer)
+                displaced = self._reattach(live, link, header, granted=granted)
         else:  # AcceptNew | RestartSession
             displaced = None
             if isinstance(decision, RestartSession) and isinstance(
@@ -283,27 +336,36 @@ class TerminalEngine:
             decision.record.attachment = live
             reply = decision.reply
             self._begin_span(live, header)
+        live.rebinds = decision.record.rebinds
         if displaced is not None:
             # only the displaced sublink's own socket closes; its reader
             # is not waited for — whatever it still delivers is stale
             displaced.close()
+        sublink.live = live
         if reply:
             link.write(reply)
         self._attached(live, header, decision)
-        return live
+
+    def _reattach(
+        self, live: _LiveSession, link: Any, header: LslHeader, **grant: Any
+    ) -> Any:
+        """Move ``live`` (under its lock) to the rebind on ``link``,
+        receiver and MD5 as they stand; returns the displaced link."""
+        live.receiver.rebind(header)
+        displaced, live.link = live.link, link
+        self._begin_span(live, header, **grant)
+        return displaced
 
     def _attached(
         self, live: _LiveSession, header: LslHeader, decision: Any
     ) -> None:
         """A sublink joined ``live`` (new, restarted or rebound)."""
 
-    def _apply(
-        self, live: _LiveSession, events: List[Any]
-    ) -> Optional[Completed]:
+    def _apply(self, live: _LiveSession, events: List[Any]) -> Optional[str]:
         """Apply one batch's receiver events under the session lock; the
-        ``Completed`` event once the session completed (the caller ends
-        it with :meth:`_complete` after the lock), else None.
-        ``Completed``/``Failed`` is always the last event."""
+        status the batch ends the sublink with (``completed``, or what
+        :meth:`_mirror` says), else None. ``Completed``/``Failed`` is
+        always the last event."""
         if not events:
             return None
         append = live.chunks.append
@@ -313,15 +375,14 @@ class TerminalEngine:
         last = events[-1]
         if type(last) is Completed:
             live.delivered()
-            self._finalize(live, last.digest_ok)
-            return last
+            return self._finalize(live, last.digest_ok)
         if type(last) is Failed:
             self._failed(live, last.error)
             raise last.error
         # once per batch: the resumable offset, and the sweep's idle clock
-        self._mirror(live)
+        status = self._mirror(live)
         live.delivered()
-        return None
+        return status
 
     # -- tracing -----------------------------------------------------------
 
@@ -330,15 +391,16 @@ class TerminalEngine:
         live: _LiveSession,
         header: LslHeader,
         granted: Optional[int] = None,
+        **grant: Any,
     ) -> None:
         """Open a ``server.session`` span for this sublink attachment.
 
         A rebind closes the previous attachment's span (status
         ``rebound`` — it neither completed nor suspended cleanly) and
         emits a ``server.resume-grant`` instant carrying the granted
-        offset, then opens a fresh span parented to the *new* sublink's
-        trace context, so the collector sees the resumed attempt as its
-        own leg of the same trace.
+        offset (and ``grant``), then opens a fresh span parented to the
+        *new* sublink's trace context, so the collector sees the resumed
+        attempt as its own leg of the same trace.
         """
         tracer = self._tracer
         if tracer is None or header.trace is None:
@@ -352,19 +414,20 @@ class TerminalEngine:
             tctx.trace_id,
             tctx.parent_span,
             session=header.short_id,
+            **self._span_attrs,
             rebind=header.rebind,
             hop=tctx.hop,
         )
         if granted is not None:
             tracer.instant(
                 "server.resume-grant", tctx.trace_id, live.span,
-                granted=granted,
+                granted=granted, **grant,
             )
 
     def _end_span(self, live: _LiveSession, status: str) -> None:
         if self._tracer is None or not live.span:
             return
-        if status == "suspended" and live.trace is not None:
+        if status == SUSPENDED and live.trace is not None:
             self._tracer.instant(
                 "server.suspend", live.trace, live.span,
                 bytes_received=live.receiver.payload_received,
@@ -375,50 +438,46 @@ class TerminalEngine:
         )
         live.span = 0
 
-    def _mirror(self, live: _LiveSession) -> None:
+    # -- session hooks (under the session lock) -----------------------------
+
+    def _mirror(self, live: _LiveSession) -> Optional[str]:
         """Copy the received count into the registry record — the
-        resumable offset — and stamp it active on the driver's clock."""
+        resumable offset — and stamp it active on the driver's clock.
+        Run once per batch that leaves the session streaming; a status
+        returned ends the sublink with it."""
         record = self.registry.get(live.receiver.session_id)
         if record is not None:
             record.bytes_received = live.receiver.payload_received
             record.last_active = self._now()
+        return None
 
     def _note_suspended(self, live: _LiveSession) -> None:
         self._mirror(live)
-        self._end_span(live, "suspended")
+        self._end_span(live, SUSPENDED)
 
     def _failed(self, live: _LiveSession, error: Exception) -> None:
         """The receiver failed the session (the sublink closes next)."""
         self.registry.close(live.receiver.session_id)
         self._end_span(live, "error")
 
-    def _finalize(self, live: _LiveSession, digest_ok: Optional[bool]) -> None:
-        """The session completed (under its lock): close its record."""
+    def _finalize(self, live: _LiveSession, digest_ok: Optional[bool]) -> str:
+        """The session completed: close its record. Returns the status
+        its sublink ends with."""
         self._end_span(live, "ok" if digest_ok in (None, True) else "digest-failed")
         self.registry.close(live.receiver.session_id)
         self._mirror(live)
+        return COMPLETED
 
-    def _complete(
-        self, live: _LiveSession, link: Any, digest_ok: Optional[bool]
-    ) -> None:
-        """Answer, hand the session over and close its sublink: after
-        :meth:`_finalize`, outside the session lock (on the event loop a
-        reply the peer no longer takes calls ``broken`` back, which
-        takes that lock)."""
-        if self.reply is not None:
-            link.write(self.reply)
-        self._completed(live, digest_ok)
-        link.close()
+    # -- sublink ends (outside the session lock) ----------------------------
 
     def _completed(self, live: _LiveSession, digest_ok: Optional[bool]) -> None:
         """Hand the finished session to the application: its result."""
-        record = self.registry.get(live.receiver.session_id)
         result = SessionResult(
             session_id=live.receiver.session_id,
             payload=b"".join([chunk.data for chunk in live.chunks]),
             digest_ok=digest_ok,
             route_len=len(live.receiver.header.route),
-            rebinds=record.rebinds if record is not None else 0,
+            rebinds=live.rebinds,
         )
         live.chunks.clear()  # delivered: nothing reads them again
         with self._lock:
@@ -426,6 +485,25 @@ class TerminalEngine:
             self._done.notify_all()
         if self.on_session is not None:
             self.on_session(result)
+
+    def _fail(
+        self, live: Optional[_LiveSession], link: Any, exc: BaseException
+    ) -> None:
+        """Record a failed sublink and close it; the session's span, if
+        it is still open, ends ``error``."""
+        if live is not None:
+            with live.lock:
+                self._end_span(live, "error")
+        with self._lock:
+            self.errors.append(exc)
+            self._done.notify_all()
+        link.close()
+
+    def _ended(
+        self, sublink: TerminalSublink, status: str,
+        failure: Optional[BaseException],
+    ) -> None:
+        """A sublink ended with ``status``, its link closed."""
 
     def _sweep(self) -> None:
         """Expire suspended sessions that never rebound (the long-

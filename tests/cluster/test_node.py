@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.lsl.core import real_digest_factory
+from repro.lsl.core import DigestMismatch, real_digest_factory
 from repro.sockets import LslSocketClient, ThreadedLslServer
 from repro.cluster import (
     ClusterNode,
@@ -395,6 +395,44 @@ def test_session_ttl_expires_suspended_session(driver):
                 resume_query=True,
                 digest_factory=real_digest_factory(PAYLOAD),
             )
+
+
+def test_ttl_sweep_spares_a_session_that_is_still_streaming(driver):
+    # a streaming session stamps its stored record active once per sweep
+    # period, so a transfer that outlasts the TTL between two checkpoints
+    # is not idle
+    store = InMemoryStore()
+    with _make_node(
+        driver, store=store, worker="w0", session_ttl=1.0
+    ) as node:
+        with LslSocketClient(
+            [node.address], payload_length=len(PAYLOAD), session_id=SID,
+            timeout=5.0,
+        ) as client:
+            for at in range(0, len(PAYLOAD), 10_000):  # ~3 s in all
+                client.sendall(PAYLOAD[at : at + 10_000])
+                time.sleep(0.1)
+            client.finish()
+        assert node.wait_for_sessions(1, timeout=10)
+    assert node.counters.sessions_expired == 0
+    assert node.counters.sessions_suspended == 0 and not node.errors
+    (result,) = node.results
+    assert result.payload == PAYLOAD and result.digest_ok is True
+
+
+def test_a_failed_session_wakes_the_waiter_and_is_recorded(driver):
+    with _make_node(driver, store=InMemoryStore(), worker="w0") as node:
+        with LslSocketClient(
+            [node.address], payload_length=len(PAYLOAD), session_id=SID
+        ) as client:
+            client.sendall(PAYLOAD)
+            client.sock.sendall(bytes(16))  # a trailer no MD5 matches
+            start = time.monotonic()
+            assert node.wait_for_sessions(1, timeout=3)
+            assert time.monotonic() - start < 2.0
+        (error,) = node.errors
+        assert isinstance(error, DigestMismatch) and not node.results
+        assert _wait(lambda: node.counters.sessions_failed == 1)
 
 
 # -- multi-worker ----------------------------------------------------------

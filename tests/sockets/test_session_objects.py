@@ -1,6 +1,7 @@
 """The session objects against a scripted link: no sockets, no clocks.
 
-``TerminalSublink``, ``StripedSublink``, ``NodeSublink`` and the depot's
+``TerminalSublink`` (under a plain ``TerminalEngine`` or a store-backed
+cluster ``StoreNode``), ``StripedSublink`` and the depot's
 ``RelaySession`` touch the transport only through their links
 (``write`` / ``close`` / ``closed``, and for a relay ``peer`` / ``eof``
 / ``finish``), so a fake link that records them can replay any delivery
@@ -21,7 +22,6 @@ from repro.cluster import node as cluster_node
 from repro.cluster.node import (
     DEFAULT_CHECKPOINT_BYTES,
     PARKED_SESSIONS,
-    NodeSublink,
     StoreNode,
 )
 from repro.lsl.core import (
@@ -129,13 +129,15 @@ def test_the_completion_reply_is_written_outside_the_session_lock():
             else:
                 FakeLink.write(self, data)
 
-    engine, _ = _engine(reply=b"THANKS")
-    link, sublink = ResetLink(), TerminalSublink(engine)
-    link.owner_broken = sublink.broken
-    sublink.received(link, _stream())
-    assert not engine.errors and link.closed
-    (result,) = engine.results
-    assert result.payload == PAYLOAD and result.digest_ok is True
+    store_engine = FakeNode(InMemoryStore())  # a cluster worker's engine
+    store_engine.reply = b"THANKS"
+    for engine in (_engine(reply=b"THANKS")[0], store_engine):
+        link, sublink = ResetLink(), TerminalSublink(engine)
+        link.owner_broken = sublink.broken
+        sublink.received(link, _stream())
+        assert not engine.errors and link.closed
+        (result,) = engine.results
+        assert result.payload == PAYLOAD and result.digest_ok is True
 
 
 def test_header_surplus_reaches_the_receiver():
@@ -359,7 +361,7 @@ def test_striped_sublink_drains_after_completion():
     assert list(engine._finished) == [SID] and SID in engine._sessions
 
 
-# -- NodeSublink --------------------------------------------------------------
+# -- TerminalSublink over a StoreNode -----------------------------------------
 
 
 @pytest.fixture(autouse=True)
@@ -394,7 +396,7 @@ def test_node_sublink_hands_a_relay_over_once_with_the_surplus():
     node = FakeNode(InMemoryStore())
     stream = _stream(route=[("node", 1), ("server", 9)])
     header_len = len(stream) - len(PAYLOAD) - 16
-    link, sublink = FakeLink(), NodeSublink(node)
+    link, sublink = FakeLink(), TerminalSublink(node)
     sublink.received(link, stream[:10])
     assert not node.handed_over
     sublink.received(link, stream[10 : header_len + 5])
@@ -402,7 +404,7 @@ def test_node_sublink_hands_a_relay_over_once_with_the_surplus():
     assert got_link is link and surplus == PAYLOAD[:5]
     assert header.encode() == stream[:header_len] and not header.is_last_hop
     # the link has a new owner: the sublink neither closed nor counted it
-    assert not link.closed and sublink.term is None
+    assert not link.closed and sublink.live is None
     assert node.counters.sessions_completed == node.counters.sessions_failed == 0
 
 
@@ -411,7 +413,7 @@ def test_node_sublink_that_loses_ownership_mid_stream_ends_suspended():
     node = FakeNode(store)
     stream = _stream()
     header_len = len(stream) - len(PAYLOAD) - 16
-    link, sublink = FakeLink(), NodeSublink(node)
+    link, sublink = FakeLink(), TerminalSublink(node)
     sublink.received(link, stream[: header_len + 100])  # one checkpoint
     assert store.load(SID).bytes_received == 100
     assert store.claim(SID, "w1", 0.0) is not None  # a takeover elsewhere
@@ -428,7 +430,7 @@ def test_node_sublink_resume_primes_the_digest_from_the_spool():
     first = FakeNode(store, "w0")
     stream = _stream()
     header_len = len(stream) - len(PAYLOAD) - 16
-    link, sublink = FakeLink(), NodeSublink(first)
+    link, sublink = FakeLink(), TerminalSublink(first)
     sublink.received(link, stream[: header_len + 200])
     sublink.ended(link)  # suspends: everything received is spooled
     assert first.counters.sessions_suspended == 1
@@ -440,7 +442,7 @@ def test_node_sublink_resume_primes_the_digest_from_the_spool():
         ME, payload_length=len(PAYLOAD), session_id=SID, rebind=True,
         resume_query=True, digest_factory=real_digest_factory(PAYLOAD),
     )
-    link, sublink = FakeLink(), NodeSublink(second)
+    link, sublink = FakeLink(), TerminalSublink(second)
     sublink.received(link, header.encode())
     assert link.written == SESSION_ACK + struct.pack(">Q", 200)
     sender.rebase(200)
@@ -490,7 +492,7 @@ def _suspended(node, cut, sid=SID, framed=False, trace=None):
         ME, payload_length=len(PAYLOAD), session_id=sid, framed=framed,
         trace=trace,
     )
-    link, sublink = FakeLink(), NodeSublink(node)
+    link, sublink = FakeLink(), TerminalSublink(node)
     sublink.received(link, header.encode() + _on_wire(PAYLOAD[:cut], 0, framed))
     sublink.ended(link)
     assert link.closed
@@ -507,7 +509,7 @@ def _resumed(node, sid=SID, framed=False, trace=None, upto=None,
         resume_query=True, digest_factory=real_digest_factory(hashed),
         framed=framed, trace=trace,
     )
-    link, sublink = FakeLink(), NodeSublink(node)
+    link, sublink = FakeLink(), TerminalSublink(node)
     sublink.received(link, header.encode())
     assert link.written[:1] == SESSION_ACK
     (granted,) = struct.unpack(">Q", link.written[1:9])
@@ -551,7 +553,7 @@ def test_checkpoints_append_the_same_sizes_in_the_same_order(
         wire = wire[:-(len(big) - 1_000_000)]
     store = CountingStore()
     node = FakeNode(store, checkpoint_bytes=DEFAULT_CHECKPOINT_BYTES)
-    link, sublink = FakeLink(), NodeSublink(node)
+    link, sublink = FakeLink(), TerminalSublink(node)
     for pos in range(0, len(wire), 40_000):
         sublink.received(link, wire[pos : pos + 40_000])
     sublink.ended(link)
@@ -572,7 +574,7 @@ def test_a_rebind_on_the_parking_worker_reads_no_spool(framed):
     assert node.counters.sessions_suspended == 1
     assert SID in cluster_node._parked
     link, sublink, granted = _resumed(node, framed=framed)
-    assert granted == 200 and sublink.term is first.term
+    assert granted == 200 and sublink.live is first.live
     assert store.reads == 0
     (result,) = node.results
     # the MD5 the parked receiver ran over the first sublink's bytes
@@ -615,7 +617,7 @@ def test_a_sibling_takeover_reads_no_spool(framed):
     w0, w1 = FakeNode(store, "w0"), FakeNode(store, "w1")
     first = _suspended(w0, 200, framed=framed)
     link, sublink, granted = _resumed(w1, framed=framed)
-    assert granted == 200 and sublink.term is first.term
+    assert granted == 200 and sublink.live is first.live
     assert store.reads == 0
     (result,) = w1.results
     assert result.payload == PAYLOAD and result.digest_ok is True
@@ -655,13 +657,13 @@ def test_an_adopted_session_is_the_deciding_workers():
         resume_query=True, digest_factory=real_digest_factory(PAYLOAD),
         trace=TraceContext(bytes(16), 7, 0),
     )
-    link, sublink = FakeLink(), NodeSublink(w1)
+    link, sublink = FakeLink(), TerminalSublink(w1)
     sublink.received(link, header.encode())
     assert link.written == SESSION_ACK + struct.pack(">Q", 200)
     for pos in range(200, 450, 50):
         sublink.received(link, PAYLOAD[pos : pos + 50])
     sublink.ended(link)
-    assert sublink.term.worker == "w1" and store.reads == 0
+    assert sublink.live.worker == "w1" and store.reads == 0
     # 250 bytes under w1's 1,000-byte checkpoint (w0's is 64): one
     # append, on FIN, that quotes w1 (the store's owner now) and is
     # accepted
@@ -735,7 +737,7 @@ def test_a_worker_that_shuts_down_parks_nothing():
     header, _, _ = plan_client_session(
         ME, payload_length=len(PAYLOAD), session_id=bytes(16),
     )
-    link, sublink = FakeLink(), NodeSublink(w0)
+    link, sublink = FakeLink(), TerminalSublink(w0)
     sublink.received(link, header.encode() + PAYLOAD[:100])
     assert set(cluster_node._parked) == {other, SID}
     w0.shutdown(drain=False)
@@ -758,7 +760,7 @@ def test_a_spool_shorter_than_the_grant_fails_the_rebind_before_a_reply():
         ME, payload_length=len(PAYLOAD), session_id=SID, rebind=True,
         resume_query=True, digest_factory=real_digest_factory(PAYLOAD),
     )
-    link, sublink = FakeLink(), NodeSublink(w1)
+    link, sublink = FakeLink(), TerminalSublink(w1)
     sublink.received(link, header.encode())
     assert link.written == b"" and link.closed
     assert w1.counters.sessions_failed == 1 and not w1.results
@@ -882,7 +884,7 @@ def test_a_crash_racing_a_suspend_accounts_the_sublink_once(suspend_first):
     node = FakeNode(InMemoryStore())
     stream = _stream()
     header_len = len(stream) - len(PAYLOAD) - 16
-    link, sublink = FakeLink(), NodeSublink(node)
+    link, sublink = FakeLink(), TerminalSublink(node)
     sublink.received(link, stream[: header_len + 200])
     if suspend_first:
         sublink._finish(link, "suspended")
