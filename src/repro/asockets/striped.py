@@ -3,14 +3,14 @@
 The event-loop driver of :mod:`repro.sockets.striped`, which holds the
 one implementation of both sides: the server here is the
 :class:`~repro.asockets.runtime.AsyncLoopService` chassis under
-:class:`~repro.sockets.striped.StripedEngine`, which hands each accepted
-sublink to a ``StripedSublink`` (one read callback per sublink, no task), and :func:`send_striped` is
-the awaitable dial-and-write loop over
-:class:`~repro.sockets.striped._StripedSend`, one task per sublink.
-Everything runs on one loop, so the shared locks are never contended,
-and the sender's demand pacing falls out of ``sock_sendall``: a task
-awaiting a slow path's send buffer simply yields the loop to the
-sublinks that can still make progress.
+:class:`~repro.sockets.striped.StripedTerminalEngine`, the terminal
+engine whose sessions share an assembler (one read callback per
+sublink, no task), and :func:`send_striped` is the awaitable
+dial-and-write loop over :class:`~repro.sockets.striped._StripedSend`,
+one task per sublink. Everything runs on one loop, so the shared locks
+are never contended, and the sender's demand pacing falls out of
+``sock_sendall``: a task awaiting a slow path's send buffer simply
+yields the loop to the sublinks that can still make progress.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from repro.lsl.core.striping import DEFAULT_STRIPE
 from repro.telemetry.tracing import TraceSpool
 from repro.asockets.runtime import AsyncLoopService, connect_by
 from repro.sockets.striped import (
-    StripedEngine,
     StripedResult,
     StripedSendReport,
+    StripedTerminalEngine,
     _StripedSend,
     _frame_of,
 )
@@ -48,16 +48,8 @@ async def send_striped(
     trace_id: Optional[bytes] = None,
     trace_parent: int = 0,
 ) -> StripedSendReport:
-    """Send ``payload`` striped across ``routes`` (one task each).
-
-    Same contract as the threaded
-    :func:`repro.sockets.striped.send_striped`: raises
-    :class:`LslError` only when no surviving sublink can complete
-    coverage; individual failures degrade and land in
-    ``sublink_errors``. With ``tracer`` set, the whole send is one
-    ``client.session`` span and each sublink header carries the trace
-    context parented to its ``client.dial`` span.
-    """
+    """Send ``payload`` striped across ``routes`` (one task each), on
+    the contract of the threaded :func:`repro.sockets.striped.send_striped`."""
     send = _StripedSend(
         routes, payload, session_id, stripe_bytes, redundancy, digest,
         observer, rng, tracer, trace_id, trace_parent,
@@ -101,11 +93,11 @@ async def send_striped(
     return send.report()
 
 
-class AsyncStripedServer(StripedEngine, AsyncLoopService):
+class AsyncStripedServer(StripedTerminalEngine, AsyncLoopService):
     """Accepts framed striped sessions on one event loop.
 
     Public surface (``results``, ``errors``, ``wait_for_sessions``,
-    context manager) mirrors
+    ``expose``, context manager) mirrors
     :class:`~repro.sockets.striped.StripedThreadedServer`.
     """
 
@@ -120,5 +112,7 @@ class AsyncStripedServer(StripedEngine, AsyncLoopService):
         drain_timeout: float = 5.0,
         tracer: Optional[TraceSpool] = None,
     ) -> None:
-        StripedEngine.__init__(self, on_session, observer, tracer)
+        StripedTerminalEngine.__init__(
+            self, on_session, observer=observer, tracer=tracer
+        )
         AsyncLoopService.__init__(self, host, port, drain_timeout=drain_timeout)

@@ -110,10 +110,6 @@ class _StoreSession(_LiveSession):
         self.stamped = 0.0  # when the store last heard from this session
 
     @property
-    def session_id(self) -> bytes:
-        return self.receiver.session_id
-
-    @property
     def worker(self) -> str:
         return self.node.worker
 

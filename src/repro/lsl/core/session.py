@@ -32,6 +32,11 @@ from repro.lsl.core.wire import SESSION_ACK, LslHeader
 
 SessionId = bytes  # 16 bytes
 
+#: Closed records a :class:`SessionRegistry` keeps, oldest forgotten
+#: first: a closed record only refuses the reuse of its id, and lets a
+#: striped session's late sublinks find the session and drain into it.
+FINISHED_KEPT = 1024
+
 
 def new_session_id(rng: random.Random) -> SessionId:
     """Generate a fresh 128-bit session id from a seeded stream."""
@@ -85,10 +90,12 @@ class SessionRecord:
 
 
 class SessionRegistry:
-    """Tracks live sessions at a server (or depot) by session id."""
+    """Tracks live sessions at a server (or depot) by session id; of
+    the closed ones, the last :data:`FINISHED_KEPT`."""
 
     def __init__(self) -> None:
         self._sessions: Dict[SessionId, SessionRecord] = {}
+        self._closed: Dict[SessionId, SessionRecord] = {}  # oldest first
 
     def create(self, session_id: SessionId, now: float) -> SessionRecord:
         if session_id in self._sessions:
@@ -110,17 +117,16 @@ class SessionRegistry:
 
     def close(self, session_id: SessionId) -> None:
         record = self._sessions.get(session_id)
-        if record is not None:
+        if record is not None and not record.closed:
             record.closed = True
+            self._closed[session_id] = record
+            if len(self._closed) > FINISHED_KEPT:
+                oldest = next(iter(self._closed))
+                del self._closed[oldest], self._sessions[oldest]
 
     def forget(self, session_id: SessionId) -> None:
         self._sessions.pop(session_id, None)
-
-    def touch(self, session_id: SessionId, now: float) -> None:
-        """Mark activity on a session (resets its idle clock)."""
-        record = self._sessions.get(session_id)
-        if record is not None:
-            record.last_active = now
+        self._closed.pop(session_id, None)
 
     def expire(self, now: float, ttl: float) -> List[SessionRecord]:
         """Drop sessions idle for longer than ``ttl``; returns the
@@ -140,7 +146,9 @@ class SessionRegistry:
             if rec.last_active <= cutoff
         ]:
             record = self._sessions.pop(session_id)
-            if not record.closed:
+            if record.closed:
+                del self._closed[session_id]
+            else:
                 expired.append(record)
         return expired
 

@@ -149,10 +149,6 @@ class LslServerConnection(_LiveSession):
     # -- protocol state (the engine's receiver) ----------------------------
 
     @property
-    def session_id(self) -> bytes:
-        return self.receiver.session_id
-
-    @property
     def payload_received(self) -> int:
         return self.receiver.payload_received
 
@@ -288,10 +284,9 @@ class LslServer(TerminalEngine):
             conn.on_error(error)
 
     def _fail(
-        self, conn: Optional[LslServerConnection], link: SimLink,
-        exc: BaseException,
+        self, conn: Optional[LslServerConnection], exc: BaseException
     ) -> None:
-        TerminalEngine._fail(self, conn, link, exc)
+        TerminalEngine._fail(self, conn, exc)
         if conn is None:
             self.net_logger_log("accept-failed", str(exc))
 

@@ -3,17 +3,17 @@
 The same sans-I/O machines that power the simulator's striped sessions
 (:mod:`repro.lsl.core.striping`), once for both real-socket drivers.
 
-**Server side.** :class:`StripedSublink` is one accepted framed sublink
-and :class:`StripedEngine` the table that groups sublinks by session id
-into a shared :class:`~repro.lsl.core.StripeAssembler`. Like the
-terminal session (:mod:`repro.sockets.terminal`) they reach the
-transport only through the sublink's link, so
-:class:`StripedThreadedServer` runs them on a pooled worker per sublink
-(the :class:`~repro.sockets.wire.ThreadedService` chassis) and
-:class:`repro.asockets.striped.AsyncStripedServer` from the loop's
-read callbacks, under the same locking rule: the engine lock around the
-table and the result lists, each session's lock around one assembler
-call, never across a read.
+**Server side.** :class:`StripedTerminalEngine` is the terminal engine
+(:mod:`repro.sockets.terminal`) whose sessions hold a shared
+:class:`~repro.lsl.core.StripeAssembler`: each accepted socket gets the
+shared ``TerminalSublink``, and a framed header *joins* its session
+under a key of its own instead of displacing the sublink attached to
+it. The header phase, ``errors`` and the ``wait_for_sessions`` that
+wakes for a failure, the ``server.session`` span, the result, the
+bounded session table and ``expose`` are the engine's.
+:class:`StripedThreadedServer` adds the
+:class:`~repro.sockets.wire.ThreadedService` chassis and
+:class:`repro.asockets.striped.AsyncStripedServer` the event loop's.
 
 **Client side.** :class:`_StripedSend` is everything a striped send is
 apart from moving bytes — ids, trace spans, the lock-guarded
@@ -34,50 +34,29 @@ from __future__ import annotations
 import random
 import socket
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
-from typing import Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.lsl.core import (
-    Completed,
-    Deliver,
-    Failed,
+    ChunkLike,
     LslHeader,
     ProtocolObserver,
     Redundancy,
     RouteHop,
+    SessionRegistry,
     StripeAssembler,
     StripeScheduler,
+    TraceContext,
     parse_redundancy,
 )
-from repro.lsl.core import TraceContext
 from repro.lsl.core.striping import DEFAULT_STRIPE, Assignment
 from repro.lsl.core.errors import LslError, ProtocolError, RouteError
 from repro.lsl.core.session import new_session_id
-from repro.lsl.core.wire import HeaderAccumulator
 from repro.telemetry.tracing import TraceSpool, new_trace_id
-from repro.lsl.core.events import emit
 from repro.sockets import workers
+from repro.sockets.terminal import SessionResult, TerminalEngine, TerminalSublink
+from repro.sockets.terminal import _LiveSession
 from repro.sockets.wire import ThreadedService
-
-#: Finished striped sessions a server keeps findable. Sublinks of one
-#: session arrive with arbitrary skew, so a late one must still find
-#: the finished entry (and drain into it); past this many the oldest
-#: is dropped.
-FINISHED_KEPT = 1024
-
-
-@dataclass
-class StripedResult:
-    """Outcome of one completed striped session (server side)."""
-
-    session_id: bytes
-    payload: bytes
-    digest_ok: Optional[bool]
-    sublinks: int
-    duplicate_bytes: int
-    reconstructed_blocks: int
 
 
 @dataclass
@@ -317,192 +296,90 @@ def send_striped(
 # -- server side ---------------------------------------------------------------
 
 
-class _StripedSession:
-    """Server-side shared state for one striped session."""
+@dataclass
+class StripedResult(SessionResult):
+    """Outcome of one completed striped session (server side)."""
 
-    __slots__ = ("header", "lock", "assembler", "chunks", "sublinks", "span")
+    sublinks: int = 0
+    duplicate_bytes: int = 0
+    reconstructed_blocks: int = 0
 
-    def __init__(
-        self,
-        header: LslHeader,
-        observer: Optional[ProtocolObserver],
-    ) -> None:
+
+class _StripedLiveSession(_LiveSession):
+    """A session whose sublinks all feed one assembler, each under its
+    link as key. A sublink that ends degrades the session and never
+    suspends it; every one drains to its own EOF, since closing one with
+    redundant copies unread would reset a peer still mid-send."""
+
+    __slots__ = ("header", "sublinks")
+
+    drain = True
+
+    def __init__(self, engine: TerminalEngine, header: LslHeader, link: Any) -> None:
+        _LiveSession.__init__(self, engine, header, None)
         self.header = header
-        self.lock = threading.Lock()
-        self.assembler = StripeAssembler(
-            header.payload_length,
-            use_digest=header.digest,
-            observer=observer,
-            session=header.short_id,
+        self.sublinks = 0  # joined before the session ended
+
+    def _receiver(self, header: LslHeader, observer: Any) -> StripeAssembler:
+        return StripeAssembler(
+            header.payload_length, use_digest=header.digest,
+            observer=observer, session=header.short_id,
         )
-        self.chunks: List[bytes] = []
-        self.sublinks = 0
-        self.span = 0  # server.session trace span, when traced
+
+    def feed(self, link: Any, chunks: List[ChunkLike]) -> List[Any]:
+        return self.receiver.feed(link, chunks)  # nothing once ended
+
+    def feed_eof(self, link: Any) -> None:
+        # a torn frame is fine: redundancy or a re-deal covers the range
+        self.receiver.sublink_closed(link)
+
+    def reset(self, link: Any) -> bool:
+        self.receiver.sublink_closed(link)
+        return False
+
+    def result(self, payload: bytes, digest_ok: Optional[bool]) -> StripedResult:
+        return StripedResult(
+            self.session_id, payload, digest_ok, len(self.header.route),
+            sublinks=self.sublinks,
+            duplicate_bytes=self.receiver.duplicate_bytes,
+            reconstructed_blocks=self.receiver.reconstructed_blocks,
+        )
 
 
-class StripedSublink:
-    """One accepted sublink: header phase, then the shared assembler."""
+class StripedTerminalEngine(TerminalEngine):
+    """The terminal engine of striped sessions (mix in before a
+    chassis, with no reply and no TTL): a header joins its session."""
 
-    __slots__ = ("engine", "acc", "session", "key")
+    _session_cls = _StripedLiveSession
+    _span_attrs = {"striped": True}
 
-    def __init__(self, engine: "StripedEngine") -> None:
-        self.engine = engine
-        self.acc = HeaderAccumulator()
-        self.session: Optional[_StripedSession] = None
-        self.key = ""
+    def _accepting(self) -> None:
+        self.registry = SessionRegistry()  # joined by id: no acceptor
 
-    def received(self, link: Any, data: bytes) -> None:
-        engine = self.engine
-        try:
-            if self.session is None:
-                header = self.acc.feed(data)
-                if header is None:
-                    return
-                self.session, self.key = engine._join(header)
-                data = self.acc.surplus
-            if self.session.assembler.failed is not None:
-                self.ended(link)
-            elif data:
-                # once completed this only drains to EOF: closing with
-                # unread redundant copies in the buffer would RST a
-                # peer still mid-send, and the sender would count a
-                # healthy sublink as lost
-                engine._feed(self.session, self.key, data)
-        except Exception as exc:
-            with engine._lock:
-                engine.errors.append(exc)
-            self.ended(link)
-
-    def ended(self, link: Any) -> None:
-        session = self.session
-        if session is not None:
-            with session.lock:
-                session.assembler.sublink_closed(self.key)
-        link.close()
-
-    def broken(self, link: Any, exc: BaseException) -> None:
-        self.ended(link)  # a dead sublink degrades, it doesn't fail
-
-
-class StripedEngine:
-    """The striped-session table and its results (mix in before a
-    chassis)."""
-
-    _link: Callable[..., Any]
-
-    def __init__(
-        self,
-        on_session: Optional[Callable[[StripedResult], None]],
-        observer: Optional[ProtocolObserver],
-        tracer: Optional[TraceSpool],
-    ) -> None:
-        self.on_session = on_session
-        self._observer = observer
-        self._tracer = tracer
-        self.results: List[StripedResult] = []
-        self.errors: List[Exception] = []
-        self.accept_errors = 0
-        self._sessions: Dict[bytes, _StripedSession] = {}
-        self._finished: Deque[bytes] = deque()  # ids, oldest first
-        self._lock = threading.Lock()
-        self._done = threading.Condition(self._lock)
-
-    def _open(self, sock: Any) -> Any:
-        return self._link(sock, StripedSublink(self))
-
-    def _on_accept_error(self, exc: OSError) -> None:
-        self.accept_errors += 1
-        emit(self._observer, "accept-error", "",
-             error=type(exc).__name__, detail=str(exc))
-
-    def _join(self, header: LslHeader) -> Tuple[_StripedSession, str]:
-        """Find or create the session of a sublink's header and attach
-        the sublink to its assembler; returns the session and the
-        sublink's key."""
+    def _attach(self, sublink: TerminalSublink, link: Any, header: LslHeader) -> None:
         if not header.is_last_hop or not header.framed:
             raise ProtocolError("unframed or mis-routed striped sublink")
         with self._lock:
-            session = self._sessions.get(header.session_id)
-            if session is None:
-                session = _StripedSession(header, self._observer)
-                if self._tracer is not None and header.trace is not None:
-                    session.span = self._tracer.begin(
-                        "server.session",
-                        header.trace.trace_id,
-                        header.trace.parent_span,
-                        session=header.short_id,
-                        striped=True,
-                        hop=header.trace.hop,
-                    )
-                self._sessions[header.session_id] = session
-            elif session.header.payload_length != header.payload_length:
-                raise ProtocolError("sublink disagrees on payload length")
-        with session.lock:
-            key = f"sub{session.sublinks}"
-            session.sublinks += 1
-            session.assembler.attach(key)
-        return session, key
-
-    def _feed(self, session: _StripedSession, key: str, data: bytes) -> None:
-        result: Optional[StripedResult] = None
-        error: Optional[Exception] = None
-        with session.lock:
-            if session.assembler.finished:
-                return
-            for event in session.assembler.feed_bytes(key, data):
-                if isinstance(event, Deliver):
-                    assert event.chunk.data is not None
-                    session.chunks.append(event.chunk.data)
-                elif isinstance(event, Completed):
-                    result = StripedResult(
-                        session_id=session.header.session_id,
-                        payload=b"".join(session.chunks),
-                        digest_ok=event.digest_ok,
-                        sublinks=session.sublinks,
-                        duplicate_bytes=session.assembler.duplicate_bytes,
-                        reconstructed_blocks=(
-                            session.assembler.reconstructed_blocks
-                        ),
-                    )
-                    session.chunks.clear()  # delivered: nothing reads them again
-                elif isinstance(event, Failed):
-                    error = event.error
-        if result is None and error is None:
-            return
-        if self._tracer is not None and session.span:
-            if result is not None:
-                self._tracer.end(
-                    session.span, status="ok",
-                    bytes_received=len(result.payload),
-                    sublinks=result.sublinks,
-                )
+            record = self.registry.get(header.session_id)
+            if record is None:
+                live = self._session_cls(self, header, link)
+                self.registry.create(header.session_id, self._now()).attachment = live
+                self._begin_span(live, header)
             else:
-                self._tracer.end(session.span, status="error")
-            session.span = 0
-        with self._lock:
-            if result is not None:
-                self.results.append(result)
-            else:
-                assert error is not None
-                self.errors.append(error)
-            # the entry stays findable for the session's late sublinks;
-            # only the oldest finished one is dropped
-            self._finished.append(session.header.session_id)
-            if len(self._finished) > FINISHED_KEPT:
-                self._sessions.pop(self._finished.popleft(), None)
-            self._done.notify_all()
-        if result is not None and self.on_session is not None:
-            self.on_session(result)
+                live = record.attachment
+                if live.header.payload_length != header.payload_length:
+                    raise ProtocolError("sublink disagrees on payload length")
+        with live.lock:
+            live.receiver.attach(link)
+            if not live.receiver.finished:
+                live.sublinks += 1
+        sublink.live = live
 
-    def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
-        """Block the caller until ``count`` sessions completed."""
-        with self._done:
-            return self._done.wait_for(
-                lambda: len(self.results) >= count, timeout=timeout
-            )
+    def _end_span(self, live: Any, status: str, **attrs: Any) -> None:
+        TerminalEngine._end_span(self, live, status, sublinks=live.sublinks, **attrs)
 
 
-class StripedThreadedServer(StripedEngine, ThreadedService):
+class StripedThreadedServer(StripedTerminalEngine, ThreadedService):
     """Accepts framed striped sessions; reassembles and verifies.
 
     Sublinks carrying the same session id feed one shared
@@ -521,5 +398,7 @@ class StripedThreadedServer(StripedEngine, ThreadedService):
         observer: Optional[ProtocolObserver] = None,
         tracer: Optional[TraceSpool] = None,
     ) -> None:
-        StripedEngine.__init__(self, on_session, observer, tracer)
+        StripedTerminalEngine.__init__(
+            self, on_session, observer=observer, tracer=tracer
+        )
         ThreadedService.__init__(self, host, port)

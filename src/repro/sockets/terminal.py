@@ -1,4 +1,4 @@
-"""The terminal session, once, for all three drivers and the cluster.
+"""The terminal session, once, for every live terminal endpoint.
 
 What a server does with a sublink is protocol, not driver:
 :class:`~repro.lsl.core.SessionAcceptor` arbitrates fresh / rebind /
@@ -20,16 +20,18 @@ simulator's :class:`repro.lsl.server.LslServer` from ``SimSocket``
 events (its ``SimLink``, which alone delivers chunk batches and virtual
 bytes); each driver adds only its chassis, its clock and a constructor.
 A cluster worker (:class:`repro.cluster.node.StoreNode`) is this engine
-with its hooks backed by a shared store. Every sublink but a stale one
-ends once (:meth:`TerminalSublink._finish`): ``completed``,
-``suspended`` or ``failed``.
+with its hooks backed by a shared store, and a striped server
+(:class:`repro.sockets.striped.StripedTerminalEngine`) one whose
+sessions share an assembler among their sublinks. Every sublink that
+ends its session ends once (:meth:`TerminalSublink._finish`):
+``completed``, ``suspended`` or ``failed``.
 
 **The contract a driver must keep.** Two locks, each held for one call
 and never across a read or a write: the engine lock around the accept
-decision, the registry sweep and the result lists; each live session's
-lock around one ``feed`` / ``feed_eof`` / rebind (a link's ``write``
-may call ``broken`` back, which takes it). And one rule: a sublink
-whose link is no longer ``live.link`` is *stale* — whatever it still
+decision, the registry and the result lists; each live session's lock
+around one ``feed`` / ``feed_eof`` / rebind (a link's ``write`` may
+call ``broken`` back, which takes it). And one rule: a sublink whose
+link is no longer ``live.link`` is *stale* — whatever it still
 delivers, bytes or EOF, is dropped under the session lock and its link
 closed — so a rebind never waits for the reader it displaces. On the
 event loop and in the simulator both locks are simply never contended.
@@ -41,7 +43,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.lsl.core import (
     AcceptRebind,
@@ -88,18 +90,22 @@ class _LiveSession:
     It is also the session's consumer: ``Deliver`` chunks queue in
     ``chunks``, and :meth:`delivered` runs once per batch that queued
     some. Here they wait for :meth:`TerminalEngine._completed` to join
-    them into the result's payload; a driver that hands them to its
-    application as they arrive subclasses this.
+    them into :meth:`result`'s payload; a driver that hands them to its
+    application as they arrive subclasses this, and so does one whose
+    sublinks share a receiver (:meth:`feed`, :meth:`feed_eof`, :meth:`reset`).
     """
 
-    __slots__ = ("receiver", "chunks", "link", "lock", "span", "trace", "rebinds")
+    __slots__ = (
+        "session_id", "receiver", "chunks", "link", "lock", "span", "trace",
+        "rebinds",
+    )
+
+    #: Whether a sublink reads on to its own EOF after the session ended.
+    drain = False
 
     def __init__(self, engine: "TerminalEngine", header: LslHeader, link: Any) -> None:
-        observer = self._observer(engine)
-        self.receiver: Union[PayloadReceiver, FramedReceiver] = (
-            FramedReceiver(header, observer) if header.framed
-            else PayloadReceiver(header, observer)
-        )
+        self.session_id = header.session_id
+        self.receiver = self._receiver(header, self._observer(engine))
         self.chunks: Deque[Chunk] = deque()
         self.link: Any = link  # the sublink now attached; None once displaced
         self.lock = threading.Lock()
@@ -113,8 +119,33 @@ class _LiveSession:
         """Where the receiver reports (a driver may scope it per session)."""
         return engine._observer
 
+    def _receiver(self, header: LslHeader, observer: Any) -> Any:
+        if header.framed:
+            return FramedReceiver(header, observer)
+        return PayloadReceiver(header, observer)
+
     def delivered(self) -> None:
         """A batch of payload was queued in ``chunks``."""
+
+    def feed(self, link: Any, chunks: List[ChunkLike]) -> Optional[List[Any]]:
+        """The receiver's events; None for a stale ``link``, whose bytes
+        are dropped, never fed."""
+        return self.receiver.feed(chunks) if self.link is link else None
+
+    def feed_eof(self, link: Any) -> Optional[str]:
+        """An ``EOF_*`` disposition; None for a stale ``link``."""
+        return self.receiver.feed_eof() if self.link is link else None
+
+    def reset(self, link: Any) -> bool:
+        """Whether a reset on ``link`` suspends the session: mid-payload
+        on the attached sublink, a rebind may resume it."""
+        return self.link is link and not self.receiver.finished
+
+    def result(self, payload: bytes, digest_ok: Optional[bool]) -> SessionResult:
+        return SessionResult(
+            self.session_id, payload, digest_ok,
+            len(self.receiver.header.route), self.rebinds,
+        )
 
 
 class TerminalSublink:
@@ -142,10 +173,11 @@ class TerminalSublink:
                 if live is None or not chunks:
                     return
             with live.lock:
-                if live.link is not link:
-                    link.close()  # stale: its bytes are dropped, never fed
+                events = live.feed(link, chunks)
+                if events is None:
+                    link.close()  # stale
                     return
-                status = engine._apply(live, live.receiver.feed(chunks))
+                status = engine._apply(live, events)
             if status is not None:
                 self._finish(link, status)
         except Exception as exc:
@@ -176,31 +208,30 @@ class TerminalSublink:
             if live is None:
                 raise ProtocolError("EOF before LSL header complete")
             with live.lock:
-                status = None  # stale
-                if live.link is link:
-                    disposition = live.receiver.feed_eof()
-                    if disposition == EOF_SUSPEND:
-                        # keep receiver state; a rebind may resume us
-                        engine._note_suspended(live)
-                        status = SUSPENDED
-                    elif disposition == EOF_COMPLETE:
-                        # stream-until-FIN: EOF is the completion signal
-                        status = engine._finalize(live, live.receiver.digest_ok)
-                    else:
-                        raise ProtocolError("EOF inside the trailer")
+                disposition = live.feed_eof(link)
+                status = None  # stale, or one of the session's sublinks
+                if disposition == EOF_SUSPEND:
+                    # keep receiver state; a rebind may resume us
+                    engine._note_suspended(live)
+                    status = SUSPENDED
+                elif disposition == EOF_COMPLETE:
+                    # stream-until-FIN: EOF is the completion signal
+                    status = engine._finalize(live, live.receiver.digest_ok)
+                elif disposition is not None:
+                    raise ProtocolError("EOF inside the trailer")
             self._finish(link, status)
         except Exception as exc:
             self._finish(link, FAILED, exc)
 
     def broken(self, link: Any, exc: BaseException) -> None:
-        # a reset before any header, or the service shut down under us
+        # a reset before any header, or the service shut down under a
+        # session that has not ended; a reset mid-payload suspends the
+        # session as a FIN does, to wait for a rebind at the mirrored offset
         live, status = self.live, FAILED
-        if live is not None and isinstance(exc, OSError):
-            # a reset mid-payload suspends the session as a FIN does:
-            # the receiver waits for a rebind at the mirrored offset
+        if live is not None and (isinstance(exc, OSError) or live.receiver.finished):
             with live.lock:
-                status = None  # stale, or already ending
-                if live.link is link and not live.receiver.finished:
+                status = None  # stale, already ending, or one of several
+                if live.reset(link):
                     self.engine._note_suspended(live)
                     status = SUSPENDED
         self._finish(link, status, exc)
@@ -212,8 +243,9 @@ class TerminalSublink:
         """End this sublink with ``status``, once (a crash's ``broken``
         may race its reader's own end), outside the session lock: answer
         and hand over a completed session, record a failed one, close
-        the link, then the engine's :meth:`~TerminalEngine._ended`. A
-        stale sublink (``status`` None) is only closed."""
+        the link unless its session's sublinks ``drain``, then the
+        engine's :meth:`~TerminalEngine._ended`. A sublink that does not
+        end its session (``status`` None) is only closed."""
         engine, live = self.engine, self.live
         if status is None:
             link.close()
@@ -232,8 +264,8 @@ class TerminalSublink:
             except Exception as exc:
                 status, failure = FAILED, exc
         if status == FAILED:
-            engine._fail(live, link, failure)
-        else:
+            engine._fail(live, failure)
+        if live is None or not live.drain:
             link.close()
         engine._ended(self, status, failure)
 
@@ -249,7 +281,8 @@ class TerminalEngine:
     takes the payload as it arrives sets ``_session_cls`` and overrides
     the hooks :meth:`_attached`, :meth:`_completed` and
     :meth:`_failed`; one that keeps its sessions in a store, the session
-    hooks and :meth:`_ended`.
+    hooks and :meth:`_ended`; one whose sublinks join a shared session,
+    ``_session_cls`` and :meth:`_attach`.
     """
 
     address: Tuple[str, int]
@@ -264,10 +297,10 @@ class TerminalEngine:
     def __init__(
         self,
         on_session: Optional[Callable[[SessionResult], None]],
-        reply: Optional[bytes],
-        observer: Optional[ProtocolObserver],
-        session_ttl: Optional[float],
-        tracer: Optional[TraceSpool],
+        reply: Optional[bytes] = None,
+        observer: Optional[ProtocolObserver] = None,
+        session_ttl: Optional[float] = None,
+        tracer: Optional[TraceSpool] = None,
     ) -> None:
         if session_ttl is not None and session_ttl <= 0:
             raise ValueError("session_ttl must be positive")
@@ -424,7 +457,7 @@ class TerminalEngine:
                 granted=granted, **grant,
             )
 
-    def _end_span(self, live: _LiveSession, status: str) -> None:
+    def _end_span(self, live: _LiveSession, status: str, **attrs: Any) -> None:
         if self._tracer is None or not live.span:
             return
         if status == SUSPENDED and live.trace is not None:
@@ -434,7 +467,7 @@ class TerminalEngine:
             )
         self._tracer.end(
             live.span, status=status,
-            bytes_received=live.receiver.payload_received,
+            bytes_received=live.receiver.payload_received, **attrs,
         )
         live.span = 0
 
@@ -445,7 +478,7 @@ class TerminalEngine:
         resumable offset — and stamp it active on the driver's clock.
         Run once per batch that leaves the session streaming; a status
         returned ends the sublink with it."""
-        record = self.registry.get(live.receiver.session_id)
+        record = self.registry.get(live.session_id)
         if record is not None:
             record.bytes_received = live.receiver.payload_received
             record.last_active = self._now()
@@ -456,15 +489,17 @@ class TerminalEngine:
         self._end_span(live, SUSPENDED)
 
     def _failed(self, live: _LiveSession, error: Exception) -> None:
-        """The receiver failed the session (the sublink closes next)."""
-        self.registry.close(live.receiver.session_id)
+        """The receiver failed the session (the sublink ends next)."""
+        with self._lock:  # closing may forget the oldest closed record
+            self.registry.close(live.session_id)
         self._end_span(live, "error")
 
     def _finalize(self, live: _LiveSession, digest_ok: Optional[bool]) -> str:
         """The session completed: close its record. Returns the status
         its sublink ends with."""
         self._end_span(live, "ok" if digest_ok in (None, True) else "digest-failed")
-        self.registry.close(live.receiver.session_id)
+        with self._lock:
+            self.registry.close(live.session_id)
         self._mirror(live)
         return COMPLETED
 
@@ -472,12 +507,8 @@ class TerminalEngine:
 
     def _completed(self, live: _LiveSession, digest_ok: Optional[bool]) -> None:
         """Hand the finished session to the application: its result."""
-        result = SessionResult(
-            session_id=live.receiver.session_id,
-            payload=b"".join([chunk.data for chunk in live.chunks]),
-            digest_ok=digest_ok,
-            route_len=len(live.receiver.header.route),
-            rebinds=live.rebinds,
+        result = live.result(
+            b"".join([chunk.data for chunk in live.chunks]), digest_ok
         )
         live.chunks.clear()  # delivered: nothing reads them again
         with self._lock:
@@ -486,18 +517,15 @@ class TerminalEngine:
         if self.on_session is not None:
             self.on_session(result)
 
-    def _fail(
-        self, live: Optional[_LiveSession], link: Any, exc: BaseException
-    ) -> None:
-        """Record a failed sublink and close it; the session's span, if
-        it is still open, ends ``error``."""
+    def _fail(self, live: Optional[_LiveSession], exc: BaseException) -> None:
+        """Record a failed sublink; the session's span, if it is still
+        open, ends ``error``."""
         if live is not None:
             with live.lock:
                 self._end_span(live, "error")
         with self._lock:
             self.errors.append(exc)
             self._done.notify_all()
-        link.close()
 
     def _ended(
         self, sublink: TerminalSublink, status: str,

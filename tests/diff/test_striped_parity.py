@@ -138,19 +138,22 @@ def test_threaded_duplicate1_sublink_crash_needs_zero_resume_roundtrips():
 
     events = []
     payload = random.Random(5).randbytes(16 * MIB)
-    with StripedThreadedServer("127.0.0.1") as server:
-        relay = _CrashingRelay()
-        routes = [
-            [relay.address, server.address],  # dies mid-transfer
-            [server.address],
-            [server.address],
-        ]
-        report = send_striped(
-            routes, payload, redundancy="duplicate-1",
-            sndbuf=64 * 1024, observer=events.append,
-        )
-        assert server.wait_for_sessions(1, timeout=30.0)
-        result = server.results[0]
+    relay = _CrashingRelay()
+    try:
+        with StripedThreadedServer("127.0.0.1") as server:
+            routes = [
+                [relay.address, server.address],  # dies mid-transfer
+                [server.address],
+                [server.address],
+            ]
+            report = send_striped(
+                routes, payload, redundancy="duplicate-1",
+                sndbuf=64 * 1024, observer=events.append,
+            )
+            assert server.wait_for_sessions(1, timeout=30.0)
+            result = server.results[0]
+    finally:
+        relay.close()
     assert report.sublink_errors, "the crashed route must be observed"
     assert result.payload == payload and result.digest_ok
     assert not any("resume" in e.kind or "rebind" in e.kind for e in events)

@@ -1,7 +1,7 @@
 """The session objects against a scripted link: no sockets, no clocks.
 
-``TerminalSublink`` (under a plain ``TerminalEngine`` or a store-backed
-cluster ``StoreNode``), ``StripedSublink`` and the depot's
+``TerminalSublink`` (under a plain ``TerminalEngine``, a store-backed
+cluster ``StoreNode`` or a ``StripedTerminalEngine``) and the depot's
 ``RelaySession`` touch the transport only through their links
 (``write`` / ``close`` / ``closed``, and for a relay ``peer`` / ``eof``
 / ``finish``), so a fake link that records them can replay any delivery
@@ -33,10 +33,11 @@ from repro.lsl.core import (
 )
 from repro.lsl.core.errors import ProtocolError
 from repro.lsl.core.framing import encode_frame_header
+from repro.lsl.core.session import FINISHED_KEPT
 from repro.lsl.core.wire import LslHeader, RouteHop
 from repro.sockets.client import plan_client_session
 from repro.sockets.lsd import DepotCounters, DepotEngine, RelaySession
-from repro.sockets.striped import StripedEngine, StripedSublink, _StripedSend
+from repro.sockets.striped import StripedTerminalEngine, _StripedSend
 from repro.sockets.striped import _frame_of
 from repro.sockets.terminal import TerminalEngine, TerminalSublink
 from repro.sockets.wire import SHUTDOWN
@@ -276,11 +277,46 @@ def test_restart_orphans_the_stale_session():
     assert "session-restarted" in [e.kind for e in events]
 
 
-# -- StripedSublink -----------------------------------------------------------
+def test_sessions_closing_on_many_threads_keep_the_registry_bound():
+    # closing a record may forget the oldest closed one: two sessions
+    # finishing at once must not both forget it
+    engine, _ = _engine(observer=None)
+    streams = []
+    for i in range(FINISHED_KEPT + 200):
+        header, _, sender = plan_client_session(
+            ME, payload_length=64, session_id=i.to_bytes(16, "big")
+        )
+        sender.record(PAYLOAD[:64])
+        streams.append(header.encode() + PAYLOAD[:64] + sender.finish())
+
+    def deliver(mine):
+        for stream in mine:
+            TerminalSublink(engine).received(FakeLink(), stream)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=deliver, args=(streams[k::8],))
+            for k in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not engine.errors and len(engine.results) == len(streams)
+    assert len(engine.registry) == FINISHED_KEPT
+    assert engine.registry.live_count == 0
+
+
+# -- TerminalSublink over a StripedTerminalEngine ------------------------------
 
 
 def _striped_engine():
-    return StripedEngine(on_session=None, observer=None, tracer=None)
+    return StripedTerminalEngine(on_session=None, observer=None, tracer=None)
 
 
 def _striped_sublinks(payload, routes=2):
@@ -317,11 +353,11 @@ def _striped_sublinks(payload, routes=2):
 )
 def test_striped_sublink_refuses_an_unframed_or_misrouted_header(header):
     engine = _striped_engine()
-    link, sublink = FakeLink(), StripedSublink(engine)
+    link, sublink = FakeLink(), TerminalSublink(engine)
     sublink.received(link, header.encode() + b"junk")
     (error,) = engine.errors
     assert "unframed or mis-routed" in str(error)
-    assert link.closed and not engine._sessions
+    assert link.closed and not engine.registry
 
 
 def test_striped_sublinks_must_agree_on_the_payload_length():
@@ -332,19 +368,19 @@ def test_striped_sublinks_must_agree_on_the_payload_length():
         for length in (512, 513)
     )
     a, b = FakeLink(), FakeLink()
-    StripedSublink(engine).received(a, first.encode())
-    StripedSublink(engine).received(b, second.encode())
+    TerminalSublink(engine).received(a, first.encode())
+    TerminalSublink(engine).received(b, second.encode())
     (error,) = engine.errors
     assert "disagrees on payload length" in str(error)
     assert b.closed and not a.closed
-    assert engine._sessions[SID].sublinks == 1
+    assert engine.registry.get(SID).attachment.sublinks == 1
 
 
 def test_striped_sublink_drains_after_completion():
     engine = _striped_engine()
     streams = _striped_sublinks(PAYLOAD)
     links = [FakeLink(), FakeLink()]
-    sublinks = [StripedSublink(engine), StripedSublink(engine)]
+    sublinks = [TerminalSublink(engine), TerminalSublink(engine)]
     for link, sublink, stream in zip(links, sublinks, streams):
         sublink.received(link, b"".join(stream))
     (result,) = engine.results
@@ -358,7 +394,22 @@ def test_striped_sublink_drains_after_completion():
     for link, sublink in zip(links, sublinks):
         sublink.ended(link)
         assert link.closed
-    assert list(engine._finished) == [SID] and SID in engine._sessions
+    assert list(engine.registry._closed) == [SID] and SID in engine.registry
+
+
+def test_a_shutdown_under_a_draining_sublink_records_nothing():
+    engine = _striped_engine()
+    links = [FakeLink(), FakeLink()]
+    sublinks = [TerminalSublink(engine), TerminalSublink(engine)]
+    for link, sublink, stream in zip(links, sublinks, _striped_sublinks(PAYLOAD)):
+        sublink.received(link, b"".join(stream))
+    assert len(engine.results) == 1 and not engine.errors
+    # the session completed: a crash that cuts its sublinks while they
+    # drain is no failure of it
+    for link, sublink in zip(links, sublinks):
+        sublink.broken(link, SHUTDOWN)
+        assert link.closed
+    assert len(engine.results) == 1 and not engine.errors
 
 
 # -- TerminalSublink over a StoreNode -----------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from repro.asockets import AsyncStripedServer, async_send_striped
 from repro.sockets import StripedThreadedServer, send_striped
-from repro.sockets.striped import FINISHED_KEPT
+from repro.lsl.core.session import FINISHED_KEPT
 
 SENDS = 1_100
 PAYLOAD = os.urandom(20_000)
@@ -46,5 +46,5 @@ def test_finished_striped_sessions_are_dropped_past_the_bound(server_cls, send):
         assert all(r.payload == PAYLOAD and r.digest_ok for r in server.results)
         # a late sublink of a dropped session may re-create its entry,
         # but in a sequential run nothing is that late
-        assert len(server._sessions) <= FINISHED_KEPT
-        assert len(server._finished) == FINISHED_KEPT
+        assert len(server.registry) <= FINISHED_KEPT
+        assert len(server.registry._closed) == FINISHED_KEPT
