@@ -21,25 +21,3 @@ Scaling knobs (environment variables, all optional):
   64M). Paper sizes above the cap are dropped from sweeps.
 - ``REPRO_SEED`` — base RNG seed (default 2002).
 """
-
-from repro.experiments import scenarios, transfer
-from repro.experiments.scenarios import Scenario
-from repro.experiments.striped import StripedTransferResult, run_striped_transfer
-from repro.experiments.transfer import (
-    TransferResult,
-    run_direct_transfer,
-    run_failover_transfer,
-    run_lsl_transfer,
-)
-
-__all__ = [
-    "scenarios",
-    "transfer",
-    "Scenario",
-    "StripedTransferResult",
-    "TransferResult",
-    "run_direct_transfer",
-    "run_failover_transfer",
-    "run_lsl_transfer",
-    "run_striped_transfer",
-]

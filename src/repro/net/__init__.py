@@ -7,7 +7,8 @@ Models the pieces of an IP network that matter to TCP dynamics:
   loss model (:mod:`repro.net.link`, :mod:`repro.net.loss`);
 - **hosts** that terminate transport protocols and **routers** that
   forward by destination using static shortest-path routes computed
-  with networkx (:mod:`repro.net.node`, :mod:`repro.net.routing`);
+  with a standard-library Dijkstra (:mod:`repro.net.node`,
+  :mod:`repro.net.routing`);
 - a **topology builder** that wires it all to a simulator
   (:mod:`repro.net.topology`).
 

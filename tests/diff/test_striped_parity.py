@@ -17,8 +17,9 @@ import random
 
 import pytest
 
-from repro.experiments import run_failover_transfer, run_striped_transfer
 from repro.experiments.scenarios import SCENARIOS
+from repro.experiments.striped import run_striped_transfer
+from repro.experiments.transfer import run_failover_transfer
 from repro.faults import DepotFault, FaultPlan
 from repro.lsl.striped import StripedClient, StripedLslServer
 from repro.net.topology import Network

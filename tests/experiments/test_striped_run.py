@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.experiments import run_failover_transfer
 from repro.experiments.scenarios import SCENARIOS
 from repro.experiments.striped import StripedTransferResult, run_striped_transfer
+from repro.experiments.transfer import run_failover_transfer
 from repro.faults import DepotFault, FaultPlan, LinkFault
 from repro.telemetry import Telemetry
 

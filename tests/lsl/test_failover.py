@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.experiments import run_failover_transfer
 from repro.experiments.scenarios import SCENARIOS
+from repro.experiments.transfer import run_failover_transfer
 from repro.faults import DepotFault, FaultPlan, LinkFault
 from repro.lsl.client import (
     FailoverTransfer,

@@ -1,9 +1,12 @@
 """Tests for static routing and packet forwarding."""
 
+import random
+
 import pytest
 
+from repro.experiments.scenarios import SCENARIOS, symmetric_two_segment
 from repro.net.packet import Packet
-from repro.net.routing import NoRouteError
+from repro.net.routing import NoRouteError, path_between
 from repro.net.topology import Network
 
 
@@ -147,3 +150,95 @@ def test_ttl_guard_breaks_loops():
     net.host("a").send(Packet("a", "b", "t", None, 100))
     net.sim.run(until=10.0)
     assert net.logger.count(event="drop-ttl") == 1
+
+
+# -- networkx as the oracle ---------------------------------------------------
+#
+# The routes used to come from networkx; the stdlib search must pick the
+# very same next-hop link everywhere, ties included, or every seeded run
+# (and both simulator pins) would move.
+
+
+def _oracle(net):
+    """networkx's graph, and the next-hop link its all-pairs paths give."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(sorted(net.nodes))
+    link_by_pair = {}
+    for link in net.links:
+        a, b = link.forward.src.name, link.forward.dst.name
+        graph.add_edge(a, b, weight=link.forward.delay_s)
+        link_by_pair[(a, b)] = link_by_pair[(b, a)] = link
+    paths = dict(nx.all_pairs_dijkstra_path(graph, weight="weight"))
+    routes = {
+        src: {dst: link_by_pair[(src, path[1])] for dst, path in by_dst.items()
+              if dst != src}
+        for src, by_dst in paths.items()
+    }
+    return nx, graph, routes
+
+
+def _assert_routes_match(net):
+    _, _, expected = _oracle(net)
+    for src, node in net.nodes.items():
+        assert sorted(node.routes) == sorted(expected[src]), src
+        for dst, link in expected[src].items():
+            assert node.routes[dst] is link, (src, dst)
+
+
+def _tied_net(rng):
+    """A random graph whose delays tie often: few distinct values, some
+    of them exact in binary, and now and then a second link between the
+    same pair."""
+    n = rng.randint(2, 9)
+    names = [f"n{i}" for i in rng.sample(range(20), n)]
+    net = Network(seed=0)
+    for name in names:
+        net.add_router(name)
+    for _ in range(rng.randint(0, n * (n - 1) // 2 + 2)):
+        a, b = rng.sample(names, 2)
+        net.add_link(a, b, 1e9, rng.choice((1.0, 2.0, 3.0, 1000.0, 2000.0)))
+    net.finalize()
+    return net
+
+
+def test_routes_match_networkx_on_tied_random_graphs():
+    rng = random.Random(37)
+    for _ in range(300):
+        _assert_routes_match(_tied_net(rng))
+
+
+def test_path_between_matches_networkx_dijkstra_path():
+    rng = random.Random(3700)
+    for _ in range(150):
+        net = _tied_net(rng)
+        nx, graph, _ = _oracle(net)
+        for src in net.nodes:
+            for dst in net.nodes:
+                try:
+                    expected = nx.dijkstra_path(graph, src, dst, weight="weight")
+                except nx.NetworkXNoPath:
+                    with pytest.raises(NoRouteError):
+                        path_between(net.nodes, net.links, src, dst)
+                    continue
+                assert path_between(net.nodes, net.links, src, dst) == expected
+
+
+def test_no_route_for_a_disconnected_pair_or_an_unknown_node():
+    net = Network(seed=1)
+    for name in ("a", "b", "c"):
+        net.add_router(name)
+    net.add_link("a", "b", 1e9, 1.0)
+    net.finalize()
+    assert "c" not in net.nodes["a"].routes
+    unknown = (("a", "zz"), ("zz", "a"), ("zz", "zz"))
+    for src, dst in (("a", "c"), ("c", "a"), *unknown):
+        with pytest.raises(NoRouteError):
+            path_between(net.nodes, net.links, src, dst)
+    assert path_between(net.nodes, net.links, "c", "c") == ["c"]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + ["ablation-two-segment"])
+def test_every_scenario_routes_as_networkx_does(name):
+    factory = SCENARIOS.get(name, symmetric_two_segment)
+    _assert_routes_match(factory().build(seed=1).net)

@@ -889,10 +889,16 @@ def test_parked_sessions_stay_bounded(ending):
 
 def test_parking_from_many_threads_keeps_the_bound_and_the_purge():
     """Eight workers park, take and (half of them) shut down at once: the
-    table stays bounded and holds nothing of a worker that shut down."""
+    table stays bounded and holds nothing of a worker that shut down.
+
+    The even workers park their last ``PARKED_SESSIONS`` ids only once
+    every odd worker has shut down (the barrier), so the table ends full
+    of even entries whatever the schedule: each of those ids they take
+    back is followed by a park of their own."""
     store = InMemoryStore()
     nodes = [FakeNode(store, f"w{i}") for i in range(8)]
     errors = []
+    odd_ones_down = threading.Barrier(8)
 
     class Parked:
         def __init__(self, session_id):
@@ -902,6 +908,8 @@ def test_parking_from_many_threads_keeps_the_bound_and_the_purge():
         node = nodes[index]
         try:
             for i in range(2_000):
+                if not index % 2 and i == 2_000 - PARKED_SESSIONS:
+                    odd_ones_down.wait(timeout=30)
                 sid = bytes([index]) + i.to_bytes(15, "big")
                 cluster_node._park(node, Parked(sid))
                 if i % 3 == 0:
@@ -909,6 +917,7 @@ def test_parking_from_many_threads_keeps_the_bound_and_the_purge():
                     assert taken is None or taken.session_id == sid
                 if index % 2 and i == 1_000:
                     node.shutdown()
+                    odd_ones_down.wait(timeout=30)
         except Exception as exc:
             errors.append(exc)
 

@@ -1,8 +1,9 @@
-"""The live stack imports without the simulator.
+"""The live stack imports without the simulator, and the simulator
+without networkx or numpy.
 
-A depot daemon, a cluster worker and the transport-free core are
-started in fresh interpreters, so what a package import drags in is
-part of what they cost to start. Each case imports in a new
+A depot daemon, a cluster worker, the transport-free core and a
+simulator run are started in fresh interpreters, so what a package
+import drags in is part of what they cost to start. Each case imports in a new
 ``sys.executable`` and asserts on the module set it leaves behind
 (counts, not clocks).
 """
@@ -80,3 +81,23 @@ def test_core_loads_only_the_core():
     ]
     assert "repro.lsl.core.wire" in result["loaded"]
     assert outside == []
+
+
+def test_the_simulator_loads_neither_networkx_nor_numpy():
+    modules = _fresh_modules(
+        "import json, sys\n"
+        "import repro.experiments.scenarios, repro.experiments.transfer\n"
+        "print(json.dumps({'loaded': sorted(sys.modules)}))\n"
+    )["loaded"]
+    assert {"repro.net.routing", "repro.experiments.transfer"} <= set(modules)
+    assert [m for m in ("networkx", "numpy") if m in modules] == []
+
+
+def test_the_experiments_package_loads_no_submodule():
+    modules = _fresh_modules(
+        "import json, sys\n"
+        "import repro.experiments\n"
+        "print(json.dumps({'loaded': sorted(sys.modules)}))\n"
+    )["loaded"]
+    assert "repro.experiments" in modules
+    assert [m for m in modules if m.startswith("repro.experiments.")] == []
