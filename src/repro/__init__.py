@@ -29,6 +29,25 @@ Quickstart
 True
 """
 
+import importlib
+import sys
+
 from repro._version import __version__
 
 __all__ = ["__version__"]
+
+
+def lazy_exports(package: str, exports: dict):
+    """The module ``__getattr__`` of a package whose public names are
+    imported on first use: ``exports`` maps each name to the submodule
+    defining it, so importing one submodule loads none of the others."""
+
+    def __getattr__(name: str):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{module}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__

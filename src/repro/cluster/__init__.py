@@ -25,41 +25,33 @@ package externalizes that state:
   for external stores;
 * :mod:`repro.cluster.exposition` — aggregated ``/metrics`` +
   ``/healthz`` across the whole worker fleet.
+
+The package exports lazily, so a worker process loads only its own
+role: a threaded worker never imports asyncio, a memory-store cluster
+no Redis client, and nothing loads the exposition until it is served.
 """
 
-from repro.cluster.store import (
-    InMemoryStore,
-    SessionStore,
-    StoredSession,
-    open_store,
-)
-from repro.cluster.filestore import SharedFileStore
-from repro.cluster.resp import RedisProtocolStore
-from repro.cluster.miniredis import MiniRedis
-from repro.cluster.acceptor import (
-    StoreAcceptResume,
-    StoreAcceptNew,
-    StoreRestart,
-    StoreSessionAcceptor,
-)
-from repro.cluster.node import ClusterNode
-from repro.cluster.anode import AsyncClusterNode
-from repro.cluster.pool import LocalCluster, WorkerPool
+from repro import lazy_exports
 
-__all__ = [
-    "StoredSession",
-    "SessionStore",
-    "InMemoryStore",
-    "SharedFileStore",
-    "RedisProtocolStore",
-    "MiniRedis",
-    "open_store",
-    "StoreSessionAcceptor",
-    "StoreAcceptNew",
-    "StoreAcceptResume",
-    "StoreRestart",
-    "ClusterNode",
-    "AsyncClusterNode",
-    "LocalCluster",
-    "WorkerPool",
-]
+#: public name -> the submodule defining it, imported on first use
+_EXPORTS = {
+    "StoredSession": "store",
+    "SessionStore": "store",
+    "InMemoryStore": "store",
+    "open_store": "store",
+    "SharedFileStore": "filestore",
+    "RedisProtocolStore": "resp",
+    "MiniRedis": "miniredis",
+    "StoreSessionAcceptor": "acceptor",
+    "StoreAcceptNew": "acceptor",
+    "StoreAcceptResume": "acceptor",
+    "StoreRestart": "acceptor",
+    "ClusterNode": "node",
+    "AsyncClusterNode": "anode",
+    "LocalCluster": "pool",
+    "WorkerPool": "pool",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -32,14 +32,15 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.exposition import expose_cluster
 from repro.cluster.node import DEFAULT_CHECKPOINT_BYTES, ClusterNode
 from repro.cluster.store import InMemoryStore, SessionStore, open_store
-from repro.sockets.obs import ExpositionServer
 from repro.sockets.wire import make_listener
 from repro.telemetry.tracing import TraceSpool
+
+if TYPE_CHECKING:
+    from repro.sockets.obs import ExpositionServer
 
 
 def pick_strategy(strategy: str = "auto") -> str:
@@ -179,6 +180,8 @@ class LocalCluster:
     def expose(
         self, host: str = "127.0.0.1", port: int = 0, event_log=None
     ) -> ExpositionServer:
+        from repro.cluster.exposition import expose_cluster
+
         return expose_cluster(
             self.worker_counters,
             host=host,
@@ -390,6 +393,8 @@ class WorkerPool:
     def expose(
         self, host: str = "127.0.0.1", port: int = 0, event_log=None
     ) -> ExpositionServer:
+        from repro.cluster.exposition import expose_cluster
+
         return expose_cluster(
             self.worker_counters,
             host=host,

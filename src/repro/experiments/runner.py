@@ -16,23 +16,51 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.analysis.stats import mean
-from repro.experiments.figures import ALL_FIGURES
-from repro.experiments.scenarios import SCENARIOS
-from repro.experiments.transfer import (
-    run_direct_transfer,
-    run_failover_transfer,
-    run_lsl_transfer,
-)
-from repro.faults import DepotFault, FaultPlan
-from repro.logistics.monitor import NetworkMonitor
-from repro.logistics.planner import DepotPlanner
 from repro.util.units import fmt_bytes, parse_size
+
+#: every subcommand; a first word outside it may be a figure name
+COMMANDS = (
+    "list", "figure", "transfer", "failover", "diagnose", "lsd", "collect",
+    "plan", "workload", "trace",
+)
+
+
+class _Names:
+    """A registry's keys as argparse ``choices``, imported on first
+    look: the figure and scenario registries load the simulator, which
+    a live command such as ``lsd`` must not pay for just to parse."""
+
+    def __init__(self, module: str, registry: str) -> None:
+        self._module = module
+        self._registry = registry
+
+    def _names(self) -> List[str]:
+        module = importlib.import_module(self._module)
+        return sorted(getattr(module, self._registry))
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
+
+
+FIGURES = _Names("repro.experiments.figures", "ALL_FIGURES")
+SCENARIO_NAMES = _Names("repro.experiments.scenarios", "SCENARIOS")
+
+
+def _scenario(name: str):
+    """A fresh instance of the named paper scenario."""
+    from repro.experiments.scenarios import SCENARIOS
+
+    return SCENARIOS[name]()
 
 
 def _positive_int(text: str) -> int:
@@ -75,6 +103,13 @@ def _apply_telemetry(args: argparse.Namespace) -> None:
         os.environ["REPRO_TELEMETRY_OUT"] = outdir
 
 
+def _add_scenario(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "scenario", choices=SCENARIO_NAMES, metavar="SCENARIO",
+        help="one of %(choices)s",
+    )
+
+
 def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--telemetry-out", type=str, default=None, metavar="DIR",
@@ -84,6 +119,9 @@ def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_list(_: argparse.Namespace) -> int:
+    from repro.experiments.figures import ALL_FIGURES
+    from repro.experiments.scenarios import SCENARIOS
+
     print("figures:")
     for name in ALL_FIGURES:
         print(f"  {name}")
@@ -96,6 +134,8 @@ def cmd_list(_: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     _apply_scaling(args)
     _apply_telemetry(args)
+    from repro.experiments.figures import ALL_FIGURES
+
     fn = ALL_FIGURES[args.figure]
     result = fn()
     print(result)
@@ -108,7 +148,9 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         return _cmd_transfer_striped(args)
     if args.transport == "sockets":
         return _cmd_transfer_sockets(args)
-    scenario = SCENARIOS[args.scenario]()
+    from repro.experiments.transfer import run_direct_transfer, run_lsl_transfer
+
+    scenario = _scenario(args.scenario)
     size = parse_size(args.size)
     seeds = range(args.seeds)
     rows = []
@@ -170,7 +212,7 @@ def _cmd_transfer_striped(args: argparse.Namespace) -> int:
 
     from repro.experiments.striped import run_striped_transfer
 
-    scenario = SCENARIOS[args.scenario]()
+    scenario = _scenario(args.scenario)
     seeds = range(args.seeds)
     results = [
         run_striped_transfer(
@@ -242,7 +284,10 @@ def cmd_failover(args: argparse.Namespace) -> int:
             )
             return 2
         return _cmd_failover_sockets(args)
-    scenario = SCENARIOS[args.scenario]()
+    from repro.experiments.transfer import run_failover_transfer
+    from repro.faults import DepotFault, FaultPlan
+
+    scenario = _scenario(args.scenario)
     size = parse_size(args.size)
     if size <= 0:
         print("error: --size must be positive", file=sys.stderr)
@@ -346,7 +391,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         summarize_workload,
     )
 
-    scenario = SCENARIOS[args.scenario]()
+    scenario = _scenario(args.scenario)
     wl = PoissonWorkload(
         rate_per_s=args.rate,
         mean_bytes=parse_size(args.mean_size),
@@ -374,8 +419,9 @@ def cmd_workload(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     _apply_telemetry(args)
     from repro.analysis.traceio import save_traces
+    from repro.experiments.transfer import run_direct_transfer, run_lsl_transfer
 
-    scenario = SCENARIOS[args.scenario]()
+    scenario = _scenario(args.scenario)
     size = parse_size(args.size)
     traces = []
     for seed in range(args.seeds):
@@ -613,7 +659,10 @@ def cmd_lsd(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    scenario = SCENARIOS[args.scenario]()
+    from repro.logistics.monitor import NetworkMonitor
+    from repro.logistics.planner import DepotPlanner
+
+    scenario = _scenario(args.scenario)
     env = scenario.build(seed=0)
     monitor = NetworkMonitor(env.net)
     planner = DepotPlanner(monitor, list(scenario.depots))
@@ -693,7 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fig = sub.add_parser("figure", help="reproduce one figure")
-    p_fig.add_argument("figure", choices=sorted(ALL_FIGURES))
+    p_fig.add_argument(
+        "figure", choices=FIGURES, metavar="FIGURE", help="one of %(choices)s"
+    )
     p_fig.add_argument("--iterations", type=_positive_int)
     p_fig.add_argument("--max-size", type=str)
     p_fig.add_argument("--seed", type=int)
@@ -701,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(fn=cmd_figure)
 
     p_tr = sub.add_parser("transfer", help="run one measured transfer")
-    p_tr.add_argument("scenario", choices=sorted(SCENARIOS))
+    _add_scenario(p_tr)
     p_tr.add_argument("--size", default="16M")
     p_tr.add_argument("--mode", choices=("direct", "lsl", "both"), default="both")
     p_tr.add_argument("--seeds", type=_positive_int, default=3)
@@ -724,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
         "failover",
         help="fault-tolerant transfer, optionally crashing the primary depot",
     )
-    p_fo.add_argument("scenario", choices=sorted(SCENARIOS))
+    _add_scenario(p_fo)
     p_fo.add_argument("--size", default="16M")
     p_fo.add_argument(
         "--crash-at", type=float, default=None, metavar="SECONDS",
@@ -831,12 +882,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_col.set_defaults(fn=cmd_collect)
 
     p_plan = sub.add_parser("plan", help="show the depot planner's choice")
-    p_plan.add_argument("scenario", choices=sorted(SCENARIOS))
+    _add_scenario(p_plan)
     p_plan.add_argument("--size", type=str, default=None)
     p_plan.set_defaults(fn=cmd_plan)
 
     p_wl = sub.add_parser("workload", help="Poisson session workload")
-    p_wl.add_argument("scenario", choices=sorted(SCENARIOS))
+    _add_scenario(p_wl)
     p_wl.add_argument("--rate", type=_positive_float, default=1.0)
     p_wl.add_argument("--sessions", type=int, default=8)
     p_wl.add_argument("--mean-size", default="512K")
@@ -848,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tc = sub.add_parser(
         "trace", help="capture sender traces for offline analysis"
     )
-    p_tc.add_argument("scenario", choices=sorted(SCENARIOS))
+    _add_scenario(p_tc)
     p_tc.add_argument("--size", default="4M")
     p_tc.add_argument("--seeds", type=_positive_int, default=1)
     p_tc.add_argument("--out", default="traces")
@@ -861,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # allow "repro-lsl fig05" as shorthand for "repro-lsl figure fig05"
-    if argv and argv[0] in ALL_FIGURES:
+    if argv and argv[0] not in COMMANDS and argv[0] in FIGURES:
         argv = ["figure", *argv]
     args = build_parser().parse_args(argv)
     return args.fn(args)

@@ -88,7 +88,11 @@ class PayloadReceiver:
         return self.complete or self.failed is not None
 
     def rebind(self, header: LslHeader) -> None:
-        """Adopt the header of a replacement sublink (state carries over)."""
+        """Adopt the header of a replacement sublink (state carries
+        over). An undigested session hashes nothing, so a rebind cannot
+        turn the digest on once payload has arrived."""
+        if header.digest and not self.header.digest and self.payload_received:
+            raise ProtocolError("rebind turns the digest on mid-payload")
         self.header = header
 
     # -- ingestion ---------------------------------------------------------
@@ -147,7 +151,8 @@ class PayloadReceiver:
 
     def _deliver(self, chunk: Chunk, events: List[ReceiverEvent]) -> None:
         self.payload_received += chunk.length
-        self.digest.update_chunk(chunk)
+        if self.header.digest:
+            self.digest.update_chunk(chunk)
         events.append(Deliver(chunk))
 
     def _feed_trailer(self, chunk: Chunk, events: List[ReceiverEvent]) -> None:

@@ -2,11 +2,12 @@
 
 :class:`PayloadSender` owns the sending half of a session's framing
 rules: payload bytes are counted against the declared length, the
-running end-to-end MD5 tracks every byte, and ``finish`` yields the
-16-byte digest trailer exactly when the protocol allows one. Drivers
-ask :meth:`check_room` before writing and :meth:`record` after the
-transport accepted bytes — how the bytes travel (simulator send
-buffers, blocking ``sendall``) is not the sender's business.
+running end-to-end MD5 tracks every byte of a digested session, and
+``finish`` yields the 16-byte digest trailer exactly when the protocol
+allows one. Drivers ask :meth:`check_room` before writing and
+:meth:`record` after the transport accepted bytes — how the bytes
+travel (simulator send buffers, blocking ``sendall``) is not the
+sender's business.
 """
 
 from __future__ import annotations
@@ -60,13 +61,16 @@ class PayloadSender:
             )
 
     def record(self, data: bytes) -> None:
-        """Account real payload bytes the transport accepted."""
-        self.digest.update(data)
+        """Account real payload bytes the transport accepted (an
+        undigested session hashes none of them)."""
+        if self.header.digest:
+            self.digest.update(data)
         self.bytes_sent += len(data)
 
     def record_virtual(self, nbytes: int) -> None:
         """Account virtual payload bytes the transport accepted."""
-        self.digest.update_virtual(nbytes)
+        if self.header.digest:
+            self.digest.update_virtual(nbytes)
         self.bytes_sent += nbytes
 
     # -- negotiated resume -------------------------------------------------

@@ -407,10 +407,12 @@ class StripeScheduler:
         self._next_offset += length
         payload: Optional[bytes] = None
         if self.data is None:
-            self.digest.update_virtual(length)
+            if self.use_digest:
+                self.digest.update_virtual(length)
         else:
             payload = self.data[offset : offset + length]
-            self.digest.update(payload)
+            if self.use_digest:
+                self.digest.update(payload)
         copies = 1 + (
             self.redundancy.copies if self.redundancy.mode == "duplicate" else 0
         )
@@ -933,7 +935,8 @@ class StripeAssembler:
     def _deliver(self, offset: int, chunk: Chunk) -> None:
         if self._geometry is not None and chunk.data is not None:
             self._retain(offset, chunk.data)
-        self.digest.update_chunk(chunk)
+        if self.use_digest:
+            self.digest.update_chunk(chunk)
         self.payload_received += chunk.length
         self._events.append(Deliver(chunk))
 

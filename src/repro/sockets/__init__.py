@@ -32,7 +32,7 @@ unprivileged user-level relay, voluntary use, unmodified TCP beneath —
 while the discrete-event simulator carries the performance claims.
 """
 
-import importlib
+from repro import lazy_exports
 
 #: public name -> the submodule defining it, imported on first use, so
 #: importing one submodule (the simulator's client imports
@@ -52,11 +52,4 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -386,6 +386,9 @@ class LslSocketClient(ClientSession):
             sock.sendall(self.initial_bytes())
             while self.bytes_needed:
                 self.feed(sock.recv(self.bytes_needed))
+            # established: a timeout would bound each whole ``sendall``,
+            # failing a payload that drains slower than it but steadily
+            sock.settimeout(None)
         except BaseException as exc:
             self._end_trace("error", exc)
             if sock is not None:

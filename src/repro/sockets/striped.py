@@ -245,6 +245,9 @@ def send_striped(
     coverage; individual sublink failures degrade the transfer and are
     reported in ``sublink_errors``.
 
+    ``timeout`` bounds each sublink's dial only: a sublink that drains
+    slowly but steadily is paced, not failed.
+
     With ``tracer`` set, the whole striped send is one
     ``client.session`` span and each sublink carries the trace context
     on its header, parented to a per-sublink ``client.dial`` span.
@@ -260,6 +263,7 @@ def send_striped(
         sock: Optional[socket.socket] = None
         try:
             sock = socket.create_connection((hop.host, hop.port), timeout=timeout)
+            sock.settimeout(None)  # bounds the dial, not each stripe's send
             send.dialed(index)
             if sndbuf is not None:
                 # shrink the send buffer so demand pacing engages even

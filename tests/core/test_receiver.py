@@ -146,6 +146,26 @@ def test_rebind_keeps_received_count_and_digest():
     assert r.digest_ok is True
 
 
+def test_undigested_session_hashes_nothing():
+    r = PayloadReceiver(make_header(digest=False))
+    events = r.feed([Chunk.real(b"01234"), Chunk(5, None)])
+    assert isinstance(events[-1], Completed)
+    assert r.payload_received == 10 and r.digest_ok is None
+    assert r.digest.total_bytes == 0
+
+
+def test_rebind_cannot_turn_the_digest_on_mid_payload():
+    """The undigested prefix was never hashed, so a digested rebind
+    could only end in a false mismatch: it is refused instead."""
+    r = PayloadReceiver(make_header(digest=False))
+    r.feed([Chunk.real(b"012345")])
+    with pytest.raises(ProtocolError):
+        r.rebind(make_header(rebind=True, resume_offset=6))
+    r.rebind(make_header(digest=False, rebind=True, resume_offset=6))
+    events = r.feed([Chunk.real(b"6789")])
+    assert isinstance(events[-1], Completed)
+
+
 # -- framed ----------------------------------------------------------------
 
 

@@ -42,6 +42,14 @@ def test_finish_without_digest_is_empty():
     assert s.finish() == b""
 
 
+def test_undigested_session_hashes_nothing():
+    s = PayloadSender(make_header(digest=False))
+    s.record(b"01234")
+    s.record_virtual(5)
+    assert s.bytes_sent == 10
+    assert s.digest.total_bytes == 0
+
+
 def test_overrun_rejected():
     s = PayloadSender(make_header(payload_length=3))
     with pytest.raises(LslError):

@@ -136,6 +136,24 @@ def test_round_trip_two_sublinks_byte_identical():
     assert isinstance(events[-1], Completed)
 
 
+@pytest.mark.parametrize("data", [PAYLOAD, None], ids=["real", "virtual"])
+def test_undigested_striped_session_hashes_nothing(data):
+    sch = StripeScheduler(
+        len(PAYLOAD), data=data, stripe_bytes=128 * 1024, use_digest=False
+    )
+    sch.add_sublink("a")
+    asm = StripeAssembler(len(PAYLOAD), use_digest=False)
+    asm.attach("a")
+    while (a := sch.next_assignment("a")) is not None:
+        body = Chunk(a.length, a.payload)  # a virtual stripe has no bytes
+        asm.feed("a", [Chunk.real(a.frame_header()), body])
+        a.header_sent = True
+        a.sent = a.length
+    assert asm.complete and asm.digest_ok is None
+    assert sch.digest.total_bytes == 0
+    assert asm.digest.total_bytes == 0
+
+
 def test_virtual_payload_digest_round_trip():
     sch = StripeScheduler(300_000, stripe_bytes=64 * 1024)
     sch.add_sublink("a")

@@ -165,3 +165,11 @@ def test_failover_sockets_rejects_routes(capsys):
     ) == 2
     err = capsys.readouterr().err
     assert "transfer --transport sockets" in err
+
+
+def test_commands_lists_every_subcommand():
+    """``main`` looks a first word up as a figure only when it is no
+    command, so ``COMMANDS`` must name every subcommand."""
+    from repro.experiments.runner import COMMANDS
+
+    assert "{" + ",".join(COMMANDS) + "}" in build_parser().format_usage()

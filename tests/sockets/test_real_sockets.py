@@ -4,6 +4,7 @@ import gc
 import os
 import random
 import socket
+import threading
 import time
 import warnings
 
@@ -11,7 +12,13 @@ import pytest
 
 from repro.lsl.core.errors import LslError
 from repro.lsl.core.wire import HeaderAccumulator, LslHeader, RouteHop
-from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
+from repro.sockets import (
+    LslSocketClient,
+    StripedThreadedServer,
+    ThreadedDepot,
+    ThreadedLslServer,
+    send_striped,
+)
 from repro.sockets.wire import BlockingLink, run_blocking
 
 
@@ -248,3 +255,113 @@ def test_client_closes_its_socket_when_establishment_times_out():
         listener.close()
     assert elapsed < 1.0
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class _ThrottlingProxy:
+    """One loopback hop that forwards client-to-server bytes at about
+    ``rate`` bytes/s (the reverse direction unthrottled). Its small
+    receive buffer keeps the client's ``sendall`` blocked on the pace."""
+
+    CHUNK = 16384
+
+    def __init__(self, target, rate: float) -> None:
+        self._target = target
+        self._pause = self.CHUNK / rate
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32768)
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(8)
+        self.address = self._listener.getsockname()
+        self._threads = []
+        self._sockets = []
+        self._accepting = threading.Thread(target=self._accept, daemon=True)
+        self._accepting.start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                down, _ = self._listener.accept()
+            except OSError:
+                return
+            up = socket.create_connection(self._target)
+            self._sockets += [down, up]
+            for src, dst, pause in ((down, up, self._pause), (up, down, 0.0)):
+                t = threading.Thread(
+                    target=self._pump, args=(src, dst, pause), daemon=True
+                )
+                t.start()
+                self._threads.append(t)
+
+    def _pump(self, src, dst, pause: float) -> None:
+        try:
+            while True:
+                data = src.recv(self.CHUNK)
+                if not data:
+                    dst.shutdown(socket.SHUT_WR)
+                    return
+                dst.sendall(data)
+                time.sleep(pause)
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        self._listener.close()
+        self._accepting.join(5)
+        for t in self._threads:
+            t.join(5)
+        for sock in self._sockets:
+            sock.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+#: a payload that takes about 1 s through the proxy, four times the
+#: dial timeout, more than the kernel buffers on the way can hold
+SLOW_PAYLOAD_BYTES = 8 << 20
+SLOW_RATE = 8e6
+DIAL_TIMEOUT = 0.25
+
+
+def test_payload_slower_than_the_dial_timeout_still_completes():
+    """``timeout`` bounds the dial and establishment: a payload that
+    drains steadily but takes longer than it to send must not raise
+    ``TimeoutError`` half way."""
+    payload = os.urandom(SLOW_PAYLOAD_BYTES)
+    with ThreadedLslServer() as server, \
+            _ThrottlingProxy(server.address, SLOW_RATE) as proxy:
+        with LslSocketClient(
+            [proxy.address], payload_length=len(payload),
+            timeout=DIAL_TIMEOUT,
+        ) as client:
+            start = time.monotonic()
+            client.sendall(payload)
+            client.finish()
+            elapsed = time.monotonic() - start
+        assert server.wait_for_sessions(1, timeout=10)
+    assert elapsed > DIAL_TIMEOUT
+    assert not server.errors
+    (result,) = server.results
+    assert result.payload == payload
+    assert result.digest_ok is True
+
+
+def test_striped_sublink_slower_than_the_dial_timeout_still_completes():
+    """The same for a striped sublink: one stripe's send takes about
+    twice the dial timeout."""
+    payload = os.urandom(SLOW_PAYLOAD_BYTES // 4)
+    with StripedThreadedServer() as server, \
+            _ThrottlingProxy(server.address, SLOW_RATE / 4) as proxy:
+        report = send_striped(
+            [[proxy.address]], payload, stripe_bytes=len(payload) // 2,
+            timeout=DIAL_TIMEOUT, sndbuf=65536,
+        )
+        assert server.wait_for_sessions(1, timeout=10)
+    assert report.sublink_errors == []
+    assert not server.errors
+    (result,) = server.results
+    assert result.payload == payload
+    assert result.digest_ok is True

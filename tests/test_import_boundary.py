@@ -1,5 +1,5 @@
 """The live stack imports without the simulator, and the simulator
-without networkx or numpy.
+without networkx or numpy; each live role loads only the code it runs.
 
 A depot daemon, a cluster worker, the transport-free core and a
 simulator run are started in fresh interpreters, so what a package
@@ -101,3 +101,46 @@ def test_the_experiments_package_loads_no_submodule():
     )["loaded"]
     assert "repro.experiments" in modules
     assert [m for m in modules if m.startswith("repro.experiments.")] == []
+
+
+def _loaded(code: str) -> list:
+    return _fresh_modules(
+        "import json, sys\n"
+        + code
+        + "print(json.dumps({'loaded': sorted(sys.modules)}))\n"
+    )["loaded"]
+
+
+def test_the_cluster_package_loads_no_submodule_and_no_asyncio():
+    modules = _loaded("import repro.cluster\n")
+    assert "repro.cluster" in modules
+    assert [m for m in modules if m.startswith("repro.cluster.")] == []
+    assert "asyncio" not in modules
+
+
+def test_tracing_loads_none_of_the_run_hub():
+    modules = _loaded("import repro.telemetry.tracing\n")
+    assert "repro.telemetry.tracing" in modules
+    hub = ("hub", "registry", "spans", "samplers", "recorder", "chrometrace")
+    assert [m for m in hub if f"repro.telemetry.{m}" in modules] == []
+
+
+def test_a_threaded_worker_loads_no_asyncio():
+    modules = _loaded(
+        "import repro.cluster.worker\n"
+        "from repro.cluster.node import ClusterNode\n"
+    )
+    assert "repro.cluster.node" in modules
+    assert [m for m in modules if m == "asyncio" or m.startswith("asyncio.")] == []
+    assert [m for m in modules if m.startswith("repro.asockets")] == []
+
+
+def test_the_lsd_command_loads_neither_numpy_nor_the_simulator():
+    modules = _loaded(
+        "from repro.experiments.runner import build_parser\n"
+        "build_parser().parse_args(['lsd', '--workers', '2'])\n"
+        "import repro.sockets.lsd, repro.sockets.obs, repro.cluster.pool\n"
+    )
+    assert "repro.experiments.runner" in modules
+    assert "numpy" not in modules
+    assert [m for m in modules if m == "repro.sim" or m.startswith("repro.sim.")] == []
