@@ -915,7 +915,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] not in COMMANDS and argv[0] in FIGURES:
         argv = ["figure", *argv]
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``repro-lsl list | head -1``): stop
+        # quietly, with stdout on devnull so the interpreter's own flush
+        # at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

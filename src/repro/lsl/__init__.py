@@ -22,11 +22,14 @@ real-socket drivers built on it never load the simulator adapters.
 Public API
 ----------
 - :func:`repro.lsl.client.lsl_connect` — open a session over a route.
-- :class:`repro.lsl.server.LslServer` — accept sessions.
+- :class:`repro.lsl.server.LslServer` — accept sessions: the live
+  servers' terminal engine on the simulator's chassis,
+  :class:`repro.lsl.server.SimService`.
 - :class:`repro.lsl.depot.Depot` — run a depot (``lsd``).
 - :class:`repro.lsl.striped.StripedClient` /
   :class:`repro.lsl.striped.StripedLslServer` — one session striped
-  over several routes.
+  over several routes; the server is the live striped engine on the
+  same chassis.
 - :class:`repro.lsl.storeforward.StoreForwardDepot` — a depot that
   holds a session while the server is unreachable.
 - :class:`repro.lsl.core.wire.LslHeader` — the wire header.

@@ -52,7 +52,8 @@ class FrameDecoder:
     def __init__(self, on_payload: Callable[[int, Chunk], None]) -> None:
         self.on_payload = on_payload
         self._header_buf = bytearray()
-        self._offset = 0  # current frame's logical offset
+        self.frame_offset = 0  # where the current frame starts
+        self._offset = 0  # logical offset of the current frame's next byte
         self._remaining = 0  # payload bytes left in the current frame
         self.frames_seen = 0
         self.bytes_seen = 0
@@ -92,7 +93,7 @@ class FrameDecoder:
                 if flen > MAX_FRAME_PAYLOAD:
                     raise ProtocolError(f"oversized frame: {flen}")
                 self._header_buf.clear()
-                self._offset = offset
+                self.frame_offset = self._offset = offset
                 self._remaining = flen
                 self.frames_seen += 1
                 if flen == 0:

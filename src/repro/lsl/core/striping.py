@@ -58,9 +58,14 @@ from repro.lsl.core.receiver import (
     Failed,
     ReceiverEvent,
 )
+from repro.lsl.core.wire import STREAM_UNTIL_FIN
 
 #: Default stripe size (the unit of dealing and of parity blocks).
 DEFAULT_STRIPE = 128 * 1024
+
+#: Out-of-order bytes at which reassembly starts holding sublinks
+#: (:meth:`StripeAssembler.held`).
+REASSEMBLY_BYTES = 8 * 1024 * 1024
 
 #: Frames at or above this offset are parity machinery, not payload.
 #: Real payload offsets are bounded by MAX_FRAME_PAYLOAD-sized frames
@@ -560,7 +565,8 @@ class StripeAssembler:
     Drivers ``attach`` one opaque key per sublink and ``feed`` it
     whatever the transport delivered; the assembler decodes frames
     per-sublink, reassembles the logical stream in offset order behind
-    a bounded out-of-order buffer, discards duplicate byte ranges
+    a bounded out-of-order buffer (a driver stops reading a sublink
+    while :meth:`held` says so), discards duplicate byte ranges
     (redundant copies, re-deals), collects the digest trailer (a
     duplicate trailer from a second sublink is discarded, not fatal),
     reconstructs a missing block from parity when possible, and
@@ -575,7 +581,7 @@ class StripeAssembler:
         observer: Optional[ProtocolObserver] = None,
         session: str = "",
     ) -> None:
-        if payload_length <= 0:
+        if not 0 < payload_length < STREAM_UNTIL_FIN:
             raise ProtocolError("striped sessions need a declared length")
         self.payload_length = payload_length
         self.use_digest = use_digest
@@ -589,6 +595,10 @@ class StripeAssembler:
         self.failed: Optional[Exception] = None
 
         self._decoders: Dict[str, FrameDecoder] = {}
+        #: where each sublink's latest data frame starts
+        self._frames: Dict[str, int] = {}
+        self._feeding = ""  # the key being fed
+        self._holding = True  # until a sublink is lost
         self._starts: List[int] = []  # sorted fragment start offsets
         self._frags: Dict[int, Chunk] = {}
         self.ooo_bytes = 0
@@ -618,8 +628,28 @@ class StripeAssembler:
 
     def sublink_closed(self, key: str) -> None:
         """The sublink ended (FIN or error). A torn frame on it is
-        fine — redundancy or a re-deal covers the missing range."""
+        fine — redundancy or a re-deal covers the missing range. From
+        here on nothing is :meth:`held`: a re-dealt stripe may queue
+        behind anything on a survivor."""
         self._decoders.pop(key, None)
+        self._frames.pop(key, None)
+        self._holding = False
+
+    def held(self, key: str) -> bool:
+        """Whether the driver should stop reading sublink ``key`` for
+        now: at least :data:`REASSEMBLY_BYTES` wait out of order, and
+        its latest data frame starts beyond the in-order frontier.
+
+        The sublink carrying the frontier stripe is never held, and
+        while every sublink carries its stripes in offset order that is
+        enough for the frontier to advance; a held sublink may read
+        again once it advances (ask again). Nothing is held after a
+        sublink closed (:meth:`sublink_closed`)."""
+        return (
+            self.ooo_bytes >= REASSEMBLY_BYTES
+            and self._holding
+            and self._frames.get(key, -1) > self.payload_received
+        )
 
     @property
     def finished(self) -> bool:
@@ -631,6 +661,7 @@ class StripeAssembler:
         if self.finished:
             return []
         decoder = self._decoders[key]
+        self._feeding = key
         try:
             decoder.feed(chunks)
         except ProtocolError as exc:
@@ -659,6 +690,8 @@ class StripeAssembler:
             raise ProtocolError("frame crosses the payload boundary")
         if chunk.length == 0:
             return
+        key = self._feeding
+        self._frames[key] = self._decoders[key].frame_offset
         self._insert(offset, chunk)
 
     def _insert(self, offset: int, chunk: Chunk) -> None:
@@ -1006,4 +1039,5 @@ class StripeAssembler:
         if self.failed is not None:
             return
         self.failed = error
+        self._holding = False  # every sublink reads on to its EOF
         self._events.append(Failed(error))

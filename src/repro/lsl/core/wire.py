@@ -368,3 +368,8 @@ class HeaderAccumulator:
         self.hint = 0
         del self._buf[:]
         return header
+
+    @property
+    def started(self) -> bool:
+        """Whether any byte has been fed."""
+        return self.header is not None or bool(self._buf)

@@ -38,7 +38,8 @@ _KERNEL_ERRORS = {
 
 class SimLink:
     """A :class:`~repro.tcp.sockets.SimSocket` behind the link protocol
-    of the session objects (``write`` / ``close`` / ``closed``).
+    of the session objects (``write`` / ``close`` / ``closed`` /
+    ``pause`` / ``resume``).
 
     Each readable event's ``recv()`` batch — real and virtual chunks
     alike — goes to the owner as one ``received_batch``; the peer's FIN
@@ -46,14 +47,17 @@ class SimLink:
     ``broken`` with the ``OSError`` a kernel socket would raise.
     ``close`` is a FIN once the session completed or the peer finished,
     and a reset otherwise (a refusal, a failure, a displaced sublink).
+    While paused nothing is read, so the simulated receive window
+    closes; ``resume`` reads what waited (and a FIN behind it) in an
+    event of its own, never from inside the caller.
     """
 
-    __slots__ = ("sock", "owner", "closed", "eof")
+    __slots__ = ("sock", "owner", "closed", "eof", "paused")
 
     def __init__(self, sock: SimSocket, owner: TerminalSublink) -> None:
         self.sock = sock
         self.owner = owner
-        self.closed = self.eof = False
+        self.closed = self.eof = self.paused = False
         sock.on_readable = self._readable
         sock.on_peer_fin = self._peer_fin
         sock.on_close = self._closed
@@ -76,14 +80,30 @@ class SimLink:
         else:
             self.sock.abort()
 
+    def pause(self) -> None:
+        self.paused = True
+
+    def resume(self) -> None:
+        if self.paused:
+            self.paused = False
+            self.sock.stack.net.sim.schedule(0.0, self._resumed)
+
+    def _resumed(self) -> None:
+        if self.paused or self.closed or self.sock.closed:
+            return
+        if self.sock.peer_closed:
+            self._peer_fin()
+        elif self.sock.readable_bytes > 0:
+            self._readable()
+
     def _readable(self) -> None:
-        if not self.closed:
+        if not (self.closed or self.paused):
             self.owner.received_batch(self, self.sock.recv())
 
     def _peer_fin(self) -> None:
         if self.sock.readable_bytes > 0:
             self._readable()  # drain anything left
-        if not self.closed:
+        if not (self.closed or self.paused):
             self.eof = True
             self.owner.ended(self)
 
@@ -92,8 +112,45 @@ class SimLink:
         if error is not None and not self.closed:
             owner.engine.net_logger_log("sublink-error", str(error))
             owner.broken(self, _KERNEL_ERRORS.get(type(error), OSError)(str(error)))
-        if owner.live is not None and owner.live.on_close is not None:
-            owner.live.on_close(error)
+        on_close = getattr(owner.live, "on_close", None)
+        if on_close is not None:
+            on_close(error)
+
+
+class SimService:
+    """The simulator's chassis of a terminal engine: a listener on a
+    port of a :class:`~repro.tcp.sockets.TcpStack` handing each
+    accepted socket to the engine's ``_open``, a :class:`SimLink` per
+    socket, the simulated clock, and no sweeper — what
+    :class:`~repro.sockets.wire.ThreadedService` and
+    :class:`~repro.asockets.runtime.AsyncLoopService` are to the live
+    servers. Mix it in *before* the engine, so that its clock is the
+    engine's."""
+
+    def __init__(self, stack: TcpStack, port: int) -> None:
+        self.stack = stack
+        self.port = port
+        self._sim = stack.net.sim
+        self._listener = stack.socket(stack.default_options)
+        self._listener.listen(port, self._open)
+
+    @property
+    def telemetry(self) -> Any:
+        # looked up per session: a run may attach telemetry after this
+        # server was built
+        return self.stack.net.telemetry
+
+    def _now(self) -> float:
+        return self._sim.now
+
+    def _link(self, sock: SimSocket, owner: TerminalSublink) -> SimLink:
+        return SimLink(sock, owner)
+
+    def net_logger_log(self, event: str, detail) -> None:
+        self.stack.net.logger.log(f"lsl-server:{self.stack.host.name}", event, detail)
+
+    def shutdown(self) -> None:
+        self._listener.close_listener()
 
 
 class LslServerConnection(_LiveSession):
@@ -188,7 +245,7 @@ class LslServerConnection(_LiveSession):
             self.link.sock.close()
 
 
-class LslServer(TerminalEngine):
+class LslServer(SimService, TerminalEngine):
     """Accept LSL sessions on a port of a simulated host.
 
     ``tracer`` is an optional :class:`~repro.telemetry.tracing.TraceSpool`
@@ -205,32 +262,13 @@ class LslServer(TerminalEngine):
         on_session: Callable[[LslServerConnection], None],
         tracer=None,
     ) -> None:
-        self.stack = stack
-        self.port = port
-        self._sim = stack.net.sim
         TerminalEngine.__init__(
             self, on_session, None,
             protocol_observer(stack.net.telemetry, "server"), None, tracer,
         )
         #: every session opened, in order (a restart opens a new one)
         self.sessions: List[LslServerConnection] = []
-        self._listener = stack.socket(stack.default_options)
-        self._listener.listen(port, self._open)
-
-    @property
-    def telemetry(self) -> Any:
-        # looked up per session: a run may attach telemetry after this
-        # server was built
-        return self.stack.net.telemetry
-
-    def _now(self) -> float:
-        return self._sim.now
-
-    def _link(self, sock: SimSocket, owner: TerminalSublink) -> SimLink:
-        return SimLink(sock, owner)
-
-    def net_logger_log(self, event: str, detail) -> None:
-        self.stack.net.logger.log(f"lsl-server:{self.stack.host.name}", event, detail)
+        SimService.__init__(self, stack, port)
 
     # -- engine hooks --------------------------------------------------------
 
@@ -289,6 +327,3 @@ class LslServer(TerminalEngine):
         TerminalEngine._fail(self, conn, exc)
         if conn is None:
             self.net_logger_log("accept-failed", str(exc))
-
-    def shutdown(self) -> None:
-        self._listener.close_listener()

@@ -13,11 +13,14 @@ the simulator driver over them (the real-socket drivers are
   :class:`~repro.lsl.core.striping.StripeScheduler` deals it — so fast
   paths naturally carry more, redundant copies ride distinct paths,
   and a dead path degrades the session instead of aborting it;
-- :class:`StripedLslServer` accepts framed sublinks, groups them by
-  session id, and feeds a per-session
-  :class:`~repro.lsl.core.striping.StripeAssembler` (bounded
-  reassembly buffer: a stalled path eventually backpressures the
-  others; duplicate stripes and duplicate trailers are discarded).
+- :class:`StripedLslServer` is the striped terminal engine of the
+  real-socket servers (:class:`repro.sockets.striped.StripedTerminalEngine`)
+  on the simulator's chassis (:class:`repro.lsl.server.SimService`):
+  framed sublinks join their session's
+  :class:`~repro.lsl.core.striping.StripeAssembler`, duplicate stripes
+  and trailers are discarded, and reassembly is bounded by the
+  assembler's hold rule — a sublink running ahead of a hole stops
+  being read, the one carrying the hole never does.
 
 Two classic configurations fall out for free:
 
@@ -31,13 +34,11 @@ mid-transfer — the hook the online re-planner
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lsl.client import HopLike, _normalize_route
 from repro.lsl.core import (
-    Completed,
-    Deliver,
-    Failed,
+    Chunk,
     LslHeader,
     ProtocolObserver,
     Redundancy,
@@ -47,11 +48,11 @@ from repro.lsl.core import (
     parse_redundancy,
 )
 from repro.lsl.core.striping import DEFAULT_STRIPE, KIND_DATA, Assignment
-from repro.lsl.core.errors import LslError, ProtocolError, RouteError
-from repro.lsl.core.session import SessionId, SessionRegistry, new_session_id
-from repro.lsl.core.wire import STREAM_UNTIL_FIN, HeaderAccumulator
-from repro.tcp.buffers import StreamChunk
-from repro.tcp.options import TcpOptions
+from repro.lsl.core.errors import RouteError
+from repro.lsl.core.session import SessionId, new_session_id
+from repro.lsl.server import SimService
+from repro.sockets.striped import StripedTerminalEngine, _StripedLiveSession
+from repro.sockets.terminal import TerminalEngine, TerminalSublink
 from repro.tcp.sockets import SimSocket, TcpStack
 
 DIGEST_LEN = 16
@@ -264,240 +265,73 @@ class StripedClient:
         return [s.bytes_sent for s in self.sublinks]
 
 
-class _FramedServerSession:
-    """Server-side state for one striped session (many sublinks)."""
+class StripedServerSession(_StripedLiveSession):
+    """Server endpoint of one striped session: the striped engine's
+    session, with the application API on it — ``on_data`` gets each
+    in-order chunk as it is delivered, then ``on_complete(session)`` or
+    ``on_error(exc)``."""
 
-    def __init__(self, server: "StripedLslServer", header: LslHeader) -> None:
-        self.server = server
-        self.header = header
-        self.session_id = header.session_id
-        if header.payload_length == STREAM_UNTIL_FIN:
-            raise ProtocolError("framed sessions require a declared length")
-        self.payload_length = header.payload_length
-        self.assembler = StripeAssembler(
-            header.payload_length,
-            use_digest=header.digest,
-            observer=server.observer,
-            session=header.short_id,
-        )
-        self.sublinks: List[SimSocket] = []
-        self._blocked: List[int] = []
-        self._closed = False
+    __slots__ = ("on_data", "on_complete", "on_error")
 
-        self.on_complete: Optional[Callable[["_FramedServerSession"], None]] = None
+    def __init__(self, engine: TerminalEngine, header: LslHeader, link: Any) -> None:
+        _StripedLiveSession.__init__(self, engine, header, link)
+        self.on_data: Optional[Callable[[Chunk], None]] = None
+        self.on_complete: Optional[Callable[["StripedServerSession"], None]] = None
         self.on_error: Optional[Callable[[Exception], None]] = None
-        self.on_data: Optional[Callable[[StreamChunk], None]] = None
 
-    # -- assembler proxies ---------------------------------------------------
+    def delivered(self) -> None:
+        on_data = self.on_data
+        if on_data is not None:
+            for chunk in self.chunks:
+                on_data(chunk)
+        self.chunks.clear()
+
+    @property
+    def assembler(self) -> StripeAssembler:
+        return self.receiver
 
     @property
     def payload_received(self) -> int:
-        return self.assembler.payload_received
+        return self.receiver.payload_received
 
     @property
     def digest_ok(self) -> Optional[bool]:
-        return self.assembler.digest_ok
-
-    @property
-    def complete(self) -> bool:
-        return self.assembler.complete
-
-    @property
-    def failed(self) -> Optional[Exception]:
-        return self.assembler.failed
-
-    # -- sublink attachment ------------------------------------------------
-
-    def attach(self, sock: SimSocket, surplus: List[StreamChunk]) -> None:
-        index = len(self.sublinks)
-        self.sublinks.append(sock)
-        self.assembler.attach(str(index))
-        sock.on_readable = lambda: self._drain(index)
-        sock.on_peer_fin = lambda: self._drain(index)
-        if surplus:
-            self._feed(index, surplus)
-        if sock.readable_bytes:
-            self._drain(index)
-
-    def _drain(self, index: int) -> None:
-        if self.assembler.finished:
-            return
-        sock = self.sublinks[index]
-        # bounded reassembly: a stalled prefix stops us consuming more
-        if self.assembler.ooo_bytes >= self.server.reassembly_capacity:
-            if index not in self._blocked:
-                self._blocked.append(index)
-            return
-        self._feed(index, sock.recv())
-
-    def _feed(self, index: int, chunks: List[StreamChunk]) -> None:
-        events = self.assembler.feed(str(index), chunks)
-        delivered = False
-        for event in events:
-            if isinstance(event, Deliver):
-                delivered = True
-                if self.on_data is not None:
-                    self.on_data(
-                        StreamChunk(event.chunk.length, event.chunk.data)
-                    )
-            elif isinstance(event, Completed):
-                self._completed()
-            elif isinstance(event, Failed):
-                self._fail(event.error)
-        if delivered and not self.assembler.finished:
-            record = self.server.registry.get(self.session_id)
-            if record is not None:
-                record.bytes_received = self.assembler.payload_received
-            if self._blocked:
-                blocked, self._blocked = self._blocked, []
-                for idx in blocked:
-                    self._drain(idx)
-
-    def _completed(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.server.registry.close(self.session_id)
-        for sock in self.sublinks:
-            if not sock.closed:
-                sock.close()
-        if self.on_complete:
-            self.on_complete(self)
-
-    def _fail(self, error: Exception) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.server.registry.close(self.session_id)
-        for sock in self.sublinks:
-            sock.abort()
-        if self.on_error:
-            self.on_error(error)
-        self.server.errors.append(error)
+        return self.receiver.digest_ok
 
 
-class _PendingAccept:
-    """Reads the header off a freshly accepted sublink."""
+class StripedLslServer(SimService, StripedTerminalEngine):
+    """Accepts framed (striped/multi-path) LSL sessions: the striped
+    terminal engine of the live servers on the simulator's chassis.
 
-    def __init__(self, server: "StripedLslServer", sock: SimSocket) -> None:
-        self.server = server
-        self.sock = sock
-        self._accumulator = HeaderAccumulator()
-        sock.on_readable = self._on_bytes
-        sock.on_peer_fin = self._on_fin
-        if sock.readable_bytes > 0:
-            self._on_bytes()
+    ``sessions`` maps each session id to its :class:`StripedServerSession`
+    (``on_session`` gets it when its first sublink joins); ``errors``
+    lists every failed sublink and session.
+    """
 
-    def _on_bytes(self) -> None:
-        chunks = self.sock.recv()
-        header = None
-        tail_index = len(chunks)
-        for i, chunk in enumerate(chunks):
-            if chunk.data is None:
-                self.sock.abort()
-                self.server._pending_failed(
-                    self, ProtocolError("virtual bytes before LSL header")
-                )
-                return
-            try:
-                header = self._accumulator.feed(chunk.data)
-            except ProtocolError as exc:
-                self.sock.abort()
-                self.server._pending_failed(self, exc)
-                return
-            if header is not None:
-                tail_index = i + 1
-                break
-        if header is None:
-            return
-        surplus: List[StreamChunk] = []
-        if self._accumulator.surplus:
-            surplus.append(
-                StreamChunk(len(self._accumulator.surplus), self._accumulator.surplus)
-            )
-        surplus.extend(chunks[tail_index:])
-        self.server._header_ready(self, header, surplus)
-
-    def _on_fin(self) -> None:
-        self.sock.close()
-        self.server._pending_failed(
-            self, ProtocolError("sublink closed before header complete")
-        )
-
-
-class StripedLslServer:
-    """Accepts framed (striped/multi-path) LSL sessions."""
+    _session_cls = StripedServerSession
 
     def __init__(
         self,
         stack: TcpStack,
         port: int,
-        on_session: Callable[[_FramedServerSession], None],
-        reassembly_capacity: int = 8 * 1024 * 1024,
-        tcp_options: Optional[TcpOptions] = None,
-        registry: Optional[SessionRegistry] = None,
+        on_session: Callable[[StripedServerSession], None],
         observer: Optional[ProtocolObserver] = None,
     ) -> None:
-        self.stack = stack
-        self.port = port
-        self.on_session = on_session
-        self.reassembly_capacity = reassembly_capacity
-        self.registry = registry if registry is not None else SessionRegistry()
-        self.observer = observer
-        self.sessions: Dict[SessionId, _FramedServerSession] = {}
-        self.errors: List[Exception] = []
-        self._pending: List[_PendingAccept] = []
+        StripedTerminalEngine.__init__(self, on_session, observer=observer)
+        self.sessions: Dict[SessionId, StripedServerSession] = {}
+        SimService.__init__(self, stack, port)
 
-        self._listener = stack.socket(tcp_options or stack.default_options)
-        self._listener.listen(port, self._on_accept)
+    def _attach(self, sublink: TerminalSublink, link: Any, header: LslHeader) -> None:
+        StripedTerminalEngine._attach(self, sublink, link, header)
+        if header.session_id not in self.sessions:
+            self.sessions[header.session_id] = sublink.live
+            self.on_session(sublink.live)
 
-    def _on_accept(self, sock: SimSocket) -> None:
-        self._pending.append(_PendingAccept(self, sock))
+    def _completed(self, live: StripedServerSession, digest_ok) -> None:
+        if live.on_complete is not None:
+            live.on_complete(live)
 
-    def _pending_failed(self, pending: _PendingAccept, error: Exception) -> None:
-        if pending in self._pending:
-            self._pending.remove(pending)
-        self.errors.append(error)
-
-    def _header_ready(
-        self,
-        pending: _PendingAccept,
-        header: LslHeader,
-        surplus: List[StreamChunk],
-    ) -> None:
-        if pending in self._pending:
-            self._pending.remove(pending)
-        sock = pending.sock
-        if not header.is_last_hop:
-            sock.abort()
-            self.errors.append(RouteError("server addressed as intermediate hop"))
-            return
-        if not header.framed:
-            sock.abort()
-            self.errors.append(
-                ProtocolError("unframed sublink on a striped server")
-            )
-            return
-        session = self.sessions.get(header.session_id)
-        if session is None:
-            try:
-                session = _FramedServerSession(self, header)
-            except ProtocolError as exc:
-                sock.abort()
-                self.errors.append(exc)
-                return
-            self.sessions[header.session_id] = session
-            self.registry.create(header.session_id, self.stack.net.sim.now)
-            session.attach(sock, surplus)
-            self.on_session(session)
-        else:
-            if session.payload_length != header.payload_length:
-                sock.abort()
-                self.errors.append(
-                    ProtocolError("sublink disagrees on payload length")
-                )
-                return
-            session.attach(sock, surplus)
-
-    def shutdown(self) -> None:
-        self._listener.close_listener()
+    def _failed(self, live: StripedServerSession, error: Exception) -> None:
+        StripedTerminalEngine._failed(self, live, error)
+        if live.on_error is not None:
+            live.on_error(error)

@@ -313,9 +313,14 @@ class _StripedLiveSession(_LiveSession):
     """A session whose sublinks all feed one assembler, each under its
     link as key. A sublink that ends degrades the session and never
     suspends it; every one drains to its own EOF, since closing one with
-    redundant copies unread would reset a peer still mid-send."""
+    redundant copies unread would reset a peer still mid-send.
 
-    __slots__ = ("header", "sublinks")
+    Reassembly is bounded by pausing the links the assembler says are
+    :meth:`~repro.lsl.core.StripeAssembler.held` (``held`` lists them)
+    and resuming each once it no longer is; a link's ``pause`` and
+    ``resume`` never call back into its owner."""
+
+    __slots__ = ("header", "sublinks", "held")
 
     drain = True
 
@@ -323,6 +328,7 @@ class _StripedLiveSession(_LiveSession):
         _LiveSession.__init__(self, engine, header, None)
         self.header = header
         self.sublinks = 0  # joined before the session ended
+        self.held: List[Any] = []
 
     def _receiver(self, header: LslHeader, observer: Any) -> StripeAssembler:
         return StripeAssembler(
@@ -331,14 +337,32 @@ class _StripedLiveSession(_LiveSession):
         )
 
     def feed(self, link: Any, chunks: List[ChunkLike]) -> List[Any]:
-        return self.receiver.feed(link, chunks)  # nothing once ended
+        receiver = self.receiver
+        events = receiver.feed(link, chunks)  # nothing once ended
+        if self.held:
+            self._release()
+        if receiver.held(link):
+            link.pause()
+            self.held.append(link)
+        return events
+
+    def _release(self) -> None:
+        """Resume every held link the assembler no longer holds."""
+        held, self.held = self.held, []
+        for link in held:
+            if self.receiver.held(link):
+                self.held.append(link)
+            else:
+                link.resume()
 
     def feed_eof(self, link: Any) -> None:
         # a torn frame is fine: redundancy or a re-deal covers the range
         self.receiver.sublink_closed(link)
+        self._release()
 
     def reset(self, link: Any) -> bool:
         self.receiver.sublink_closed(link)
+        self._release()
         return False
 
     def result(self, payload: bytes, digest_ok: Optional[bool]) -> StripedResult:

@@ -24,13 +24,17 @@ with its hooks backed by a shared store, and a striped server
 (:class:`repro.sockets.striped.StripedTerminalEngine`) one whose
 sessions share an assembler among their sublinks. Every sublink that
 ends its session ends once (:meth:`TerminalSublink._finish`):
-``completed``, ``suspended`` or ``failed``.
+``completed``, ``suspended``, ``failed``, or ``idle`` when it closed
+without sending a byte.
 
 **The contract a driver must keep.** Two locks, each held for one call
 and never across a read or a write: the engine lock around the accept
 decision, the registry and the result lists; each live session's lock
 around one ``feed`` / ``feed_eof`` / rebind (a link's ``write`` may
-call ``broken`` back, which takes it). And one rule: a sublink whose
+call ``broken`` back, which takes it). A link's ``pause`` and
+``resume`` may run under the session lock, so they must never call
+back into their owner (a striped session holds links with them). And
+one rule: a sublink whose
 link is no longer ``live.link`` is *stale* — whatever it still
 delivers, bytes or EOF, is dropped under the session lock and its link
 closed — so a rebind never waits for the reader it displaces. On the
@@ -80,8 +84,9 @@ class SessionResult:
     rebinds: int = 0
 
 
-#: How a sublink ends (:meth:`TerminalSublink._finish`).
-COMPLETED, SUSPENDED, FAILED = "completed", "suspended", "failed"
+#: How a sublink ends (:meth:`TerminalSublink._finish`); ``idle`` is a
+#: connection that closed without sending a byte (a TCP health check).
+COMPLETED, SUSPENDED, FAILED, IDLE = "completed", "suspended", "failed", "idle"
 
 
 class _LiveSession:
@@ -204,9 +209,13 @@ class TerminalSublink:
 
     def ended(self, link: Any) -> None:
         engine, live = self.engine, self.live
+        if live is None:
+            self._finish(
+                link, FAILED if self.acc.started else IDLE,
+                ProtocolError("EOF before LSL header complete"),
+            )
+            return
         try:
-            if live is None:
-                raise ProtocolError("EOF before LSL header complete")
             with live.lock:
                 disposition = live.feed_eof(link)
                 status = None  # stale, or one of the session's sublinks
@@ -242,10 +251,11 @@ class TerminalSublink:
     ) -> None:
         """End this sublink with ``status``, once (a crash's ``broken``
         may race its reader's own end), outside the session lock: answer
-        and hand over a completed session, record a failed one, close
-        the link unless its session's sublinks ``drain``, then the
-        engine's :meth:`~TerminalEngine._ended`. A sublink that does not
-        end its session (``status`` None) is only closed."""
+        and hand over a completed session, record a failed one (not an
+        idle one), close the link unless its session's sublinks
+        ``drain``, then the engine's :meth:`~TerminalEngine._ended`. A
+        sublink that does not end its session (``status`` None) is only
+        closed."""
         engine, live = self.engine, self.live
         if status is None:
             link.close()

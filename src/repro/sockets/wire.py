@@ -86,14 +86,23 @@ def make_listener(
     return sock
 
 
+#: Guards every paused link's gate: taken only by ``resume``, ``close``
+#: and a reader that found its link paused.
+_gates = threading.Lock()
+
+
 class BlockingLink:
     """A blocking socket behind the link protocol of the session objects.
 
     ``owner`` gets the callbacks; ``peer`` is the other end of a relay;
     ``eof`` is set once the reader has seen the end of the stream.
+    :meth:`pause` holds the reader before its next ``recv`` until
+    :meth:`resume` or :meth:`close`; a threaded depot's dial pauses and
+    resumes from inside the reader's own callback, so its reader never
+    waits.
     """
 
-    __slots__ = ("sock", "owner", "peer", "closed", "eof")
+    __slots__ = ("sock", "owner", "peer", "closed", "eof", "paused", "_gate")
 
     def __init__(
         self,
@@ -104,7 +113,8 @@ class BlockingLink:
         self.sock = sock
         self.owner = owner
         self.peer = peer
-        self.closed = self.eof = False
+        self.closed = self.eof = self.paused = False
+        self._gate: Optional[threading.Event] = None  # a waiting reader's
 
     def write(self, data: Any) -> None:
         if not self.closed:
@@ -118,23 +128,36 @@ class BlockingLink:
             except OSError:
                 pass
 
-    # A threaded dial blocks inside the upstream reader's own callback,
-    # so nothing is read meanwhile: there is nothing to pause.
     def pause(self) -> None:
-        pass
+        self.paused = True
 
     def resume(self) -> None:
-        pass
+        with _gates:
+            self.paused = False
+            gate, self._gate = self._gate, None
+        if gate is not None:
+            gate.set()
+
+    def wait_resumed(self) -> None:
+        """The reader's side of :meth:`pause`: block until the link is
+        resumed or closed."""
+        with _gates:
+            if not self.paused or self.closed:
+                return
+            gate = self._gate = threading.Event()
+        gate.wait()
 
     def close(self) -> None:
         """Safe from any thread, and idempotent. ``shutdown`` first:
         ``close`` alone does not wake a worker blocked inside ``recv``
         (the kernel keeps the socket for the syscall in flight), and a
         rebind, a restart, a crash or a TTL sweep closes links it is
-        not reading."""
+        not reading. A paused reader is released."""
         if self.closed:
             return
         self.closed = True
+        if self.paused:
+            self.resume()
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -156,6 +179,9 @@ def run_blocking(link: BlockingLink, owner: Any) -> None:
     sock = link.sock
     try:
         while not link.closed:
+            if link.paused:
+                link.wait_resumed()
+                continue
             try:
                 data = sock.recv(CHUNK)
             except OSError as exc:

@@ -1,6 +1,7 @@
 """Unit tests for the sans-I/O striping machines (no transport at all)."""
 
 import random
+import struct
 from functools import reduce
 
 import pytest
@@ -16,6 +17,7 @@ from repro.lsl.core.striping import (
     KIND_DATA,
     KIND_TRAILER,
     PARITY_BASE,
+    REASSEMBLY_BYTES,
     Redundancy,
     StripeAssembler,
     StripeScheduler,
@@ -532,6 +534,120 @@ def test_loss_free_parity_assembly_work_is_linear(head_of_line_blocked):
     small, large = calls(64), calls(256)
     for name in small:
         assert large[name] <= 4 * small[name] + 8, (name, small, large)
+
+
+# -- the reassembly bound ----------------------------------------------------
+
+STRIPE = 128 * 1024
+
+
+def data_frame(offset, length, sent=None):
+    """A framed stripe of virtual payload, cut after ``sent`` bytes."""
+    return [
+        Chunk.real(encode_frame_header(offset, length)),
+        Chunk.virtual(length if sent is None else sent),
+    ]
+
+
+def held_ahead_of_a_hole(*keys):
+    """An assembler whose sublink ``ahead`` carried the bound's worth of
+    stripes past a missing first stripe."""
+    asm = StripeAssembler(REASSEMBLY_BYTES + 2 * STRIPE, use_digest=False)
+    for key in ("ahead", *keys):
+        asm.attach(key)
+    for offset in range(STRIPE, REASSEMBLY_BYTES + STRIPE, STRIPE):
+        assert not asm.held("ahead")
+        asm.feed("ahead", data_frame(offset, STRIPE))
+    assert asm.ooo_bytes == REASSEMBLY_BYTES
+    return asm
+
+
+def test_a_sublink_ahead_of_the_hole_is_held_and_the_one_carrying_it_never():
+    asm = held_ahead_of_a_hole("hole")
+    assert asm.held("ahead")
+    assert not asm.held("hole")  # no data frame yet: it may carry the hole
+    asm.feed("hole", data_frame(0, STRIPE, sent=STRIPE // 2))
+    assert asm.payload_received == STRIPE // 2
+    assert not asm.held("hole")  # its frame holds the frontier
+    assert asm.held("ahead")
+    asm.feed("hole", [Chunk.virtual(STRIPE // 2)])
+    assert asm.payload_received == REASSEMBLY_BYTES + STRIPE
+    assert asm.ooo_bytes == 0 and not asm.held("ahead")
+    (done,) = asm.feed("ahead", data_frame(REASSEMBLY_BYTES + STRIPE, STRIPE))[-1:]
+    assert isinstance(done, Completed)
+
+
+def test_parity_frames_do_not_count_as_data_frames():
+    asm = held_ahead_of_a_hole("hole")
+    # the announce frame every parity sublink opens with, then the XOR
+    # block of the group the hole is in: neither starts a data frame
+    announce = struct.pack(">QII", asm.payload_length, STRIPE, 4)
+    asm.feed_bytes("hole", encode_frame_header(PARITY_BASE, 16) + announce)
+    asm.feed_bytes(
+        "hole",
+        encode_frame_header(PARITY_BASE + (1 << 32), STRIPE) + bytes(STRIPE),
+    )
+    assert asm.held("ahead") and not asm.held("hole")
+
+
+def test_a_closed_sublink_turns_holding_off_for_the_session():
+    asm = held_ahead_of_a_hole("hole", "lost")
+    assert asm.held("ahead")
+    asm.sublink_closed("lost")  # its stripes may be re-dealt behind anything
+    assert asm.ooo_bytes == REASSEMBLY_BYTES
+    assert not asm.held("ahead")
+
+
+def deal_virtual(scheduler, keys):
+    """:func:`deal` for a payload with no bytes."""
+    for k in keys:
+        scheduler.add_sublink(k)
+    live = list(keys)
+    while live:
+        for k in list(live):
+            a = scheduler.next_assignment(k)
+            if a is None:
+                scheduler.sublink_finished(k)
+                live.remove(k)
+                continue
+            a.header_sent = True
+            a.sent = a.length
+            yield k, a
+
+
+def test_a_driver_that_honours_held_completes_with_bounded_reassembly():
+    """Two sublinks dealt in turn; the driver reads the one running
+    ahead whenever it may, and the other only when it must."""
+    length = 4 * REASSEMBLY_BYTES
+    sch = StripeScheduler(length, stripe_bytes=STRIPE, use_digest=False)
+    wires = {"a": [], "b": []}
+    for key, a in deal_virtual(sch, ["a", "b"]):
+        wires[key].append((a.offset, a.length))
+    asm = StripeAssembler(length, use_digest=False)
+    for key in wires:
+        asm.attach(key)
+    peak = 0
+    events = []
+    while not asm.finished:
+        ready = [k for k in ("b", "a") if wires[k] and not asm.held(k)]
+        assert ready, "every sublink with data left is held"
+        key = ready[0]
+        offset, n = wires[key].pop(0)
+        # the sublink whose next stripe is the frontier is never held
+        for k, frames in wires.items():
+            if frames and frames[0][0] == asm.payload_received:
+                assert not asm.held(k)
+        events += asm.feed(key, data_frame(offset, n))
+        peak = max(peak, asm.ooo_bytes)
+    assert isinstance(events[-1], Completed)
+    assert REASSEMBLY_BYTES <= peak <= REASSEMBLY_BYTES + STRIPE
+
+
+def test_a_stream_until_fin_length_is_refused():
+    from repro.lsl.core.wire import STREAM_UNTIL_FIN
+
+    with pytest.raises(ProtocolError):
+        StripeAssembler(STREAM_UNTIL_FIN)
 
 
 def test_assembler_validation():

@@ -173,3 +173,28 @@ def test_commands_lists_every_subcommand():
     from repro.experiments.runner import COMMANDS
 
     assert "{" + ",".join(COMMANDS) + "}" in build_parser().format_usage()
+
+
+def test_output_into_a_closed_pipe_ends_quietly():
+    """``repro-lsl list | head -1``: the reader is gone before the
+    output is flushed. The CLI exits 1 without a traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runner", "list"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

@@ -114,6 +114,14 @@ def test_fin_during_the_header_phase_is_one_error(world):
     assert closed == [None]  # the server's side closed with a FIN too
 
 
+def test_a_connection_that_sends_no_byte_records_nothing(world):
+    sock, closed = _raw(world)
+    sock.connect(("server", 5000), on_connected=sock.close)
+    world.run()
+    assert world.server.errors == [] and world.server.sessions == []
+    assert closed == [None]
+
+
 def test_virtual_bytes_before_the_header_are_one_error(world):
     sock, closed = _raw(world)
     sock.connect(("server", 5000), on_connected=lambda: sock.send_virtual(100))

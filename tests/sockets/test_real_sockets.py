@@ -215,6 +215,54 @@ def test_wire_read_header_roundtrip():
     assert link.closed and b.fileno() == -1
 
 
+class _Reads:
+    def __init__(self):
+        self.got = b""
+        self.calls = []
+
+    def received(self, link, data):
+        self.got += data
+
+    def ended(self, link):
+        self.calls.append("ended")
+
+    def broken(self, link, exc):
+        self.calls.append("broken")
+
+
+def test_a_paused_blocking_link_reads_nothing_until_resumed():
+    a, b = socket.socketpair()
+    with a:
+        reads, link = _Reads(), BlockingLink(b)
+        link.pause()
+        reader = threading.Thread(target=run_blocking, args=(link, reads))
+        reader.start()
+        a.sendall(b"held")
+        a.shutdown(socket.SHUT_WR)
+        time.sleep(0.2)
+        assert reads.got == b"" and reads.calls == []
+        link.resume()
+        reader.join(5)
+    assert not reader.is_alive()
+    assert reads.got == b"held" and reads.calls == ["ended"]
+
+
+def test_closing_a_paused_blocking_link_releases_its_reader():
+    a, b = socket.socketpair()
+    with a:
+        reads, link = _Reads(), BlockingLink(b)
+        link.pause()
+        reader = threading.Thread(target=run_blocking, args=(link, reads))
+        reader.start()
+        a.sendall(b"never read")
+        time.sleep(0.1)
+        link.close()
+        reader.join(5)
+    assert not reader.is_alive()
+    assert reads.got == b"" and reads.calls == []
+    assert b.fileno() == -1
+
+
 def test_concurrent_sessions_through_one_depot():
     payloads = [os.urandom(30_000) for _ in range(4)]
     with ThreadedLslServer() as server, ThreadedDepot() as depot:

@@ -229,3 +229,23 @@ def test_a_reset_after_the_trailer_leaves_the_server_serving(server_cls):
         r.payload == PAYLOAD and r.digest_ok is True for r in server.results
     )
     assert SESSION_ID in [r.session_id for r in server.results]
+
+
+def test_a_connection_that_sends_no_byte_records_nothing(server_cls):
+    """A TCP health check (connect, close) is neither a session nor a
+    failure; a partial header followed by EOF still is a failure."""
+    with server_cls() as server:
+        socket.create_connection(server.address, timeout=5).close()
+        with LslSocketClient([server.address], payload_length=10) as client:
+            client.sendall(PAYLOAD[:10])
+            client.finish()
+        assert server.wait_for_sessions(1)
+        # accepted before that session, so ended once nothing is read
+        assert _wait(lambda: not server._live)
+        assert server.errors == [] and len(server.results) == 1
+        partial = socket.create_connection(server.address, timeout=5)
+        partial.sendall(b"\x01")
+        partial.close()
+        assert server.wait_for_sessions(2)
+        (error,) = server.errors
+        assert "EOF before LSL header complete" in str(error)
