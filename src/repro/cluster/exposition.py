@@ -21,7 +21,7 @@ from repro.telemetry.exposition import MetricFamily
 from repro.telemetry.tracing import TraceSpool
 
 _CLUSTER_HELP = {
-    "sessions_accepted": "Sublinks accepted, by worker.",
+    "sessions_accepted": "Sublinks accepted, less ones closed with no byte, by worker.",
     "sessions_completed": "Sessions finished cleanly, by worker.",
     "sessions_failed": "Sessions that errored, by worker.",
     "sessions_suspended": "Terminal sessions parked for a rebind, by worker.",

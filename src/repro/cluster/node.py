@@ -70,6 +70,7 @@ from repro.cluster.store import SessionStore
 from repro.sockets.lsd import DepotCounters, DepotEngine, RelaySession, ThreadedDepot
 from repro.sockets.terminal import (
     COMPLETED,
+    IDLE,
     SUSPENDED,
     SessionResult,
     TerminalEngine,
@@ -399,6 +400,8 @@ class StoreNode(TerminalEngine):
                 # last: this sublink is done with the session, so a
                 # rebind may take it from here
                 _park(self, live)
+        elif status == IDLE:
+            self.counters.session_idle()
         else:
             header = sublink.acc.header
             emit(self._observer, "relay-failed",

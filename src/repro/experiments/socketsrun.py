@@ -12,8 +12,9 @@ cascade and reports wall-clock goodput plus per-depot counters.
 :func:`run_socket_failover` additionally crashes the primary depot
 mid-transfer (socket-level resets on live relays) and drives the
 client-side failover loop: back off, rebind over the backup route with
-a negotiated resume query, and continue from the granted offset — the
-same recovery sequence the simulator's ``FailoverTransfer`` runs.
+a negotiated resume query, and continue from the granted offset. Each
+attempt is opened as the :class:`~repro.lsl.core.FailoverLadder` says,
+the rules the simulator's ``FailoverTransfer`` runs too.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.lsl.core import BackoffPolicy, real_digest_factory
+from repro.lsl.core import (
+    BackoffPolicy,
+    FailoverLadder,
+    real_digest_factory,
+)
 from repro.lsl.core.errors import FailoverExhausted, LslError
 
 DRIVERS = ("threads", "asyncio")
@@ -61,42 +66,44 @@ class SocketTransferResult:
         return self.nbytes * 8 / self.duration_s / 1e6
 
 
-def _make_stack(driver: str, observer=None):
-    """(ServerCls, DepotCls, send_fn) for the chosen driver.
-
-    ``send_fn(route, payload, session_id)`` performs one complete
-    client transfer (connect, payload, trailer, close) and blocks until
-    sent. For the asyncio driver the *client* also runs on asyncio (in
-    ``asyncio.run``), so the whole path is loop-driven end to end.
-    """
+def _make_stack(driver: str):
+    """(ServerCls, DepotCls) for the chosen driver."""
     if driver == "threads":
-        from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
+        from repro.sockets import ThreadedDepot, ThreadedLslServer
 
-        def send(route, payload, session_id=None):
-            with LslSocketClient(
-                route, payload_length=len(payload), session_id=session_id
-            ) as client:
-                client.sendall(payload)
-                client.finish()
-
-        return ThreadedLslServer, ThreadedDepot, send
+        return ThreadedLslServer, ThreadedDepot
     if driver == "asyncio":
-        import asyncio
+        from repro.asockets import AsyncDepot, AsyncLslServer
 
-        from repro.asockets import AsyncDepot, AsyncLslClient, AsyncLslServer
-
-        def send(route, payload, session_id=None):
-            async def _run():
-                async with AsyncLslClient(
-                    route, payload_length=len(payload), session_id=session_id
-                ) as client:
-                    await client.sendall(payload)
-                    await client.finish()
-
-            asyncio.run(_run())
-
-        return AsyncLslServer, AsyncDepot, send
+        return AsyncLslServer, AsyncDepot
     raise LslError(f"unknown driver {driver!r} (want one of {DRIVERS})")
+
+
+def _measure(server, chain, payload: bytes, send, timeout: float):
+    """Time ``send()`` until ``server`` has the session, judge the run by
+    what the server holds, and let ``chain``'s relays drain; returns
+    what ``send`` returned and the result fields."""
+    t0 = time.perf_counter()
+    sent, error = None, None
+    try:
+        sent = send()
+        completed = server.wait_for_sessions(1, timeout=timeout)
+    except Exception as exc:  # noqa: BLE001 - reported in result
+        completed, error = False, f"{type(exc).__name__}: {exc}"
+    duration = time.perf_counter() - t0
+    digest_ok = None
+    if server.results:
+        digest_ok = server.results[0].digest_ok
+        completed = completed and server.results[0].payload == payload
+    elif server.errors and error is None:
+        exc = server.errors[0]
+        completed, error = False, f"{type(exc).__name__}: {exc}"
+    for d in chain:  # let in-flight relays drain before the snapshot
+        _await_idle(d)
+    return sent, dict(
+        duration_s=duration, completed=completed, digest_ok=digest_ok,
+        error=error, depot_counters=[d.counters.snapshot() for d in chain],
+    )
 
 
 def run_socket_transfer(
@@ -108,38 +115,17 @@ def run_socket_transfer(
     timeout: float = 60.0,
 ) -> SocketTransferResult:
     """One digested transfer through ``depots`` cascaded real depots."""
-    server_cls, depot_cls, send = _make_stack(driver)
+    server_cls, depot_cls = _make_stack(driver)
     payload = pattern_payload(nbytes)
     with server_cls(host) as server:
         chain = [depot_cls(host) for _ in range(depots)]
         try:
             route = [d.address for d in chain] + [server.address]
-            t0 = time.perf_counter()
-            error: Optional[str] = None
-            try:
-                send(route, payload)
-                completed = server.wait_for_sessions(1, timeout=timeout)
-            except Exception as exc:  # noqa: BLE001 - reported in result
-                completed, error = False, f"{type(exc).__name__}: {exc}"
-            duration = time.perf_counter() - t0
-            digest_ok = None
-            if server.results:
-                digest_ok = server.results[0].digest_ok
-                completed = completed and server.results[0].payload == payload
-            elif server.errors and error is None:
-                exc = server.errors[0]
-                completed, error = False, f"{type(exc).__name__}: {exc}"
-            for d in chain:  # let in-flight relays drain before snapshot
-                _await_idle(d)
-            return SocketTransferResult(
-                driver=driver,
-                nbytes=nbytes,
-                duration_s=duration,
-                completed=completed,
-                digest_ok=digest_ok,
-                error=error,
-                depot_counters=[d.counters.snapshot() for d in chain],
+            _, fields = _measure(
+                server, chain, payload,
+                lambda: _one_attempt(driver, route, payload), timeout,
             )
+            return SocketTransferResult(driver=driver, nbytes=nbytes, **fields)
         finally:
             for d in chain:
                 d.shutdown()
@@ -178,6 +164,7 @@ def run_socket_striped(
         raise LslError("need at least one route")
     if not 0 <= depots <= routes:
         raise LslError("depots must be between 0 and routes")
+    depot_cls = _make_stack(driver)[1]  # and the driver is known
     if driver == "threads":
         from repro.sockets.striped import StripedThreadedServer, send_striped
 
@@ -188,7 +175,6 @@ def run_socket_striped(
             )
 
         server_cls = StripedThreadedServer
-        _, depot_cls, _ = _make_stack("threads")
     elif driver == "asyncio":
         import asyncio
 
@@ -196,18 +182,12 @@ def run_socket_striped(
         from repro.asockets.striped import send_striped as async_send
 
         def striped_send(route_list, payload):
-            async def _run():
-                return await async_send(
-                    route_list, payload, redundancy=redundancy,
-                    timeout=timeout, sndbuf=sndbuf,
-                )
-
-            return asyncio.run(_run())
+            return asyncio.run(async_send(
+                route_list, payload, redundancy=redundancy,
+                timeout=timeout, sndbuf=sndbuf,
+            ))
 
         server_cls = AsyncStripedServer
-        _, depot_cls, _ = _make_stack("asyncio")
-    else:
-        raise LslError(f"unknown driver {driver!r} (want one of {DRIVERS})")
 
     payload = pattern_payload(nbytes)
     with server_cls(host) as server:
@@ -219,32 +199,14 @@ def run_socket_striped(
                 else [server.address]
                 for i in range(routes)
             ]
-            t0 = time.perf_counter()
-            error: Optional[str] = None
-            report = None
-            try:
-                report = striped_send(route_list, payload)
-                completed = server.wait_for_sessions(1, timeout=timeout)
-            except Exception as exc:  # noqa: BLE001 - reported in result
-                completed, error = False, f"{type(exc).__name__}: {exc}"
-            duration = time.perf_counter() - t0
-            digest_ok = None
-            if server.results:
-                digest_ok = server.results[0].digest_ok
-                completed = completed and server.results[0].payload == payload
-            elif server.errors and error is None:
-                exc = server.errors[0]
-                completed, error = False, f"{type(exc).__name__}: {exc}"
-            for d in chain:
-                _await_idle(d)
+            report, fields = _measure(
+                server, chain, payload,
+                lambda: striped_send(route_list, payload), timeout,
+            )
             return SocketStripedResult(
                 driver=driver,
                 nbytes=nbytes,
-                duration_s=duration,
-                completed=completed,
-                digest_ok=digest_ok,
-                error=error,
-                depot_counters=[d.counters.snapshot() for d in chain],
+                **fields,
                 per_sublink_bytes=(
                     list(report.per_sublink_bytes) if report else []
                 ),
@@ -310,7 +272,7 @@ def run_socket_failover(
     """
     if not (0.0 < crash_after_fraction < 1.0):
         raise LslError("crash_after_fraction must be in (0, 1)")
-    server_cls, depot_cls, _send = _make_stack(driver)
+    server_cls, depot_cls = _make_stack(driver)
     payload = pattern_payload(nbytes)
     session_id = (rng or random.Random()).getrandbits(128).to_bytes(16, "big")
     policy = backoff or BackoffPolicy(base_s=0.05, max_s=1.0)
@@ -331,96 +293,67 @@ def run_socket_failover(
             daemon=True,
         )
         watcher.start()
-        t0 = time.perf_counter()
-        attempts = 0
-        failovers = 0
-        error: Optional[str] = None
+        ladder = FailoverLadder(
+            [[primary.address, server.address], [backup.address, server.address]],
+            policy, max_attempts, rng,
+        )
         try:
-            sent = _failover_send(
-                driver,
-                [primary.address, server.address],
-                [backup.address, server.address],
-                payload,
-                session_id,
-                policy,
-                rng,
-                max_attempts,
-                pace_s=pace_s,
-                # an attempt only counts once the *server* completed the
-                # session: a send can return locally (bytes parked in
-                # kernel buffers) while the relay already died
-                confirm=lambda: server.wait_for_sessions(
-                    1, timeout=min(5.0, timeout)
+            _, fields = _measure(
+                server, [primary, backup], payload,
+                lambda: _failover_send(
+                    driver, ladder, payload, session_id, pace_s,
+                    # an attempt only counts once the *server* completed
+                    # the session: a send can return locally (bytes parked
+                    # in kernel buffers) while the relay already died
+                    confirm=lambda: server.wait_for_sessions(
+                        1, timeout=min(5.0, timeout)
+                    ),
                 ),
+                timeout,
             )
-            attempts, failovers = sent
-            completed = server.wait_for_sessions(1, timeout=timeout)
-        except Exception as exc:  # noqa: BLE001 - reported in result
-            completed, error = False, f"{type(exc).__name__}: {exc}"
         finally:
             crashed.set()
             primary.shutdown()
             backup.shutdown()
-        duration = time.perf_counter() - t0
-        digest_ok = None
-        if server.results:
-            digest_ok = server.results[0].digest_ok
-            completed = completed and server.results[0].payload == payload
         return SocketTransferResult(
-            driver=driver,
-            nbytes=nbytes,
-            duration_s=duration,
-            completed=completed,
-            digest_ok=digest_ok,
-            attempts=max(attempts, 1),
-            failovers=failovers,
-            error=error,
-            depot_counters=[
-                primary.counters.snapshot(), backup.counters.snapshot()
-            ],
+            driver=driver, nbytes=nbytes, attempts=ladder.attempts,
+            failovers=ladder.failovers, **fields,
         )
 
 
 def _failover_send(
     driver: str,
-    primary_route: Sequence[Tuple[str, int]],
-    backup_route: Sequence[Tuple[str, int]],
+    ladder: FailoverLadder,
     payload: bytes,
     session_id: bytes,
-    policy: BackoffPolicy,
-    rng: random.Random,
-    max_attempts: int,
     pace_s: float = 0.0,
-    confirm=None,
-) -> Tuple[int, int]:
-    """Send with failover; returns ``(attempts, failovers)``.
+    confirm: Optional[Callable[[], bool]] = None,
+) -> None:
+    """Send ``payload`` with each attempt opened as ``ladder`` says.
 
-    First attempt opens a fresh session on the primary route; every
-    retry rebinds on the backup route with a resume query, restarting
-    the trailer digest from the granted offset via the shared
-    ``real_digest_factory``. An attempt succeeds only when ``confirm()``
-    (server-side completion) agrees. Raises :class:`FailoverExhausted`
-    when the attempt budget runs out.
+    An attempt succeeds only when ``confirm()`` (server-side
+    completion) agrees. Raises :class:`FailoverExhausted` when the
+    ladder is.
     """
-    attempts = 0
-    failovers = 0
-    last_error: Optional[Exception] = None
-    while attempts < max_attempts:
-        route = primary_route if attempts == 0 else backup_route
-        rebind = attempts > 0
-        attempts += 1
+    while True:
+        attempt = ladder.begin()
         try:
-            _one_attempt(driver, route, payload, session_id, rebind, pace_s)
+            _one_attempt(
+                driver, attempt.route, payload, session_id,
+                attempt.rebind, ladder.granted, pace_s,
+            )
             if confirm is not None and not confirm():
                 raise LslError("relay lost the stream after a local send")
-            return attempts, failovers
         except (OSError, LslError) as exc:
-            last_error = exc
-            failovers += 1
-            time.sleep(policy.delay(failovers - 1, rng))
-    raise FailoverExhausted(
-        f"gave up after {attempts} attempts: {last_error}"
-    ) from last_error
+            delay = ladder.failed()
+            if delay is None:
+                raise FailoverExhausted(
+                    f"gave up after {ladder.attempts} attempts: {exc}"
+                ) from exc
+            time.sleep(delay)
+        else:
+            ladder.confirmed()
+            return
 
 
 _PACE_CHUNK = 32 * 1024
@@ -430,10 +363,19 @@ def _one_attempt(
     driver: str,
     route: Sequence[Tuple[str, int]],
     payload: bytes,
-    session_id: bytes,
-    rebind: bool,
+    session_id: Optional[bytes] = None,
+    rebind: bool = False,
+    on_grant: Optional[Callable[[int], None]] = None,
     pace_s: float = 0.0,
 ) -> None:
+    """One client session along ``route``: connect (or rebind with a
+    resume query), tell ``on_grant`` the granted offset, send the
+    payload from it, finish, close.
+
+    ``pace_s`` sleeps after every 32 KiB send; unpaced, the payload goes
+    in one send. For the asyncio driver the *client* also runs on
+    asyncio (in ``asyncio.run``), so the whole path is loop-driven.
+    """
     kwargs = dict(payload_length=len(payload), session_id=session_id)
     if rebind:
         kwargs.update(
@@ -441,14 +383,17 @@ def _one_attempt(
             resume_query=True,
             digest_factory=real_digest_factory(payload),
         )
+    step = _PACE_CHUNK if pace_s else max(len(payload), 1)
     if driver == "threads":
         from repro.sockets import LslSocketClient
 
         client = LslSocketClient(list(route), **kwargs)
         try:
             offset = client.granted_offset or 0
-            for pos in range(offset, len(payload), _PACE_CHUNK):
-                client.sendall(payload[pos : pos + _PACE_CHUNK])
+            if on_grant is not None:
+                on_grant(offset)
+            for pos in range(offset, len(payload), step):
+                client.sendall(payload[pos : pos + step])
                 if pace_s:
                     time.sleep(pace_s)
             client.finish()
@@ -463,8 +408,10 @@ def _one_attempt(
         client = await AsyncLslClient.open(list(route), **kwargs)
         try:
             offset = client.granted_offset or 0
-            for pos in range(offset, len(payload), _PACE_CHUNK):
-                await client.sendall(payload[pos : pos + _PACE_CHUNK])
+            if on_grant is not None:
+                on_grant(offset)
+            for pos in range(offset, len(payload), step):
+                await client.sendall(payload[pos : pos + step])
                 if pace_s:
                     await asyncio.sleep(pace_s)
             await client.finish()

@@ -371,31 +371,22 @@ def run_failover_transfer(
 
     net.sim.run(until=deadline_s)
 
-    if "t" in done:
-        result = TransferResult(
-            mode="lsl-failover",
-            nbytes=nbytes,
-            duration_s=float(done["t"]),  # type: ignore[arg-type]
-            completed=True,
-            digest_ok=bool(done.get("digest_ok")),
-            attempts=xfer.attempts,
-            failovers=xfer.failovers,
-            bytes_delivered=int(done["payload_received"]),  # type: ignore[arg-type]
-        )
-    else:
-        result = TransferResult(
-            mode="lsl-failover",
-            nbytes=nbytes,
-            duration_s=deadline_s,
-            completed=False,
-            attempts=xfer.attempts,
-            failovers=xfer.failovers,
-            error=str(
-                done.get("client_error")
-                or done.get("server_error")
-                or "deadline exceeded"
-            ),
-        )
+    completed = "t" in done
+    result = TransferResult(
+        mode="lsl-failover",
+        nbytes=nbytes,
+        duration_s=float(done.get("t", deadline_s)),  # type: ignore[arg-type]
+        completed=completed,
+        digest_ok=bool(done.get("digest_ok")) if completed else None,
+        attempts=xfer.attempts,
+        failovers=xfer.ladder.failovers,
+        bytes_delivered=done.get("payload_received"),  # type: ignore[arg-type]
+        error=None if completed else str(
+            done.get("client_error")
+            or done.get("server_error")
+            or "deadline exceeded"
+        ),
+    )
     _telemetry_finish(tel, tel_outdir, result, seed)
     return result
 

@@ -30,10 +30,15 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.lsl.core import ProtocolError, StreamDigest, virtual_digest_factory
-from repro.lsl.core.errors import FailoverExhausted, LslError, RouteError
+from repro.lsl.core.errors import FailoverExhausted, LslError
 from repro.lsl.core.handshake import ClientHandshake
 from repro.lsl.core.sender import PayloadSender
-from repro.lsl.core.session import BackoffPolicy, SessionId, new_session_id
+from repro.lsl.core.session import (
+    BackoffPolicy,
+    FailoverLadder,
+    SessionId,
+    new_session_id,
+)
 from repro.lsl.core.wire import LslHeader, RouteHop
 from repro.sockets.client import ClientSession, plan_client_session
 from repro.tcp.buffers import StreamChunk
@@ -50,12 +55,6 @@ __all__ = [
     "FailoverTransfer",
     "HopLike",
 ]
-
-
-def _normalize_route(route: Sequence[HopLike]) -> Tuple[RouteHop, ...]:
-    if not route:
-        raise RouteError("empty route")
-    return tuple(RouteHop(h[0], h[1]) for h in route)
 
 
 class LslClientConnection(ClientSession):
@@ -371,22 +370,20 @@ def lsl_rebind(
 
 
 class FailoverTransfer:
-    """Drive one payload to completion across failures.
+    """Drive one payload to completion across failures (simulator).
 
-    Owns the whole client side of a resilient transfer: opens the
-    session on the best-ranked route, pumps (virtual) payload, and on a
-    sublink failure retries with exponential backoff — failing over to
-    the next candidate route and resuming from the server's
-    authoritative offset (negotiated resume, see ``resume_query``).
+    Opens the session, pumps (virtual) payload, and on a sublink
+    failure waits out the backoff and opens the next attempt, resuming
+    from the server's authoritative offset (negotiated resume, see
+    ``resume_query``). Which route, fresh connect or rebind, and how
+    long to wait are the :class:`~repro.lsl.core.session.FailoverLadder`'s
+    rules; this driver keeps the sim timers, the pump and the telemetry.
 
     ``routes`` is a ranked candidate list (e.g. from
-    :meth:`repro.logistics.planner.DepotPlanner.rank_routes`): attempt
-    *k* after a failure uses route ``k mod len(routes)``. The list is
-    a *plan-time snapshot*; pass ``route_provider`` to have the ladder
-    re-queried before every retry, so an attempt made minutes into a
-    transfer uses the forecast as it is then, not as it was when the
-    transfer started (a depot that died mid-transfer drops out of the
-    fresh ranking instead of being retried round-robin forever).
+    :meth:`repro.logistics.planner.DepotPlanner.rank_routes`), a
+    plan-time snapshot; ``route_provider`` is re-queried before every
+    retry, so an attempt made minutes into a transfer uses the forecast
+    as it is then.
 
     Terminal states: ``done`` (server confirmed or the sublink closed
     cleanly after the trailer) or ``failed`` (``max_attempts``
@@ -411,33 +408,23 @@ class FailoverTransfer:
             Callable[[], Sequence[Sequence[HopLike]]]
         ] = None,
     ) -> None:
-        if not routes:
-            raise RouteError("no candidate routes")
+        self.ladder = FailoverLadder(
+            routes, backoff, max_attempts,
+            stack.net.rng.stream("lsl-failover"), route_provider,
+        )
         if nbytes < 0:
             raise ValueError("negative payload size")
         self.stack = stack
-        self.routes = [_normalize_route(r) for r in routes]
         self.nbytes = nbytes
         self.digest_enabled = digest
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.max_attempts = max_attempts
         self.on_done = on_done
         self.trace_factory = trace_factory
-        self.route_provider = route_provider
-        self.replans = 0  # retries whose fresh ranking differed
-        self._rng = stack.net.rng.stream("lsl-failover")
         if session_id is None:
             session_id = new_session_id(stack.net.rng.stream("lsl-session-ids"))
         self.session_id = session_id
 
         self.conn: Optional[LslClientConnection] = None
-        self.attempts = 0  # sublinks opened (first connect included)
-        self.failovers = 0  # route switches
-        self.route_index = 0
-        self.done = False
         self.failed: Optional[Exception] = None
-        self._ever_established = False
-        self._consecutive_failures = 0
         self._retry_event = None
         self.telemetry = stack.net.telemetry
         self.session_span = None
@@ -448,73 +435,65 @@ class FailoverTransfer:
                 f"session:{sid}",
                 cat="lsl",
                 group=sid,
-                args={"nbytes": nbytes, "routes": len(self.routes)},
+                args={"nbytes": nbytes, "routes": len(self.ladder.routes)},
             )
         self._start()
 
-    # -- attempt lifecycle -------------------------------------------------
+    @property
+    def done(self) -> bool:
+        return self.ladder.done
 
     @property
-    def current_route(self) -> Tuple[RouteHop, ...]:
-        return self.routes[self.route_index % len(self.routes)]
+    def attempts(self) -> int:
+        """Sublinks opened (the first connect included)."""
+        return self.ladder.attempts
+
+    @property
+    def replans(self) -> int:
+        return self.ladder.replans
+
+    @property
+    def route_provider(self):
+        return self.ladder.route_provider
+
+    @route_provider.setter
+    def route_provider(self, provider) -> None:
+        self.ladder.route_provider = provider
+
+    # -- attempt lifecycle -------------------------------------------------
 
     def _start(self) -> None:
         self._retry_event = None
         if self.done or self.failed is not None:
             return
-        if self.route_provider is not None and self.attempts > 0:
-            # retry, not first attempt: re-query the ladder so this
-            # attempt runs on the current forecast, not the snapshot
-            # taken when the transfer was planned
-            fresh = [_normalize_route(r) for r in self.route_provider()]
-            if fresh and fresh != self.routes:
-                self.replans += 1
-                self.routes = fresh
-        self.attempts += 1
-        route = self.current_route
+        attempt = self.ladder.begin()
         trace = None
         if self.trace_factory is not None:
-            trace = self.trace_factory(self.attempts, route)
+            trace = self.trace_factory(self.attempts, attempt.route)
         if self.session_span is not None:
             self._attempt_span = self.telemetry.spans.begin(
                 f"attempt-{self.attempts}",
                 cat="lsl",
                 parent=self.session_span,
-                args={"route": [h.host for h in route]},
+                args={"route": [h.host for h in attempt.route]},
             )
-        if self._ever_established:
-            # the server has the session: rebind and ask where to resume
-            conn = lsl_rebind(
-                self.stack,
-                route,
-                session_id=self.session_id,
-                resume_offset=0,
-                payload_length=self.nbytes,
-                digest=self.digest_enabled,
-                resume_query=True,
-                digest_factory=virtual_digest_factory,
-                on_connected=self._on_established,
-                trace=trace,
-                parent_span=self._attempt_span,
-            )
-        else:
-            conn = lsl_connect(
-                self.stack,
-                route,
-                payload_length=self.nbytes,
-                digest=self.digest_enabled,
-                session_id=self.session_id,
-                on_connected=self._on_established,
-                trace=trace,
-                parent_span=self._attempt_span,
-            )
+        # a rebind asks the server where to resume
+        header = plan_client_session(
+            attempt.route, self.nbytes, self.digest_enabled,
+            session_id=self.session_id, rebind=attempt.rebind,
+            resume_query=attempt.rebind, digest_factory=virtual_digest_factory,
+        )[0]
+        conn = LslClientConnection(
+            self.stack, header, self._on_established, trace,
+            digest_factory=virtual_digest_factory,
+            parent_span=self._attempt_span,
+        )
         self.conn = conn
         conn.on_writable = self._pump
         conn.on_close = self._on_close
 
     def _on_established(self) -> None:
-        self._ever_established = True
-        self._consecutive_failures = 0
+        self.ladder.granted(self.conn.granted_offset or 0)
         self._pump()
 
     def _pump(self) -> None:
@@ -558,19 +537,14 @@ class FailoverTransfer:
                     "error": str(error),
                 },
             )
-        if self.attempts >= self.max_attempts:
+        delay = self.ladder.failed()
+        if delay is None:
             self._settle(
                 error
                 if error is not None
                 else FailoverExhausted(f"gave up after {self.attempts} attempts")
             )
             return
-        if len(self.routes) > 1:
-            # fail over: next-ranked candidate (round robin over ranks)
-            self.route_index += 1
-            self.failovers += 1
-        delay = self.backoff.delay(self._consecutive_failures, self._rng)
-        self._consecutive_failures += 1
         self.stack.net.logger.log(
             "lsl-failover",
             "retry-scheduled",
@@ -582,7 +556,7 @@ class FailoverTransfer:
         if self.done or self.failed is not None:
             return
         if error is None:
-            self.done = True
+            self.ladder.confirmed()
         else:
             self.failed = error
         if self._retry_event is not None:
@@ -594,7 +568,7 @@ class FailoverTransfer:
                 self.session_span,
                 args={
                     "attempts": self.attempts,
-                    "failovers": self.failovers,
+                    "failovers": self.ladder.failovers,
                     "error": str(error) if error is not None else None,
                 },
             )

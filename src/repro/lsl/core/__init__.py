@@ -87,6 +87,7 @@ from repro.lsl.core.session import (
     AcceptNew,
     AcceptRebind,
     BackoffPolicy,
+    FailoverLadder,
     RejectSession,
     RestartSession,
     SessionAcceptor,
@@ -167,6 +168,7 @@ __all__ = [
     "RestartSession",
     "RejectSession",
     "BackoffPolicy",
+    "FailoverLadder",
     "new_session_id",
     "establishment_reply",
     "negotiate_resume",

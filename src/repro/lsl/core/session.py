@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lsl.core.errors import (
     LslError,
@@ -28,7 +28,7 @@ from repro.lsl.core.errors import (
     SessionUnknown,
 )
 from repro.lsl.core.events import ProtocolObserver, emit
-from repro.lsl.core.wire import SESSION_ACK, LslHeader
+from repro.lsl.core.wire import SESSION_ACK, LslHeader, RouteHop, route_hops
 
 SessionId = bytes  # 16 bytes
 
@@ -69,6 +69,109 @@ class BackoffPolicy:
         if rng is not None and self.jitter > 0.0:
             d *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return d
+
+
+Route = Sequence[Tuple[str, int]]
+
+
+@dataclass
+class Attempt:
+    """One attempt of a :class:`FailoverLadder`: how it was opened."""
+
+    route_index: int  # its rung of the ranked routes
+    route: Tuple[RouteHop, ...]
+    rebind: bool  # a ``resume_query`` rebind, else a fresh connect
+    backoff_step: Optional[int]  # the wait before it; None for the first
+    delay: float
+    granted: Optional[int] = None  # the offset the server granted
+
+
+class FailoverLadder:
+    """The client's recovery rules for one transfer, sans I/O.
+
+    A driver opens the attempt :meth:`begin` returns, reports
+    :meth:`granted` once the server answered it, :meth:`confirmed` once
+    the application acknowledged the payload, and on a failure waits
+    what :meth:`failed` returns before the next :meth:`begin` (None: the
+    ladder is exhausted). The rules, for every driver:
+
+    - attempts connect fresh until the server has granted once, then
+      rebind with ``resume_query`` (a server that never saw the session
+      refuses a rebind);
+    - the backoff step counts the failures since the last grant;
+    - an attempt runs on rung ``k mod len(routes)`` of the ranked
+      routes; with more than one route a failure moves one rung, a
+      failover;
+    - ``route_provider``, when given, is re-queried before every retry
+      and its ranking, when it differs, replaces the routes;
+    - at most ``max_attempts`` attempts.
+    """
+
+    def __init__(
+        self,
+        routes: Sequence[Route],
+        backoff: Optional[BackoffPolicy] = None,
+        max_attempts: int = 10,
+        rng: Optional[random.Random] = None,
+        route_provider: Optional[Callable[[], Sequence[Route]]] = None,
+    ) -> None:
+        if not routes:
+            raise RouteError("no candidate routes")
+        self.routes = [route_hops(r) for r in routes]
+        self.backoff = backoff if backoff is not None else BackoffPolicy()
+        self.max_attempts = max_attempts
+        self.route_provider = route_provider
+        self._rng = rng
+        self.history: List[Attempt] = []
+        self.failovers = 0  # route switches
+        self.replans = 0  # retries whose fresh ranking differed
+        self.established = False  # the server has granted once
+        self.done = False  # the application acknowledged the payload
+        self._rung = 0
+        self._step = 0  # failures since the last grant
+        self._wait: Tuple[Optional[int], float] = (None, 0.0)
+
+    @property
+    def attempts(self) -> int:
+        return len(self.history)
+
+    def begin(self) -> Attempt:
+        """Open the next attempt (a retry re-queries the ranking)."""
+        if self.history and self.route_provider is not None:
+            fresh = [route_hops(r) for r in self.route_provider()]
+            if fresh and fresh != self.routes:
+                self.replans += 1
+                self.routes = fresh
+        index = self._rung % len(self.routes)
+        step, delay = self._wait
+        attempt = Attempt(
+            index, self.routes[index], self.established, step, delay
+        )
+        self.history.append(attempt)
+        return attempt
+
+    def granted(self, offset: int) -> None:
+        """The server answered the current attempt at ``offset``."""
+        self.history[-1].granted = offset
+        self.established = True
+        self._step = 0
+
+    def confirmed(self) -> None:
+        """The application acknowledged the payload: nothing is retried."""
+        self.done = True
+
+    def failed(self) -> Optional[float]:
+        """The current attempt failed: the wait before the next one, or
+        None when no attempt is left."""
+        if self.done or self.attempts >= self.max_attempts:
+            return None
+        if len(self.routes) > 1:
+            self._rung += 1
+            self.failovers += 1
+        delay = self.backoff.delay(self._step, self._rng)
+        self._wait = (self._step, delay)
+        self._step += 1
+        return delay
 
 
 @dataclass

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.lsl.core.errors import ProtocolError, RouteError
 
@@ -81,6 +81,13 @@ class RouteHop(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.host}:{self.port}"
+
+
+def route_hops(route: Sequence[Tuple[str, int]]) -> Tuple[RouteHop, ...]:
+    """A route of ``(host, port)`` pairs as :class:`RouteHop` entries."""
+    if not route:
+        raise RouteError("empty route")
+    return tuple(RouteHop(h[0], h[1]) for h in route)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.lsl.client import HopLike, _normalize_route
+from repro.lsl.client import HopLike
 from repro.lsl.core import (
     Chunk,
     LslHeader,
@@ -50,6 +50,7 @@ from repro.lsl.core import (
 from repro.lsl.core.striping import DEFAULT_STRIPE, KIND_DATA, Assignment
 from repro.lsl.core.errors import RouteError
 from repro.lsl.core.session import SessionId, new_session_id
+from repro.lsl.core.wire import route_hops
 from repro.lsl.server import SimService
 from repro.sockets.striped import StripedTerminalEngine, _StripedLiveSession
 from repro.sockets.terminal import TerminalEngine, TerminalSublink
@@ -204,7 +205,7 @@ class StripedClient:
         self.failed: Optional[Exception] = None
         self.sublinks: List[_SublinkSender] = []
         for r in routes:
-            self._open_sublink(_normalize_route(r))
+            self._open_sublink(route_hops(r))
 
     def _open_sublink(self, route: Tuple[RouteHop, ...]) -> _SublinkSender:
         key = f"sub{len(self.sublinks)}"
@@ -242,7 +243,7 @@ class StripedClient:
         pumping. Returns the new sublink.
         """
         old = self.sublinks[index]
-        route = _normalize_route(new_route)
+        route = route_hops(new_route)
         key = f"sub{len(self.sublinks)}"
         self.scheduler.migrate(old.key, key)
         if not old.closed:

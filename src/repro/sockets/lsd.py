@@ -48,7 +48,8 @@ class DepotCounters:
     view — readers never see a torn update. Mirrors the simulator
     depot's outcome accounting: ``sessions_completed`` only when the
     relay drained cleanly in both directions, ``sessions_failed``
-    otherwise.
+    otherwise; a connection that closes before its first byte is no
+    session at all (:meth:`session_idle`).
     """
 
     _FIELDS = (
@@ -84,6 +85,13 @@ class DepotCounters:
             self._active -= 1
             key = "sessions_completed" if completed else "sessions_failed"
             self._values[key] += 1
+
+    def session_idle(self) -> None:
+        """A connection closed before its first byte (a TCP health
+        check): not a session, so its accept is taken back."""
+        with self._lock:
+            self._active -= 1
+            self._values["sessions_accepted"] -= 1
 
     def session_suspended(self) -> None:
         """A terminal session EOFed mid-payload and is parked for a
@@ -169,10 +177,11 @@ class RelaySession:
     def ended(self, link: Any) -> None:
         peer = link.peer
         if peer is None:
-            self.up = link
-            self.end(self.core.on_upstream_fin() or ProtocolError(
-                "upstream closed during header phase"
-            ))
+            idle, self.up = self.up is None, link  # idle: it sent no byte
+            self.end(None if idle else (
+                self.core.on_upstream_fin()
+                or ProtocolError("upstream closed during header phase")
+            ), idle)
             return
         peer.finish()
         if peer.eof:  # both directions have ended
@@ -234,8 +243,9 @@ class RelaySession:
 
     # -- end ---------------------------------------------------------------
 
-    def end(self, failure: Optional[BaseException] = None) -> None:
-        """Close both links and account for the session, once."""
+    def end(self, failure: Optional[BaseException] = None, idle: bool = False) -> None:
+        """Close both links and account for the session, once (an
+        ``idle`` one, closed before its first byte, was none)."""
         with self.lock:
             if self.up.closed:
                 return
@@ -257,6 +267,9 @@ class RelaySession:
         relayed = self.forwarded + self.returned
         if relayed:
             depot.counters.add(bytes_relayed=relayed)
+        if idle:
+            depot.counters.session_idle()
+            return
         if failure is not None:
             header = self.core.header
             emit(depot._observer, "relay-failed",

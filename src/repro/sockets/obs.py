@@ -98,7 +98,7 @@ def process_families() -> List[MetricFamily]:
     return families
 
 _DEPOT_HELP = {
-    "sessions_accepted": "Sublinks accepted by the depot.",
+    "sessions_accepted": "Sublinks accepted, less those closed with no byte sent.",
     "sessions_completed": "Relay sessions drained cleanly in both directions.",
     "sessions_failed": "Relay sessions that errored or were cut short.",
     "sessions_suspended": "Terminal sessions parked mid-payload awaiting "

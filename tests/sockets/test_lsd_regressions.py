@@ -232,6 +232,43 @@ def test_upstream_fin_during_header_counts_as_failed_session():
     assert detail is not None and detail["reason"]
 
 
+def _relay_services():
+    from repro.asockets import AsyncDepot
+    from repro.cluster import ClusterNode, InMemoryStore
+
+    return {
+        "threads": ThreadedDepot,
+        "asyncio": AsyncDepot,
+        "cluster": lambda **kw: ClusterNode(
+            store=InMemoryStore(), worker="w0", **kw
+        ),
+    }
+
+
+@pytest.mark.parametrize("service", ["threads", "asyncio", "cluster"])
+def test_a_connection_that_sends_no_byte_is_not_a_session(service):
+    """A TCP health check (connect, close) is neither accepted nor
+    failed and emits no event, on both depots and a cluster worker; a
+    header prefix then EOF still fails."""
+    observer = RecordingObserver()
+    with _relay_services()[service](observer=observer) as svc:
+        counters = svc.counters
+        socket.create_connection(svc.address, timeout=5).close()
+        partial = socket.create_connection(svc.address, timeout=5)
+        partial.sendall(b"LSL")
+        partial.close()
+        # accepted in order: the health check ends before the gauge is 0
+        assert _wait(lambda: counters.sessions_failed == 1)
+        assert _wait(lambda: counters.active_sessions == 0)
+        snap = counters.snapshot()
+    assert snap["sessions_accepted"] == 1
+    assert snap["sessions_failed"] == 1
+    assert observer.kinds().count("relay-failed") == 1
+    assert snap["sessions_accepted"] - snap["sessions_completed"] - snap[
+        "sessions_failed"
+    ] - snap["sessions_suspended"] == snap["active_sessions"]
+
+
 def test_abort_sessions_resets_live_relays():
     """``shutdown(abort_sessions=True)`` must actually sever relays —
     including pumps parked inside ``recv`` — so peers observe the
