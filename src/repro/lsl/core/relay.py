@@ -2,7 +2,8 @@
 
 A depot's protocol duties are small and easy to get subtly wrong (the
 PR 2 bug sweep was mostly here): parse the header incrementally, check
-it is *not* the final hop, advance the hop index, choose the next hop,
+it is *not* the final hop, advance the hop index in the received bytes
+(:func:`~repro.lsl.core.wire.onward_header`), choose the next hop,
 carry any payload that piggybacked with the header, and classify FIN
 timing — a FIN before the header completes is a protocol error, while
 a FIN after the header but before the relay exists (the dial window)
@@ -20,13 +21,13 @@ from typing import List, Optional, Tuple, Union
 from repro.lsl.core.chunks import Chunk, ChunkLike
 from repro.lsl.core.errors import LslError, ProtocolError, RouteError
 from repro.lsl.core.events import ProtocolObserver, emit
-from repro.lsl.core.wire import HeaderAccumulator, LslHeader, RouteHop
+from repro.lsl.core.wire import HeaderAccumulator, LslHeader, RouteHop, onward_header
 
 
 @dataclass(frozen=True)
 class RelayForward:
-    """Dial ``next_hop``, send ``onward_bytes`` (the advanced header),
-    then replay ``surplus`` ahead of the relayed stream."""
+    """Dial ``next_hop``, send ``onward_bytes`` (the received header,
+    one hop on), then replay ``surplus`` ahead of the relayed stream."""
 
     header: LslHeader
     next_hop: RouteHop
@@ -67,6 +68,7 @@ class RelayCore:
         """
         if self.decided:
             raise ProtocolError("relay header phase already decided")
+        acc = self._accumulator
         surplus: List[Chunk] = []
         header = None
         for raw in chunks:
@@ -76,8 +78,8 @@ class RelayCore:
             if raw.data is None:
                 return self._reject(ProtocolError("virtual bytes before LSL header"))
             try:
-                header = self._accumulator.feed(raw.data)
-            except ProtocolError as exc:
+                header = acc.feed(raw.data)
+            except LslError as exc:  # malformed bytes or an impossible route
                 return self._reject(exc)
         if header is None:
             return None
@@ -85,14 +87,16 @@ class RelayCore:
             return self._reject(RouteError("depot addressed as final hop"))
         self.header = header
         self.decided = True
-        if self._accumulator.surplus:
-            surplus.insert(0, Chunk.real(self._accumulator.surplus))
-        emit(self._observer, "relay-forward", header.short_id,
-             hop_index=header.hop_index, next_hop=str(header.next_hop))
+        if acc.surplus:
+            surplus.insert(0, Chunk.real(acc.surplus))
+        next_hop = header.next_hop
+        if self._observer is not None:
+            emit(self._observer, "relay-forward", header.short_id,
+                 hop_index=header.hop_index, next_hop=str(next_hop))
         return RelayForward(
             header=header,
-            next_hop=header.next_hop,
-            onward_bytes=header.advanced().encode(),
+            next_hop=next_hop,
+            onward_bytes=onward_header(acc.raw),
             surplus=tuple(surplus),
         )
 

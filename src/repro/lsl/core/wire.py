@@ -1,8 +1,9 @@
 """The LSL wire header: codec and incremental parser.
 
 The header travels as the first real bytes of each sublink's TCP
-stream. A depot parses it, advances ``hop_index``, and forwards the
-re-encoded header down the next sublink before relaying payload.
+stream. A depot parses it and forwards the bytes it received down the
+next sublink, with ``hop_index`` advanced (:func:`onward_header`),
+before relaying payload.
 
 Layout (big-endian)::
 
@@ -34,7 +35,8 @@ this the "loose source route" through session-layer routers.
 
 :class:`HeaderAccumulator` is the incremental (feed-based) parser both
 stacks use: feed stream bytes as the transport delivers them; it
-never claims more than the header and reports any surplus payload.
+never claims more than the header, keeps the header's own bytes and
+reports any surplus payload.
 """
 
 from __future__ import annotations
@@ -69,8 +71,16 @@ FLAG_RESUME_QUERY = 0x10
 #: byte-identical to the pre-trace wire format.
 FLAG_TRACE = 0x20
 
+#: Every flag bit this version knows; :func:`onward_header` clears the rest.
+KNOWN_FLAGS = (
+    FLAG_DIGEST | FLAG_REBIND | FLAG_SYNC | FLAG_FRAMED | FLAG_RESUME_QUERY
+    | FLAG_TRACE
+)
+
 _FIXED = struct.Struct(">4sBB16sQQBB")
 _TRACE = struct.Struct(">16sQB")
+_FLAGS_AT = 5  # offsets in _FIXED
+_HOP_INDEX_AT = 38
 
 
 class RouteHop(NamedTuple):
@@ -197,16 +207,6 @@ class LslHeader:
             raise RouteError("final hop has no next hop")
         return self.route[self.hop_index + 1]
 
-    def advanced(self) -> "LslHeader":
-        """Header to send down the next sublink (hop index + 1).
-
-        An attached trace context is forwarded verbatim: an untraced
-        depot in the middle of a traced route keeps the upstream span
-        as the parent, which is exactly the edge the collector should
-        draw around an opaque hop.
-        """
-        return replace(self, hop_index=self.hop_index + 1)
-
     def with_trace(self, trace: Optional[TraceContext]) -> "LslHeader":
         """This header with ``trace`` attached (or detached)."""
         return replace(self, trace=trace)
@@ -214,9 +214,9 @@ class LslHeader:
     def traced_onward(self, parent_span: int) -> "LslHeader":
         """Advanced header naming this process's span as the parent.
 
-        What a *traced* depot forwards instead of the plain
-        :meth:`advanced` encoding: hop index + 1, same trace id, trace
-        hop + 1, ``parent_span`` = the depot's own relay span.
+        What a *traced* depot forwards instead of
+        :func:`onward_header`'s patched bytes: hop index + 1, same trace
+        id, trace hop + 1, ``parent_span`` = the depot's own relay span.
         """
         if self.trace is None:
             raise ProtocolError("traced_onward on an untraced header")
@@ -273,8 +273,9 @@ class LslHeader:
         """Parse a header from the front of ``data``.
 
         Returns ``(header, bytes_consumed)``. Raises
-        :class:`ProtocolError` on malformed input and
-        :class:`IncompleteHeader` if more bytes are needed.
+        :class:`ProtocolError` on malformed input, :class:`RouteError`
+        on a route the header cannot carry and :class:`IncompleteHeader`
+        if more bytes are needed.
         """
         if len(data) < _FIXED.size:
             raise IncompleteHeader(_FIXED.size - len(data))
@@ -303,7 +304,10 @@ class LslHeader:
             pos += 1
             if len(data) < pos + hlen + 2:
                 raise IncompleteHeader(pos + hlen + 2 - len(data))
-            host = data[pos : pos + hlen].decode("utf-8")
+            try:
+                host = data[pos : pos + hlen].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"hop host is not UTF-8: {exc}") from None
             pos += hlen
             (port,) = struct.unpack_from(">H", data, pos)
             pos += 2
@@ -333,6 +337,24 @@ class LslHeader:
         return header, pos
 
 
+def onward_header(raw: bytes) -> bytes:
+    """The header a depot forwards, from ``raw``, the bytes of a header
+    it received and decoded (so not the last hop's): the hop index + 1
+    and every flag bit this version does not know cleared, the rest
+    verbatim — byte for byte the re-encoding of the decoded header one
+    hop on, for a decoded header re-encodes to what was received.
+
+    An attached trace context is forwarded verbatim too: an untraced
+    depot in the middle of a traced route keeps the upstream span as
+    the parent, which is exactly the edge the collector should draw
+    around an opaque hop.
+    """
+    onward = bytearray(raw)
+    onward[_FLAGS_AT] &= KNOWN_FLAGS
+    onward[_HOP_INDEX_AT] += 1
+    return bytes(onward)
+
+
 class IncompleteHeader(Exception):
     """More stream bytes are required to finish parsing the header.
 
@@ -348,15 +370,18 @@ class HeaderAccumulator:
     """Incremental header parser for a byte stream.
 
     Feed real stream bytes as they arrive; returns the parsed header
-    (plus any surplus payload bytes) once complete. ``hint`` is a
-    lower bound on the bytes still needed — drivers doing their own
-    buffering can use it to size reads, though over-reading is safe
-    (the excess lands in ``surplus``).
+    once complete, its own bytes in ``raw`` and any payload bytes that
+    followed it in ``surplus``. ``hint`` is a lower bound on the bytes
+    still needed — drivers doing their own buffering can use it to size
+    reads, though over-reading is safe (the excess lands in
+    ``surplus``). A header that arrives whole in one read, the usual
+    case, is parsed in place: nothing is buffered or copied.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
         self.header: Optional[LslHeader] = None
+        self.raw: bytes = b""
         self.surplus: bytes = b""
         self.hint: int = _FIXED.size
 
@@ -364,16 +389,21 @@ class HeaderAccumulator:
         """Returns the header once fully parsed; None while incomplete."""
         if self.header is not None:
             raise ProtocolError("header already parsed")
-        self._buf.extend(data)
+        if self._buf or type(data) is not bytes:
+            self._buf += data
+            data = bytes(self._buf)
         try:
-            header, consumed = LslHeader.decode(bytes(self._buf))
+            header, consumed = LslHeader.decode(data)
         except IncompleteHeader as inc:
             self.hint = inc.missing
+            if not self._buf:
+                self._buf += data
             return None
         self.header = header
-        self.surplus = bytes(self._buf[consumed:])
+        self.raw = data[:consumed]
+        self.surplus = data[consumed:]
         self.hint = 0
-        del self._buf[:]
+        self._buf.clear()
         return header
 
     @property

@@ -377,12 +377,14 @@ class LslSocketClient(ClientSession):
             ),
             tracer, trace_id, trace_parent, rng,
         )
+        # the simulator imports this module but never dials: the
+        # threaded chassis loads with the first real client
+        from repro.sockets.wire import dial
+
         first = self.dial()
         sock = None
         try:
-            sock = socket.create_connection(
-                (first.host, first.port), timeout=timeout
-            )
+            sock = dial(first, timeout)
             sock.sendall(self.initial_bytes())
             while self.bytes_needed:
                 self.feed(sock.recv(self.bytes_needed))

@@ -12,12 +12,13 @@ go down it, and from then on each link's bytes go to its peer, with a
 FIN passed on as a half-close. :class:`DepotEngine` is the depot around
 it — counters, observer, tracer, the accept hooks and the exposition —
 and a driver adds only its chassis and its dial: :class:`ThreadedDepot`
-here (two pooled workers per relay, one reading each direction, and a
-blocking ``create_connection``), :class:`repro.asockets.depot.AsyncDepot`
-on the event loop. Backpressure is the kernel's: a blocking ``send`` on
-a full downstream socket stalls its reader, the upstream receive buffer
-fills, and the sender's window closes — the same chain the simulator
-models explicitly.
+here (two pooled workers per relay, one reading each direction, and
+the blocking :func:`~repro.sockets.wire.dial`),
+:class:`repro.asockets.depot.AsyncDepot` on the event loop.
+Backpressure is the kernel's: a blocking ``send`` on a full downstream
+socket stalls its reader, the upstream receive buffer fills, and the
+sender's window closes — the same chain the simulator models
+explicitly.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.lsl.core import (
 from repro.lsl.core.events import emit
 from repro.lsl.core.errors import ProtocolError
 from repro.lsl.core.wire import RouteHop
-from repro.sockets.wire import ThreadedService
+from repro.sockets.wire import ThreadedService, dial
 from repro.telemetry.tracing import TraceSpool
 
 
@@ -372,9 +373,7 @@ class ThreadedDepot(DepotEngine, ThreadedService):
 
     def _dial(self, relay: RelaySession, hop: RouteHop) -> None:
         # blocks the upstream reader, which is what pauses it
-        sock = socket.create_connection(
-            (hop.host, hop.port), timeout=self._connect_timeout
-        )
+        sock = dial(hop, self._connect_timeout)
         # the timeout was for the dial only: a relay must tolerate
         # arbitrarily long mid-transfer idle gaps without dying
         sock.settimeout(None)

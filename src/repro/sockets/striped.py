@@ -35,6 +35,7 @@ import random
 import socket
 import threading
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.lsl.core import (
@@ -56,7 +57,7 @@ from repro.telemetry.tracing import TraceSpool, new_trace_id
 from repro.sockets import workers
 from repro.sockets.terminal import SessionResult, TerminalEngine, TerminalSublink
 from repro.sockets.terminal import _LiveSession
-from repro.sockets.wire import ThreadedService
+from repro.sockets.wire import ThreadedService, dial
 
 
 @dataclass
@@ -262,7 +263,7 @@ def send_striped(
         hop = send.routes[index][0]
         sock: Optional[socket.socket] = None
         try:
-            sock = socket.create_connection((hop.host, hop.port), timeout=timeout)
+            sock = dial(hop, timeout)
             sock.settimeout(None)  # bounds the dial, not each stripe's send
             send.dialed(index)
             if sndbuf is not None:
@@ -291,9 +292,19 @@ def send_striped(
                 except OSError:
                     pass
 
-    sublinks = [workers.run(run_sublink, i) for i in range(len(send.routes))]
-    for done in sublinks:
-        done.wait()
+    # the pool keeps no completion signal: each sublink posts its own
+    ended: "SimpleQueue[int]" = SimpleQueue()
+
+    def sublink(index: int) -> None:
+        try:
+            run_sublink(index)
+        finally:
+            ended.put(index)
+
+    for index in range(len(send.routes)):
+        workers.run(sublink, index)
+    for _ in send.routes:
+        ended.get()
     return send.report()
 
 

@@ -11,7 +11,8 @@ that stands in for the loop's readiness callback.
 :class:`ThreadedService` is the twin of
 :class:`repro.asockets.runtime.AsyncLoopService`: a listener, one
 accept thread, a pooled worker reading each link, the TTL sweeper's
-timer and shutdown.
+timer and shutdown. :func:`dial` is every threaded dial: the client's,
+a depot's next hop and each striped sublink's.
 """
 
 from __future__ import annotations
@@ -83,6 +84,26 @@ def make_listener(
     sock.bind((host, port))
     if listen:
         sock.listen(backlog)
+    return sock
+
+
+def dial(address: Tuple[str, int], timeout: Optional[float]) -> socket.socket:
+    """A blocking TCP connection to ``address``, the connect bounded by
+    ``timeout`` (which the socket keeps); the socket is closed if the
+    connect fails.
+
+    ``AF_INET`` only, as every listener here is: a host name resolves
+    on the dialling thread, an IPv6 literal fails (``socket.gaierror``).
+    :func:`repro.asockets.runtime.dial` is the event loop's half of the
+    same rule.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.settimeout(timeout)
+        sock.connect(address)
+    except BaseException:
+        sock.close()
+        raise
     return sock
 
 

@@ -10,7 +10,10 @@ the other, so a bound could deadlock) — a new
 thread starts whenever no worker is idle. The most recently idled
 worker is taken first, so after a burst the surplus sits untouched and
 retires after ``_IDLE_TIMEOUT_S``. Workers are daemons: a session
-blocked in ``recv`` must not hold up interpreter exit.
+blocked in ``recv`` must not hold up interpreter exit. A task carries no
+completion signal (an ``Event`` per task cost more than the hand-off it
+rode on, and only the striped sender waits): a caller that joins its
+tasks has them post a signal of their own.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Any, Callable, List, Tuple
 
 _IDLE_TIMEOUT_S = 5.0
 
-_Task = Tuple[Callable[..., object], Tuple[Any, ...], threading.Event]
+_Task = Tuple[Callable[..., object], Tuple[Any, ...]]
 
 
 class Pool:
@@ -33,12 +36,10 @@ class Pool:
         # inboxes of the workers waiting for a task, most recent last
         self._idle: List["SimpleQueue[_Task]"] = []
 
-    def run(self, fn: Callable[..., object], *args: Any) -> threading.Event:
-        """Run ``fn(*args)`` on a worker; the returned event is set once
-        it has returned or raised (a raise goes to
+    def run(self, fn: Callable[..., object], *args: Any) -> None:
+        """Run ``fn(*args)`` on a worker (a raise goes to
         ``threading.excepthook``, as it would from a thread of its own)."""
-        done = threading.Event()
-        task = (fn, args, done)
+        task = (fn, args)
         with self._lock:
             inbox = self._idle.pop() if self._idle else None
         if inbox is not None:
@@ -47,12 +48,11 @@ class Pool:
             threading.Thread(
                 target=self._work, args=(task,), name="lsl-worker", daemon=True
             ).start()
-        return done
 
     def _work(self, task: _Task) -> None:
         inbox: "SimpleQueue[_Task]" = SimpleQueue()
         while True:
-            fn, args, done = task
+            fn, args = task
             try:
                 fn(*args)
             except BaseException:
@@ -66,7 +66,6 @@ class Pool:
             del task, fn, args  # hold no session's objects while idle
             with self._lock:
                 self._idle.append(inbox)
-            done.set()
             try:
                 task = inbox.get(timeout=_IDLE_TIMEOUT_S)
             except Empty:

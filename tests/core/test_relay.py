@@ -1,6 +1,8 @@
 """RelayCore: the depot header phase in isolation — including the
 FIN-timing rules the cascaded-relay bugfix sweep pinned down."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.lsl.core import Chunk, ProtocolError, RelayCore, RelayForward, RelayReject
@@ -24,7 +26,7 @@ def test_forward_decision_advances_header():
     decision = core.feed([Chunk.real(h.encode())])
     assert isinstance(decision, RelayForward)
     assert decision.next_hop == RouteHop("srv", 5000)
-    assert decision.onward_bytes == h.advanced().encode()
+    assert decision.onward_bytes == replace(h, hop_index=1).encode()
     assert decision.surplus == ()
 
 
@@ -63,6 +65,22 @@ def test_virtual_bytes_before_header_rejected():
 def test_garbage_header_rejected():
     decision = RelayCore().feed([Chunk.real(b"NOPE" + bytes(60))])
     assert isinstance(decision, RelayReject)
+
+
+def test_non_utf8_host_rejected():
+    wire = bytearray(make_header().encode())
+    wire[41] = 0xFF  # the first byte of the first hop's host
+    decision = RelayCore().feed([Chunk.real(bytes(wire))])
+    assert isinstance(decision, RelayReject)
+    assert isinstance(decision.error, ProtocolError)
+
+
+def test_hop_index_outside_the_route_rejected():
+    wire = bytearray(make_header().encode())
+    wire[38] = 5  # the hop index, of a two-hop route
+    decision = RelayCore().feed([Chunk.real(bytes(wire))])
+    assert isinstance(decision, RelayReject)
+    assert "outside route" in str(decision.error)
 
 
 def test_fin_before_header_is_an_error():

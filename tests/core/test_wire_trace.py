@@ -9,6 +9,7 @@ from repro.lsl.core.wire import (
     LslHeader,
     RouteHop,
     TraceContext,
+    onward_header,
 )
 
 TID = bytes(range(16))
@@ -71,10 +72,11 @@ def test_traced_onward_requires_trace():
         _header().traced_onward(42)
 
 
-def test_advanced_forwards_trace_verbatim():
+def test_onward_header_forwards_trace_verbatim():
     """An untraced depot must not disturb the upstream parent link."""
     tctx = TraceContext(TID, parent_span=9, hop=1)
-    advanced = _header().with_trace(tctx).advanced()
+    raw = _header().with_trace(tctx).encode()
+    advanced, _ = LslHeader.decode(onward_header(raw))
     assert advanced.hop_index == 1
     assert advanced.trace == tctx
 

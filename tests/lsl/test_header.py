@@ -13,6 +13,7 @@ from repro.lsl.core.wire import (
     MAX_HOPS,
     RouteHop,
     STREAM_UNTIL_FIN,
+    onward_header,
 )
 
 SID = bytes(range(16))
@@ -106,10 +107,11 @@ def test_is_last_hop_and_next_hop():
         last.next_hop
 
 
-def test_advanced_increments_hop():
+def test_onward_header_increments_hop():
     h = make_header(hop_index=0)
-    assert h.advanced().hop_index == 1
-    assert h.advanced().route == h.route
+    onward, _ = LslHeader.decode(onward_header(h.encode()))
+    assert onward.hop_index == 1
+    assert onward.route == h.route
 
 
 def test_flags_roundtrip_all_combos():

@@ -221,6 +221,33 @@ def test_rejected_header_counts_as_failed_session():
     assert "relay-failed" in observer.kinds()
 
 
+@pytest.mark.parametrize("service", ["threads", "asyncio"])
+@pytest.mark.parametrize("offset, value", [(41, 0xFF), (38, 5)])
+def test_undecodable_header_counts_as_failed_session(
+    service, offset, value, monkeypatch
+):
+    """A host that is not UTF-8 (offset 41) or a hop index outside the
+    route (offset 38) used to escape the header phase as an exception:
+    the threaded depot's reader died in ``threading.excepthook`` and
+    the session was never accounted."""
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    observer = RecordingObserver()
+    wire = bytearray(plan_client_session(
+        [("127.0.0.1", 1), ("127.0.0.1", 2)], payload_length=8
+    )[0].encode())
+    wire[offset] = value
+    with _relay_services()[service](observer=observer) as depot:
+        raw = socket.create_connection(depot.address, timeout=5)
+        raw.sendall(bytes(wire))
+        assert raw.recv(1) == b""  # depot hangs up
+        raw.close()
+        assert _wait(lambda: depot.counters.sessions_failed == 1)
+        assert depot.counters.active_sessions == 0
+    assert observer.kinds().count("relay-failed") == 1
+    assert hooked == []
+
+
 def test_upstream_fin_during_header_counts_as_failed_session():
     observer = RecordingObserver()
     with ThreadedDepot(observer=observer) as depot:

@@ -2,8 +2,10 @@
 
 Pool tests run on a private :class:`~repro.sockets.workers.Pool`, so
 they see only their own workers; the two stack tests at the end go
-through the process-wide pool the drivers use. Assertions are counts
-and identities — the one clock is the retirement test's idle timeout.
+through the process-wide pool the drivers use. A pooled task carries no
+completion signal, so most pool tests run on :class:`JoinablePool`,
+whose ``run`` hands back one. Assertions are counts and identities —
+the one clock is the retirement test's idle timeout.
 """
 
 from __future__ import annotations
@@ -22,6 +24,43 @@ from repro.sockets import (
 )
 
 WAIT_S = 10.0  # bound on every wait; reaching it is a failure
+
+
+class _IdleList(list):
+    """A pool's idle list that sets the event of the task a worker has
+    just finished as that worker idles (``finished``, by thread)."""
+
+    def __init__(self):
+        super().__init__()
+        self.finished = {}
+
+    def append(self, inbox):
+        super().append(inbox)
+        done = self.finished.pop(threading.get_ident(), None)
+        if done is not None:
+            done.set()
+
+
+class JoinablePool(workers.Pool):
+    """A private pool whose ``run`` returns an event, set once the task
+    has returned or raised *and* its worker is idle again — so a test
+    that waits for it knows which worker the next task gets."""
+
+    def __init__(self):
+        super().__init__()
+        self._idle = _IdleList()
+
+    def run(self, fn, *args):
+        done = threading.Event()
+
+        def task():
+            try:
+                fn(*args)
+            finally:
+                self._idle.finished[threading.get_ident()] = done
+
+        super().run(task)
+        return done
 
 
 def _block(pool, count, gate):
@@ -43,7 +82,7 @@ def _block(pool, count, gate):
 
 
 def test_sequential_tasks_reuse_one_thread():
-    pool = workers.Pool()
+    pool = JoinablePool()
     idents = []
     for _ in range(50):
         done = pool.run(lambda: idents.append(threading.get_ident()))
@@ -55,7 +94,7 @@ def test_sequential_tasks_reuse_one_thread():
 
 
 def test_busy_workers_never_queue_a_task():
-    pool = workers.Pool()
+    pool = JoinablePool()
     gate = threading.Event()
     idents, handles = _block(pool, 8, gate)
     try:
@@ -82,7 +121,7 @@ def test_busy_workers_never_queue_a_task():
 def test_raising_task_reaches_excepthook_and_worker_survives(monkeypatch):
     reported = []
     monkeypatch.setattr(threading, "excepthook", reported.append)
-    pool = workers.Pool()
+    pool = JoinablePool()
     idents = []
 
     def boom():
@@ -97,9 +136,47 @@ def test_raising_task_reaches_excepthook_and_worker_survives(monkeypatch):
     assert idents[0] == idents[1]
 
 
+def test_task_without_a_signal_reaches_excepthook_and_worker_serves_next(
+    monkeypatch,
+):
+    """The bare pool: nothing to wait on but what the tasks post."""
+    reported, posted = [], SimpleQueue()
+
+    def hook(args):
+        reported.append(args)
+        posted.put("reported")
+
+    monkeypatch.setattr(threading, "excepthook", hook)
+    pool = workers.Pool()
+    idents = []
+
+    def boom():
+        idents.append(threading.get_ident())
+        raise ValueError("boom")
+
+    assert pool.run(boom) is None
+    assert posted.get(timeout=WAIT_S) == "reported"
+    # the hook runs before the worker idles: wait for it to
+    deadline = time.monotonic() + WAIT_S
+    while not pool._idle and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert len(pool._idle) == 1
+
+    def after():
+        idents.append(threading.get_ident())
+        posted.put("ran")
+
+    pool.run(after)
+    assert posted.get(timeout=WAIT_S) == "ran"
+    (args,) = reported
+    assert args.exc_type is ValueError and str(args.exc_value) == "boom"
+    assert args.thread.ident == idents[0]
+    assert idents[0] == idents[1]
+
+
 def test_surplus_workers_retire_after_a_burst(monkeypatch):
     monkeypatch.setattr(workers, "_IDLE_TIMEOUT_S", 0.2)
-    pool = workers.Pool()
+    pool = JoinablePool()
     gate = threading.Event()
     _idents, handles = _block(pool, 8, gate)
     gate.set()
@@ -118,7 +195,7 @@ def test_surplus_workers_retire_after_a_burst(monkeypatch):
 
 
 def test_task_claimed_as_the_idle_wait_times_out_still_runs(monkeypatch):
-    pool = workers.Pool()
+    pool = JoinablePool()
     ran, handles = [], []
 
     class RacyQueue:
@@ -150,7 +227,7 @@ def test_task_claimed_as_the_idle_wait_times_out_still_runs(monkeypatch):
 
 
 def test_concurrent_submitters_lose_no_task():
-    pool = workers.Pool()
+    pool = JoinablePool()
     lock = threading.Lock()
     total = [0]
 

@@ -93,6 +93,21 @@ def test_the_simulator_loads_neither_networkx_nor_numpy():
     assert [m for m in ("networkx", "numpy") if m in modules] == []
 
 
+def test_the_simulator_loads_no_threaded_chassis():
+    """A simulated transfer's client and server import
+    ``repro.sockets.client`` and ``repro.sockets.terminal``; the blocking
+    dial, the link and the worker pool load with the first real-socket
+    session only."""
+    modules = _fresh_modules(
+        "import json, sys\n"
+        "import repro.experiments.transfer\n"
+        "print(json.dumps({'loaded': sorted(sys.modules)}))\n"
+    )["loaded"]
+    assert "repro.sockets.client" in modules
+    assert [m for m in ("repro.sockets.wire", "repro.sockets.workers")
+            if m in modules] == []
+
+
 def test_the_experiments_package_loads_no_submodule():
     modules = _fresh_modules(
         "import json, sys\n"
