@@ -75,7 +75,7 @@ def main() -> None:
     print(f"t={result and net.sim.now:5.1f}s  (sim end)")
     print(f"\ndelivered: {fmt_bytes(result.payload_received)}; "
           f"MD5 verified against the sensor's digest: {result.digest_ok}")
-    print(f"depot stats: {depot.stats}")
+    print(f"depot counters: {depot.counters.snapshot()}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """``lsd`` on asyncio — the C10K depot driver.
 
-The depot itself — :class:`~repro.sockets.lsd.RelaySession` (header
-phase, onward header, surplus, failure accounting) and
-:class:`~repro.sockets.lsd.DepotEngine` (counters, events, the
-``/metrics`` + ``/healthz`` + ``/events`` exposition) — is the very one
-the threaded depot runs, so a scrape cannot tell which driver is behind
-the socket. This module is the event-loop driver: the
+The depot itself — :class:`~repro.sockets.depot.RelaySession` (header
+phase, onward header, surplus, outcome accounting) and
+:class:`~repro.sockets.depot.DepotEngine` (counters, the admission cap,
+events, the ``/metrics`` + ``/healthz`` + ``/events`` exposition) — is
+the very one the threaded and simulator depots run, so a scrape cannot
+tell which driver is behind the socket. This module is the event-loop driver: the
 :class:`~repro.asockets.runtime.AsyncLoopService` chassis, where one
 loop carries every session (no task, no future) so concurrent-session
 count is bounded by file descriptors, not threads, and the dial.
@@ -27,7 +27,7 @@ from typing import Optional
 from repro.lsl.core import ProtocolObserver
 from repro.lsl.core.wire import RouteHop
 from repro.asockets.runtime import AsyncLoopService, dial
-from repro.sockets.lsd import DepotEngine, RelaySession
+from repro.sockets.depot import DepotEngine, RelaySession
 from repro.telemetry.tracing import TraceSpool
 
 __all__ = ["AsyncDepot", "RelaySession"]

@@ -22,7 +22,7 @@ benchmarks can treat either driver interchangeably. All cross-thread
 interaction goes through ``call_soon_threadsafe``; everything else
 runs single-threaded inside the loop, so the locks of the session
 objects shared with the threaded drivers (:mod:`repro.sockets.terminal`,
-:mod:`repro.sockets.lsd`) are taken here and never contended.
+:mod:`repro.sockets.depot`) are taken here and never contended.
 """
 
 from __future__ import annotations
@@ -338,9 +338,9 @@ class AsyncLoopService:
         self._thread.start()
         self._ready.wait()
 
-    def _open(self, sock: socket.socket) -> Endpoint:
+    def _open(self, sock: socket.socket) -> Optional[Endpoint]:
         """Start the session of one accepted (non-blocking) socket (the
-        engine's)."""
+        engine's), or refuse it (None)."""
         raise NotImplementedError
 
     def _link(
@@ -408,8 +408,10 @@ class AsyncLoopService:
                 self._loop.call_later(_ACCEPT_RETRY_DELAY_S, self._listen)
                 return
             sock.setblocking(False)
-            # try first; one read each keeps an accept event bounded
-            self._open(sock)._readable(1)
+            endpoint = self._open(sock)
+            if endpoint is not None:  # None: refused
+                # try first; one read each keeps an accept event bounded
+                endpoint._readable(1)
 
     # -- public lifecycle --------------------------------------------------
 

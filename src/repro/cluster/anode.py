@@ -7,7 +7,7 @@ task), over the same :class:`~repro.cluster.node.StoreNode` (the
 terminal engine every server runs, its hooks backed by the store) as
 the threaded worker, so the drivers cannot drift on resume, checkpoint
 or failure semantics; an intermediate-hop sublink goes to the same
-:class:`~repro.sockets.lsd.RelaySession` on both. What is left here is
+:class:`~repro.sockets.depot.RelaySession` on both. What is left here is
 the constructor: the sweeper's timer is the chassis's, and the dial the
 :class:`~repro.asockets.depot.AsyncDepot`'s.
 

@@ -1,6 +1,6 @@
 """Aggregated ``/metrics`` + ``/healthz`` for a whole worker fleet.
 
-Each worker publishes its :class:`~repro.sockets.lsd.DepotCounters`
+Each worker publishes its :class:`~repro.sockets.depot.DepotCounters`
 snapshot into the session store (``publish_counters``); the cluster
 launcher scrapes them back out here and serves one endpoint for the
 fleet: every counter becomes a family with one ``worker``-labeled
@@ -24,6 +24,7 @@ _CLUSTER_HELP = {
     "sessions_accepted": "Sublinks accepted, less ones closed with no byte, by worker.",
     "sessions_completed": "Sessions finished cleanly, by worker.",
     "sessions_failed": "Sessions that errored, by worker.",
+    "sessions_refused": "Sublinks reset by the admission cap, by worker.",
     "sessions_suspended": "Terminal sessions parked for a rebind, by worker.",
     "sessions_expired": "Stored sessions dropped by the TTL sweep, by worker.",
     "bytes_relayed": "Payload bytes relayed, by worker.",

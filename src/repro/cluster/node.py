@@ -67,7 +67,8 @@ from repro.cluster.acceptor import (
     StoreSessionAcceptor,
 )
 from repro.cluster.store import SessionStore
-from repro.sockets.lsd import DepotCounters, DepotEngine, RelaySession, ThreadedDepot
+from repro.sockets.depot import DepotCounters, DepotEngine, RelaySession
+from repro.sockets.lsd import ThreadedDepot
 from repro.sockets.terminal import (
     COMPLETED,
     IDLE,

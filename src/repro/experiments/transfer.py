@@ -105,7 +105,7 @@ def _telemetry_begin(env, telemetry, sample_while):
         for depot in env.depots:
             telemetry.sampler.add_depot(depot)
             telemetry.register_exporter(
-                f"depot.{depot.host_name}", lambda d=depot: vars(d.stats)
+                f"depot.{depot.host_name}", lambda d=depot: d.counters.snapshot()
             )
     return telemetry, outdir
 

@@ -32,7 +32,7 @@ class PoolMember:
 
     @property
     def active_sessions(self) -> int:
-        return len(self.depot.active_sessions)
+        return self.depot.counters.active_sessions
 
     @property
     def address(self):

@@ -375,11 +375,15 @@ class HeaderAccumulator:
     still needed — drivers doing their own buffering can use it to size
     reads, though over-reading is safe (the excess lands in
     ``surplus``). A header that arrives whole in one read, the usual
-    case, is parsed in place: nothing is buffered or copied.
+    case, is parsed in place: nothing is buffered or copied. One that
+    trickles in is decoded again only once the buffer holds what the
+    last decode asked for, so a header fed a byte at a time costs a
+    decode per field, not one per byte.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        self._need = 0  # buffered bytes the next decode needs
         self.header: Optional[LslHeader] = None
         self.raw: bytes = b""
         self.surplus: bytes = b""
@@ -391,11 +395,15 @@ class HeaderAccumulator:
             raise ProtocolError("header already parsed")
         if self._buf or type(data) is not bytes:
             self._buf += data
+            if len(self._buf) < self._need:
+                self.hint = self._need - len(self._buf)
+                return None
             data = bytes(self._buf)
         try:
             header, consumed = LslHeader.decode(data)
         except IncompleteHeader as inc:
             self.hint = inc.missing
+            self._need = len(data) + inc.missing
             if not self._buf:
                 self._buf += data
             return None

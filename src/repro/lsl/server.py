@@ -30,7 +30,7 @@ from repro.telemetry.protocol import protocol_observer
 
 #: The ``OSError`` a kernel socket raises where the simulated TCP
 #: reports these.
-_KERNEL_ERRORS = {
+KERNEL_ERRORS = {
     ConnectionReset: ConnectionResetError,
     ConnectionTimeout: TimeoutError,
 }
@@ -111,7 +111,7 @@ class SimLink:
         owner = self.owner
         if error is not None and not self.closed:
             owner.engine.net_logger_log("sublink-error", str(error))
-            owner.broken(self, _KERNEL_ERRORS.get(type(error), OSError)(str(error)))
+            owner.broken(self, KERNEL_ERRORS.get(type(error), OSError)(str(error)))
         on_close = getattr(owner.live, "on_close", None)
         if on_close is not None:
             on_close(error)

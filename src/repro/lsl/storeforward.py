@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.lsl.core import RelayCore, RelayReject
-from repro.lsl.depot import DepotStats
 from repro.lsl.core.errors import ProtocolError
 from repro.lsl.core.wire import LslHeader
 from repro.sim import Timer
+from repro.sockets.depot import DepotCounters
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.options import TcpOptions
 from repro.tcp.sockets import SimSocket, TcpStack
@@ -110,7 +110,7 @@ class _SpooledSession:
             return
         self.upload_complete = True
         self.upstream.close()
-        self.depot.stats.sessions_accepted += 1
+        self.depot.counters.add(sessions_accepted=1)
         self._expiry_timer.start(self.depot.retention_s)
         self._attempt_delivery()
 
@@ -161,8 +161,9 @@ class _SpooledSession:
             self.delivered = True
             self._retry_timer.stop()
             self._expiry_timer.stop()
-            self.depot.stats.sessions_completed += 1
-            self.depot.stats.bytes_relayed_forward += self.spooled_bytes
+            self.depot.counters.add(
+                sessions_completed=1, bytes_relayed=self.spooled_bytes
+            )
             self.depot._session_finished(self)
             return
         # failed: back off and retry while within retention
@@ -177,12 +178,12 @@ class _SpooledSession:
         self._retry_timer.stop()
         if self.downstream is not None:
             self.downstream.abort()
-        self.depot.stats.sessions_failed += 1
+        self.depot.counters.add(sessions_failed=1)
         self.depot._session_finished(self)
 
     def _fail(self, error: Exception) -> None:
         self.upstream.abort()
-        self.depot.stats.sessions_failed += 1
+        self.depot.counters.add(sessions_failed=1)
         self.depot.stack.net.logger.log(
             f"sfdepot:{self.depot.stack.host.name}", "spool-failed", str(error)
         )
@@ -209,7 +210,7 @@ class StoreForwardDepot:
         self.max_object_bytes = max_object_bytes
         self.retention_s = retention_s
         self.tcp_options = tcp_options or stack.default_options
-        self.stats = DepotStats()
+        self.counters = DepotCounters()
         self.sessions: List[_SpooledSession] = []
 
         self._listener = stack.socket(self.tcp_options)

@@ -9,7 +9,7 @@ stacks emit identical wire bytes. Runs on localhost for the examples
 and tests.
 
 The sessions live here for *both* real-socket drivers:
-:mod:`repro.sockets.lsd` (the depot relay), :mod:`repro.sockets.terminal`
+:mod:`repro.sockets.depot` (the depot relay), :mod:`repro.sockets.terminal`
 (server) and :mod:`repro.sockets.striped` (striped server and sender)
 are plain objects that reach the transport only through their links.
 This package runs them from a ``recv`` loop on a pooled worker

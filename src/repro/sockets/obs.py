@@ -99,8 +99,9 @@ def process_families() -> List[MetricFamily]:
 
 _DEPOT_HELP = {
     "sessions_accepted": "Sublinks accepted, less those closed with no byte sent.",
-    "sessions_completed": "Relay sessions drained cleanly in both directions.",
+    "sessions_completed": "Relay sessions that ended in both directions.",
     "sessions_failed": "Relay sessions that errored or were cut short.",
+    "sessions_refused": "Sublinks reset by the admission cap, never accepted.",
     "sessions_suspended": "Terminal sessions parked mid-payload awaiting "
     "a rebind.",
     "sessions_expired": "Suspended sessions dropped by the TTL sweep.",

@@ -2,7 +2,7 @@
 service chassis that accepts sockets into them.
 
 A session object — a terminal, striped or cluster sublink, or a depot's
-:class:`~repro.sockets.lsd.RelaySession` — is a plain object with
+:class:`~repro.sockets.depot.RelaySession` — is a plain object with
 ``received(link, data)`` / ``ended(link)`` / ``broken(link, exc)`` that
 touches the world only through its links. On the event loop a link is a
 :class:`repro.asockets.runtime.Endpoint`; here it is a
@@ -267,8 +267,9 @@ class ThreadedService:
                 target=self._sweeper, name=f"{name}-sweep", daemon=True
             ).start()
 
-    def _open(self, sock: socket.socket) -> BlockingLink:
-        """Start the session of one accepted socket (the engine's)."""
+    def _open(self, sock: socket.socket) -> Optional[BlockingLink]:
+        """Start the session of one accepted socket (the engine's), or
+        refuse it (None)."""
         raise NotImplementedError
 
     # -- links -------------------------------------------------------------

@@ -107,7 +107,7 @@ class Telemetry:
     def register_exporter(self, name: str,
                           fn: Callable[[], Dict[str, object]]) -> None:
         """Add a callable whose dict is merged into the metrics snapshot
-        at write time (used for end-of-run stats like DepotStats)."""
+        at write time (used for end-of-run stats like a depot's counters)."""
         self._exporters.append(lambda: {name: fn()})
 
     # -- export ---------------------------------------------------------

@@ -95,15 +95,12 @@ class PeriodicSampler:
 
         def probe() -> None:
             now = self.sim.now
-            sessions = depot.active_sessions
             buffered = 0
-            for session in sessions:
-                if session.forward_pump is not None:
-                    buffered += session.forward_pump.buffered_bytes
-                if session.reverse_pump is not None:
-                    buffered += session.reverse_pump.buffered_bytes
+            for end in depot.sessions:
+                for pump in end.owner.pumps:
+                    buffered += pump.buffered_bytes
             metrics.gauge(f"depot.{name}.active_sessions").set(
-                len(sessions), now
+                depot.counters.active_sessions, now
             )
             metrics.gauge(f"depot.{name}.relay_buffered_bytes").set(
                 buffered, now

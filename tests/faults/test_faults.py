@@ -110,15 +110,14 @@ def test_depot_crash_aborts_sessions_then_restart_accepts():
     closed = []
     conn.on_close = closed.append
     world.run(until=0.5)
-    assert world.depot.active_sessions
+    assert world.depot.counters.active_sessions
 
     world.depot.crash()
     world.depot.crash()  # idempotent
     assert world.depot.crashed
-    assert not world.depot.active_sessions
-    assert world.depot.stats.crashes == 1
-    assert world.depot.stats.sessions_aborted == 1
-    assert world.depot.stats.sessions_failed == 0
+    assert not world.depot.counters.active_sessions
+    assert world.depot.crashes == 1
+    assert world.depot.counters.sessions_failed == 1
     world.run(until=10.0)
     assert closed and closed[0] is not None  # the reset reached the client
 
@@ -129,7 +128,7 @@ def test_depot_crash_aborts_sessions_then_restart_accepts():
     )
     drive(conn2, 10_000)
     world.run(until=120.0)
-    assert world.depot.stats.sessions_completed == 1
+    assert world.depot.counters.sessions_completed == 1
     assert len(world.completed) == 1 and world.completed[0].digest_ok
 
 
@@ -141,7 +140,7 @@ def test_restart_without_crash_is_a_noop():
     )
     drive(conn, 1_000)
     world.run()
-    assert world.depot.stats.sessions_completed == 1
+    assert world.depot.counters.sessions_completed == 1
 
 
 def test_armed_depot_fault_without_restore_stays_down():
@@ -149,7 +148,7 @@ def test_armed_depot_fault_without_restore_stays_down():
     FaultPlan.of(DepotFault("depot", 0.1)).arm(world.net, [world.depot])
     world.run(until=60.0)
     assert world.depot.crashed
-    assert world.depot.stats.crashes == 1
+    assert world.depot.crashes == 1
 
 
 def test_armed_depot_fault_with_restore_comes_back():

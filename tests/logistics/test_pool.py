@@ -68,7 +68,7 @@ def test_least_loaded_prefers_idle():
     # occupy d0 with a long session
     start_transfer(stacks, "d0", nbytes=5_000_000)
     net.sim.run(until=0.5)
-    assert len(depots[0].active_sessions) == 1
+    assert depots[0].counters.active_sessions == 1
     assert pool.pick(net.sim.now).host_name != "d0"
 
 
@@ -122,8 +122,8 @@ def test_admission_control_refuses_beyond_limit():
     for c in conns:
         c.on_close = lambda err, c=c: errors.append(err) if err else None
     net.sim.run(until=2.0)
-    assert depot.stats.sessions_refused == 2
-    assert len(depot.active_sessions) == 2
+    assert depot.counters.sessions_refused == 2
+    assert depot.counters.active_sessions == 2
     net.sim.run(until=120.0)
     # the two admitted sessions complete
     assert len(completed) == 2

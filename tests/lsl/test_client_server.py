@@ -48,8 +48,8 @@ def test_depot_session_completes_with_digest(world):
     world.run()
     assert len(world.completed) == 1
     assert world.completed[0].digest_ok is True
-    assert world.depot.stats.sessions_completed == 1
-    assert world.depot.stats.bytes_relayed_forward >= 250_000
+    assert world.depot.counters.sessions_completed == 1
+    assert world.depot.counters.bytes_relayed >= 250_000
 
 
 def test_real_payload_bytes_survive_relay(world):

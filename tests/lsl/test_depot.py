@@ -15,10 +15,10 @@ def test_depot_counts_sessions(world):
         )
         drive(conn, 20_000)
     world.run()
-    assert world.depot.stats.sessions_accepted == 3
-    assert world.depot.stats.sessions_completed == 3
-    assert world.depot.stats.sessions_failed == 0
-    assert not world.depot.active_sessions
+    assert world.depot.counters.sessions_accepted == 3
+    assert world.depot.counters.sessions_completed == 3
+    assert world.depot.counters.sessions_failed == 0
+    assert not world.depot.counters.active_sessions
 
 
 def test_depot_as_final_hop_rejected(world):
@@ -30,7 +30,7 @@ def test_depot_as_final_hop_rejected(world):
     )
     conn.on_close = closed.append
     world.run(until=10.0)
-    assert world.depot.stats.sessions_failed == 1
+    assert world.depot.counters.sessions_failed == 1
     assert closed and closed[0] is not None  # RST reached the client
 
 
@@ -43,7 +43,7 @@ def test_raw_garbage_to_depot_fails_session(world):
 
     sock.connect(("depot", 4000), on_connected=go)
     world.run(until=10.0)
-    assert world.depot.stats.sessions_failed == 1
+    assert world.depot.counters.sessions_failed == 1
 
 
 def test_depot_dial_failure_aborts_upstream(world):
@@ -56,7 +56,7 @@ def test_depot_dial_failure_aborts_upstream(world):
     )
     conn.on_close = closed.append
     world.run(until=30.0)
-    assert world.depot.stats.sessions_failed == 1
+    assert world.depot.counters.sessions_failed == 1
     assert closed and closed[0] is not None
 
 
@@ -66,10 +66,10 @@ def test_depot_shutdown_aborts_active_sessions(world):
     )
     drive(conn, 10_000_000)
     world.run(until=0.5)
-    assert world.depot.active_sessions
+    assert world.depot.counters.active_sessions
     world.depot.shutdown()
     world.run(until=30.0)
-    assert not world.depot.active_sessions
+    assert not world.depot.counters.active_sessions
     assert not world.completed
 
 
@@ -107,9 +107,9 @@ def test_multi_depot_cascade():
     drive(conn, 300_000)
     net.sim.run(until=120.0)
     assert completed and completed[0].digest_ok
-    assert dep1.stats.sessions_completed == 1
-    assert dep2.stats.sessions_completed == 1
-    assert dep1.stats.bytes_relayed_forward >= 300_000
+    assert dep1.counters.sessions_completed == 1
+    assert dep2.counters.sessions_completed == 1
+    assert dep1.counters.bytes_relayed >= 300_000
 
 
 def test_depot_relays_trailer_bytes(world):
@@ -121,5 +121,5 @@ def test_depot_relays_trailer_bytes(world):
     drive(conn, 1_000)
     world.run()
     assert world.completed[0].digest_ok is True
-    # 1000 payload + 16 trailer
-    assert world.depot.stats.bytes_relayed_forward == 1_016
+    # 1000 payload + 16 trailer forward, the 1-byte session ack back
+    assert world.depot.counters.bytes_relayed == 1_016 + 1

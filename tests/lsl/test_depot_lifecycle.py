@@ -1,6 +1,6 @@
 """Depot and relay lifecycle edges: early FIN, aborts with CPU work
 pending, shutdown with sessions in flight, admission refusal — asserting
-DepotStats agree with what happened and the simulator heap drains."""
+the depot's counters agree with what happened and the simulator heap drains."""
 
 from repro.lsl.client import lsl_connect
 from tests.helpers import two_host_net
@@ -27,8 +27,8 @@ def test_early_fin_during_dial_window_still_relays():
     assert len(world.completed) == 1
     assert world.completed[0].payload_received == 500
     assert world.completed[0].digest_ok is True
-    assert world.depot.stats.sessions_completed == 1
-    assert world.depot.stats.sessions_failed == 0
+    assert world.depot.counters.sessions_completed == 1
+    assert world.depot.counters.sessions_failed == 0
     drain(world)
 
 
@@ -44,16 +44,15 @@ def test_upstream_abort_with_cpu_batch_pending():
     )
     drive(conn, 4_000_000)
     world.run(until=0.4)
-    assert world.depot.active_sessions
-    session = next(iter(world.depot.active_sessions))
-    pump = session.forward_pump
+    assert world.depot.counters.active_sessions
+    pump = next(iter(world.depot.sessions)).pump
     assert pump is not None
     assert pump._cpu_events or pump._processing_bytes > 0
 
     conn.sock.abort()
     world.run(until=60.0)
-    assert not world.depot.active_sessions
-    assert world.depot.stats.sessions_failed == 1
+    assert not world.depot.counters.active_sessions
+    assert world.depot.counters.sessions_failed == 1
     assert pump.finished
     assert pump._processing_bytes == 0
     assert pump._ready_bytes == 0
@@ -73,13 +72,12 @@ def test_shutdown_with_inflight_sessions_counts_aborts():
         drive(c, 10_000_000)
         conns.append(c)
     world.run(until=0.5)
-    assert len(world.depot.active_sessions) == 2
+    assert world.depot.counters.active_sessions == 2
 
     world.depot.shutdown()
-    assert not world.depot.active_sessions
-    assert world.depot.stats.sessions_aborted == 2
-    assert world.depot.stats.sessions_failed == 0
-    assert world.depot.stats.sessions_completed == 0
+    assert not world.depot.counters.active_sessions
+    assert world.depot.counters.sessions_failed == 2
+    assert world.depot.counters.sessions_completed == 0
     world.run(until=60.0)
     assert not world.completed
     drain(world)
@@ -92,7 +90,7 @@ def test_max_sessions_refusal_and_recovery():
     )
     drive(c1, 5_000_000)
     world.run(until=0.3)
-    assert len(world.depot.active_sessions) == 1
+    assert world.depot.counters.active_sessions == 1
 
     closed = []
     c2 = lsl_connect(
@@ -101,12 +99,12 @@ def test_max_sessions_refusal_and_recovery():
     drive(c2, 1_000)
     c2.on_close = closed.append
     world.run(until=30.0)
-    assert world.depot.stats.sessions_refused == 1
+    assert world.depot.counters.sessions_refused == 1
     assert closed and closed[0] is not None  # refused with a reset
 
     # the admitted session is unharmed and completes
     world.run(until=300.0)
-    assert world.depot.stats.sessions_completed == 1
+    assert world.depot.counters.sessions_completed == 1
     assert len(world.completed) == 1 and world.completed[0].digest_ok
     drain(world)
 

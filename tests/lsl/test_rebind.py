@@ -152,7 +152,7 @@ def test_rebind_through_different_depot_route(world):
     conn2._user_on_connected = pump_rest
     world.run(until=60.0)
     assert world.completed and world.completed[0].digest_ok is True
-    assert world.depot.stats.sessions_completed == 1
+    assert world.depot.counters.sessions_completed == 1
 
 
 def test_rebind_requires_digest_state(world):

@@ -74,7 +74,7 @@ def test_delivery_while_receiver_offline_then_online():
     assert completed[0].payload_received == 300_000
     assert completed[0].digest_ok is True
     assert depot.pending_sessions == 0
-    assert depot.stats.sessions_completed == 1
+    assert depot.counters.sessions_completed == 1
 
 
 def test_immediate_delivery_when_receiver_present():
@@ -112,8 +112,8 @@ def test_retention_expiry_drops_object():
     upload(stacks, 50_000)
     net.sim.run(until=30.0)  # receiver never appears
     assert depot.pending_sessions == 0
-    assert depot.stats.sessions_failed == 1
-    assert depot.stats.sessions_completed == 0
+    assert depot.counters.sessions_failed == 1
+    assert depot.counters.sessions_completed == 0
 
 
 def test_oversized_object_rejected():
@@ -123,7 +123,7 @@ def test_oversized_object_rejected():
     closed = []
     conn.on_close = closed.append
     net.sim.run(until=30.0)
-    assert depot.stats.sessions_failed == 1
+    assert depot.counters.sessions_failed == 1
     assert closed and closed[0] is not None  # sender saw the abort
 
 
@@ -139,7 +139,7 @@ def test_sync_session_rejected():
     closed = []
     conn.on_close = closed.append
     net.sim.run(until=30.0)
-    assert depot.stats.sessions_failed == 1
+    assert depot.counters.sessions_failed == 1
 
 
 def test_retry_backoff_counts_attempts():

@@ -270,9 +270,9 @@ def test_migrate_moves_sublink_to_new_route_mid_transfer():
     # sublink and the transfer silently degrades onto the survivor)
     assert client.sublinks[2].bytes_sent > 0
     assert server.errors == []
-    assert depot_b.stats.sessions_failed == 0
-    assert depot_b.stats.sessions_accepted == 1
-    assert depot_b.stats.bytes_relayed_forward > 0
+    assert depot_b.counters.sessions_failed == 0
+    assert depot_b.counters.sessions_accepted == 1
+    assert depot_b.counters.bytes_relayed > 0
 
 
 def test_unframed_sublink_rejected_by_striped_server():

@@ -272,25 +272,55 @@ def _relay_services():
     }
 
 
-@pytest.mark.parametrize("service", ["threads", "asyncio", "cluster"])
+def _sim_health_check_then_partial():
+    """The same two connections against the simulator's depot; returns
+    its counters and how many ``relay-failed`` events it emitted (skipped
+    where the live stack runs with the simulator unimportable)."""
+    Depot = pytest.importorskip("repro.lsl.depot").Depot
+    from repro.telemetry.hub import Telemetry
+    from tests.helpers import two_host_net
+
+    net, client, host = two_host_net(delay_ms=5.0)
+    telemetry = net.telemetry = Telemetry(net.sim)
+    depot = Depot(host, 4000)
+    check = client.socket()
+    check.connect(("b", 4000), on_connected=check.close)
+    partial = client.socket()
+
+    def send_prefix():
+        partial.send(b"LSL")
+        partial.close()
+
+    partial.connect(("b", 4000), on_connected=send_prefix)
+    net.sim.run(until=60.0)
+    failed = telemetry.metrics.counter("lsl.proto.relay-failed").value
+    return depot.counters, failed
+
+
+@pytest.mark.parametrize("service", ["threads", "asyncio", "cluster", "sim"])
 def test_a_connection_that_sends_no_byte_is_not_a_session(service):
     """A TCP health check (connect, close) is neither accepted nor
-    failed and emits no event, on both depots and a cluster worker; a
-    header prefix then EOF still fails."""
-    observer = RecordingObserver()
-    with _relay_services()[service](observer=observer) as svc:
-        counters = svc.counters
-        socket.create_connection(svc.address, timeout=5).close()
-        partial = socket.create_connection(svc.address, timeout=5)
-        partial.sendall(b"LSL")
-        partial.close()
-        # accepted in order: the health check ends before the gauge is 0
-        assert _wait(lambda: counters.sessions_failed == 1)
-        assert _wait(lambda: counters.active_sessions == 0)
+    failed and emits no event, on every depot driver and a cluster
+    worker; a header prefix then EOF still fails."""
+    if service == "sim":
+        counters, failed = _sim_health_check_then_partial()
         snap = counters.snapshot()
+    else:
+        observer = RecordingObserver()
+        with _relay_services()[service](observer=observer) as svc:
+            counters = svc.counters
+            socket.create_connection(svc.address, timeout=5).close()
+            partial = socket.create_connection(svc.address, timeout=5)
+            partial.sendall(b"LSL")
+            partial.close()
+            # accepted in order: the health check ends before the gauge is 0
+            assert _wait(lambda: counters.sessions_failed == 1)
+            assert _wait(lambda: counters.active_sessions == 0)
+            snap = counters.snapshot()
+        failed = observer.kinds().count("relay-failed")
     assert snap["sessions_accepted"] == 1
     assert snap["sessions_failed"] == 1
-    assert observer.kinds().count("relay-failed") == 1
+    assert failed == 1
     assert snap["sessions_accepted"] - snap["sessions_completed"] - snap[
         "sessions_failed"
     ] - snap["sessions_suspended"] == snap["active_sessions"]
@@ -417,6 +447,37 @@ def test_a_crash_fails_a_live_relay_once(driver):
     assert depot.counters.sessions_failed == 1
     assert depot.counters.sessions_completed == 0
     assert observer.kinds().count("relay-failed") == 1
+
+
+@pytest.mark.parametrize("driver", ["threads", "asyncio"])
+def test_the_admission_cap_resets_what_it_refuses(driver):
+    """The engine's one admission rule holds on both live drivers: past
+    ``max_sessions`` a connection is reset and counted refused, never
+    accepted, and the admitted session is unharmed."""
+    from repro.asockets import AsyncDepot
+
+    depot_cls = AsyncDepot if driver == "asyncio" else ThreadedDepot
+    with ThreadedLslServer() as server:
+        with depot_cls() as depot:
+            depot.max_sessions = 1
+            client = LslSocketClient(
+                [depot.address, server.address], payload_length=len(PAYLOAD)
+            )
+            try:
+                client.sendall(PAYLOAD[:1024])
+                with pytest.raises(ConnectionResetError):  # in connect or recv
+                    with socket.create_connection(depot.address, timeout=5) as refused:
+                        refused.recv(1)
+                client.sendall(PAYLOAD[1024:])
+                client.finish()
+            finally:
+                client.close()
+            assert server.wait_for_sessions(1)
+            assert _wait(lambda: depot.counters.active_sessions == 0)
+    snap = depot.counters.snapshot()
+    assert (snap["sessions_accepted"], snap["sessions_refused"]) == (1, 1)
+    assert (snap["sessions_completed"], snap["sessions_failed"]) == (1, 0)
+    assert server.results[0].digest_ok is True
 
 
 # -- every service survives, counts and reports transient accept errors ----

@@ -36,7 +36,7 @@ from repro.lsl.core.framing import encode_frame_header
 from repro.lsl.core.session import FINISHED_KEPT
 from repro.lsl.core.wire import LslHeader, RouteHop
 from repro.sockets.client import plan_client_session
-from repro.sockets.lsd import DepotCounters, DepotEngine, RelaySession
+from repro.sockets.depot import DepotCounters, DepotEngine, RelaySession
 from repro.sockets.striped import StripedTerminalEngine, _StripedSend
 from repro.sockets.striped import _frame_of
 from repro.sockets.terminal import TerminalEngine, TerminalSublink
@@ -1049,12 +1049,29 @@ def test_eof_in_both_directions_ends_the_relay_once_and_completed():
 
 
 def test_a_reset_while_relaying_counts_as_completed():
+    """Once the upstream's EOF is passed on, a reset is no failure: a
+    peer may close while a reply is still unread."""
     depot, up, relay = _relaying(_stream(route=RELAYED))
+    up.eof = True
+    relay.ended(up)
     relay.broken(relay.down, ConnectionResetError("peer reset"))
     relay.broken(up, ConnectionResetError("peer reset"))
     assert up.closed and relay.down.closed
     assert depot.counters.sessions_completed == 1
     assert depot.counters.sessions_failed == 0 and not depot.failures()
+
+
+@pytest.mark.parametrize("side", ["up", "down"])
+def test_a_reset_before_the_upstream_eof_fails_the_relay_once(side):
+    depot, up, relay = _relaying(_stream(route=RELAYED))
+    link = up if side == "up" else relay.down
+    relay.broken(link, ConnectionResetError("peer reset"))
+    relay.broken(up, ConnectionResetError("peer reset"))
+    assert up.closed and relay.down.closed
+    assert depot.counters.sessions_failed == 1
+    assert depot.counters.sessions_completed == 0
+    (event,) = depot.failures()
+    assert "peer reset" in event.detail["reason"]
 
 
 def test_a_shutdown_while_relaying_counts_as_failed_once():

@@ -94,16 +94,16 @@ def test_the_simulator_loads_neither_networkx_nor_numpy():
 
 
 def test_the_simulator_loads_no_threaded_chassis():
-    """A simulated transfer's client and server import
-    ``repro.sockets.client`` and ``repro.sockets.terminal``; the blocking
-    dial, the link and the worker pool load with the first real-socket
-    session only."""
+    """A simulated transfer's client, server and depot import
+    ``repro.sockets.client``, ``repro.sockets.terminal`` and
+    ``repro.sockets.depot``; the blocking dial, the link and the worker
+    pool load with the first real-socket session only."""
     modules = _fresh_modules(
         "import json, sys\n"
-        "import repro.experiments.transfer\n"
+        "import repro.experiments.transfer, repro.lsl.depot\n"
         "print(json.dumps({'loaded': sorted(sys.modules)}))\n"
     )["loaded"]
-    assert "repro.sockets.client" in modules
+    assert {"repro.sockets.client", "repro.sockets.depot"} <= set(modules)
     assert [m for m in ("repro.sockets.wire", "repro.sockets.workers")
             if m in modules] == []
 
